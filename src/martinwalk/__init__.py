@@ -6,6 +6,7 @@ from .chain import (
     DistributionTable,
     GradedChain,
     State,
+    kernel_pairs,
     markov_property_check,
     replicate_rng,
 )
@@ -20,6 +21,7 @@ from .compositions import (
     compositions,
     dm_convergence_check,
     polya_cotransition,
+    product_moment,
     uniform_walk,
 )
 from .definetti import (

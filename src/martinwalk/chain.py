@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -150,6 +150,10 @@ class GradedChain:
         Optional vectorized sampler of Y_n alone; called as
         ``final_sampler(n, seed, replicates)``.
 
+    Forward and conditional laws share one memo: ``_cond[x]`` maps levels
+    to the law of Y_n given Y_m = x, and the forward law is the entry of
+    the root, so ``conditional_law(root, n)`` is ``forward_law(n)``.
+
     Instances are immutable apart from internal memo tables; sharing across
     threads is safe (a lost cache write just means recomputation).
     """
@@ -174,8 +178,9 @@ class GradedChain:
         self._levels: dict[int, tuple[State, ...]] = {0: (root,)}
         self._rows: dict[State, tuple[tuple[State, Prob], ...]] = {}
         self._preds: dict[int, dict[State, tuple[tuple[State, Prob], ...]]] = {}
-        self._forward: dict[int, DistributionTable] = {0: DistributionTable(0, {root: Fraction(1)})}
-        self._cond: dict[State, dict[int, DistributionTable]] = {}
+        self._cond: dict[State, dict[int, DistributionTable]] = {
+            root: {0: DistributionTable(0, {root: Fraction(1)})}
+        }
         self._back: dict[State, dict[int, dict[State, Prob]]] = {}
 
     def __repr__(self) -> str:
@@ -249,25 +254,31 @@ class GradedChain:
 
     # -- forward laws ------------------------------------------------------
 
+    def _propagate(self, memo: dict[int, DistributionTable], n: int) -> DistributionTable:
+        """Extend a {level: law} memo, which lacks level n, level by level up to n.
+
+        The one forward DP: forward and conditional laws both come from here.
+        """
+        start = max(k for k in memo if k <= n)
+        current = memo[start].probs
+        for k in range(start, n):
+            nxt: dict[State, Prob] = defaultdict(int)
+            for z, p in current.items():
+                for y, q in self.successors(z):
+                    if q != 0:
+                        nxt[y] += p * q
+            current = dict(nxt)
+            memo[k + 1] = DistributionTable(k + 1, current)
+        return memo[n]
+
     def forward_law(self, n: int, include_zeros: bool = False) -> DistributionTable:
         """P(Y_n = .) by level-by-level dynamic programming from the root."""
         if n > self.level_budget:
             raise BudgetExceededError(
                 f"forward law at level {n} exceeds budget {self.level_budget}"
             )
-        if n not in self._forward:
-            start = max(k for k in self._forward if k <= n)
-            current = dict(self._forward[start].probs)
-            for k in range(start, n):
-                nxt: dict[State, Prob] = defaultdict(int)
-                for x, p in current.items():
-                    for y, q in self.successors(x):
-                        if q != 0:
-                            nxt[y] += p * q
-                current = dict(nxt)
-                self._forward.setdefault(k + 1, DistributionTable(k + 1, dict(current)))
-            self._forward.setdefault(n, DistributionTable(n, current))
-        table = self._forward[n]
+        memo = self._cond[self.root]
+        table = memo[n] if n in memo else self._propagate(memo, n)
         if include_zeros:
             padded = {s: table.prob(s) for s in self.enumerate_level(n)}
             return DistributionTable(n, padded)
@@ -284,19 +295,7 @@ class GradedChain:
         if self.forward_law(x.level).prob(x) == 0:
             raise UnreachableStateError(f"conditioning on unreachable state {x}")
         per_state = self._cond.setdefault(x, {x.level: DistributionTable(x.level, {x: 1})})
-        if n not in per_state:
-            start = max(k for k in per_state if k <= n)
-            current = dict(per_state[start].probs)
-            for k in range(start, n):
-                nxt: dict[State, Prob] = defaultdict(int)
-                for z, p in current.items():
-                    for y, q in self.successors(z):
-                        if q != 0:
-                            nxt[y] += p * q
-                current = dict(nxt)
-                per_state.setdefault(k + 1, DistributionTable(k + 1, dict(current)))
-            per_state.setdefault(n, DistributionTable(n, current))
-        return per_state[n]
+        return per_state[n] if n in per_state else self._propagate(per_state, n)
 
     def conditional_forward(self, x: State, y: State) -> Prob:
         """P(Y_n = y | Y_m = x); 1 when x == y, 0 when y is below x."""
@@ -433,6 +432,16 @@ class GradedChain:
                 if law.prob(x) == 0:
                     report.violations.append(Violation(f"P(Y_{n}={x})>0", 1, 0))
         return report
+
+
+def kernel_pairs(chain: GradedChain, max_level: int) -> Iterator[tuple[State, State]]:
+    """Every (x, y) with level(x) <= level(y) <= max_level: by level of x, then
+    x, then level of y, then y, each level in enumeration order."""
+    for m in range(max_level + 1):
+        for x in chain.enumerate_level(m):
+            for n in range(m, max_level + 1):
+                for y in chain.enumerate_level(n):
+                    yield x, y
 
 
 def markov_property_check(law: CylinderLaw, tol: float = FLOAT_TOL) -> CheckReport:

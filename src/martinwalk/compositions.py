@@ -166,17 +166,27 @@ def closed_form_kernel(x, y) -> Prob:
     return math.exp(math.fsum(terms))
 
 
+def product_moment(point: Sequence[Prob], counts: Sequence[int]) -> Prob:
+    """prod_j point_j^{c_j}, with 0^0 = 1 (zero counts are skipped).
+
+    Exact points give an exact result and float points a float.  A scalar
+    factor can lead the product as an extra coordinate (d with count m, a
+    weight with count 1); float rounding then follows the factor-first order.
+    """
+    value: Prob = Fraction(1)
+    for a, c in zip(point, counts):
+        if c:
+            value *= a**c
+    return value
+
+
 def boundary_kernel(x, alpha: Sequence[Prob]) -> Prob:
     """Extended kernel K(x, alpha) = d^m * prod_i alpha_i^{x_i}, with 0^0 = 1."""
     cx = _payload(x)
     pt = validate_simplex(alpha)
     if len(cx) != len(pt):
         raise ValueError(f"composition {cx} does not match a {len(pt)}-part simplex point")
-    value: Prob = Fraction(len(cx)) ** sum(cx)
-    for a, xi in zip(pt, cx):
-        if xi:
-            value *= a**xi
-    return value
+    return product_moment((len(cx), *pt), (sum(cx), *cx))
 
 
 def boundary_harmonic(alpha: Sequence[Prob]) -> HarmonicFn:

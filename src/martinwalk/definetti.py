@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from .chain import (
     markov_property_check,
     replicate_rng,
 )
-from .compositions import polya_cotransition, uniform_walk
+from .compositions import polya_cotransition, product_moment, uniform_walk
 from .errors import BudgetExceededError, MartinWalkError, NonStochasticError, UnreachableStateError
 from .harmonic import HarmonicFn, h_transform, is_harmonic, recover_h
 from .prob import FLOAT_TOL, Prob, format_prob, probs_equal, validate_simplex
@@ -82,14 +83,10 @@ class MixtureSource:
 
     def directing_moment(self, counts: Sequence[int]) -> Prob:
         """Mixture moment of the directing law: sum_i w_i prod_j mu_i(j)^c_j."""
-        total: Prob = 0
-        for w, atom in zip(self.weights, self.atoms):
-            p = w
-            for a, c in zip(atom, counts):
-                if c:
-                    p *= a**c
-            total += p
-        return total
+        return sum(
+            product_moment((w, *atom), (1, *counts))
+            for w, atom in zip(self.weights, self.atoms)
+        )
 
     def directing_atoms(self) -> tuple[tuple[Prob, tuple[Prob, ...]], ...]:
         return tuple(zip(self.weights, self.atoms))
@@ -113,7 +110,7 @@ class PolyaUrnSource:
     initial: tuple[int, ...]
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.initial)
+        counts = tuple(operator.index(c) for c in self.initial)
         if not counts or any(c <= 0 for c in counts):
             raise ValueError("urn needs a positive initial count per symbol")
         object.__setattr__(self, "initial", counts)
@@ -511,13 +508,7 @@ def definetti_identity_check(
         if directing is None:
             integral = source.directing_moment(counts)
         else:
-            integral = 0
-            for w, atom in directing:
-                piece = w
-                for a, c in zip(atom, counts):
-                    if c:
-                        piece *= a**c
-                integral += piece
+            integral = sum(product_moment((w, *atom), (1, *counts)) for w, atom in directing)
         report.record(f"cylinder@{word}", integral, source.word_probability(word), tol)
     return report
 

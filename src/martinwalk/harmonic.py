@@ -15,13 +15,14 @@ the marginal ratio h(x) = P_observed(Y_n = x) / P_base(Y_n = x).
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .chain import DEFAULT_ATOM_BUDGET, GradedChain, State
+from .chain import DEFAULT_ATOM_BUDGET, GradedChain, State, kernel_pairs
 from .errors import (
     BudgetExceededError,
     CotransitionMismatchError,
@@ -181,20 +182,16 @@ def kernel_transform_check(
     tol: float = FLOAT_TOL,
 ) -> CheckReport:
     """Check K_h(x, y) h(x) = K(x, y) on the support, both sides computed independently."""
-    h = transformed.h
+    h = functools.cache(transformed.h)  # once per state, not once per pair
     report = CheckReport(f"kernel-transform[{transformed.name}]")
-    for m in range(max_level + 1):
-        for x in transformed.enumerate_level(m):
-            if transformed.forward_law(m).prob(x) == 0:
-                continue
-            hx = h(x)
-            for n in range(m, max_level + 1):
-                for y in transformed.enumerate_level(n):
-                    if transformed.forward_law(n).prob(y) == 0:
-                        continue
-                    original = base.martin_kernel(x, y)
-                    lifted = transformed.martin_kernel(x, y)
-                    report.record(f"K_h@({x}; {y})", original, lifted * hx, tol)
+    for x, y in kernel_pairs(transformed, max_level):
+        if transformed.forward_law(x.level).prob(x) == 0:
+            continue
+        if transformed.forward_law(y.level).prob(y) == 0:
+            continue
+        original = base.martin_kernel(x, y)
+        lifted = transformed.martin_kernel(x, y)
+        report.record(f"K_h@({x}; {y})", original, lifted * h(x), tol)
     return report
 
 

@@ -18,6 +18,7 @@ from martinwalk import (
     State,
     UnreachableStateError,
     comp_state,
+    kernel_pairs,
     markov_property_check,
     uniform_walk,
 )
@@ -82,6 +83,28 @@ class TestForwardLaw:
         )
         with pytest.raises(NonStochasticError):
             chain.forward_law(2)
+
+
+class TestSharedForwardMemo:
+    def test_forward_law_is_conditional_law_from_root(self):
+        w = uniform_walk(2, level_budget=5)
+        for n in (3, 0, 5, 1):
+            assert w.forward_law(n) is w.conditional_law(w.root, n)
+        assert w.conditional_law(w.root, 4) is w.forward_law(4)
+
+
+class TestKernelPairs:
+    def test_order_matches_nested_levels(self):
+        w = uniform_walk(2, level_budget=3)
+        expected = [
+            (x, y)
+            for m in range(4)
+            for x in w.enumerate_level(m)
+            for n in range(m, 4)
+            for y in w.enumerate_level(n)
+        ]
+        assert list(kernel_pairs(w, 3)) == expected
+        assert len(expected) == 65
 
 
 class TestConditionalForward:

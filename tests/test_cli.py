@@ -1,12 +1,25 @@
 """Config parsing, command execution, output determinism, exit statuses."""
 
+import hashlib
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 from martinwalk import BudgetExceededError, ConfigError
-from martinwalk.cli import Report, emit, main, parse_config, run
+from martinwalk.cli import (
+    _COMMAND_KEYS,
+    _RUNNERS,
+    COMMANDS,
+    MAX_KERNEL_PAIRS,
+    Report,
+    emit,
+    kernel_pair_count,
+    main,
+    parse_config,
+    run,
+)
 
 
 def config_text(**kwargs):
@@ -255,3 +268,77 @@ class TestMain:
 
     def test_missing_config_file(self):
         assert main(["verify", "--config", "/nonexistent/cfg.json"]) == 2
+
+
+class TestGoldenBytes:
+    """Report digests recorded before the exact engine's routes were merged;
+    any change to ``verify``/``kernel``/``lift`` bytes must be deliberate."""
+
+    @pytest.mark.parametrize(
+        "doc, digest",
+        [
+            (
+                {"command": "verify", "d": 2, "budget": 4},
+                "ee848b4ce3329d399561e350c2bf194a34c4299808055a270276829790610eda",
+            ),
+            (
+                {"command": "kernel", "d": 2, "budget": 4, "alpha": ["1/3", "2/3"]},
+                "485efae5b095de36e5fc82f29cf87582f50173e22eb61828dc8c44f081505925",
+            ),
+            (
+                {"command": "lift", "points": ["5/8", "1/4"], "depth": 4},
+                "1bb95a7bc361639cb4a88dffba4fbb0d4fe1eb0a35f17da381c2fd1f280036f3",
+            ),
+        ],
+        ids=["verify", "kernel", "lift"],
+    )
+    def test_report_digest(self, doc, digest):
+        report, status = run(parse_config(json.dumps(doc)))
+        assert status == 0
+        assert hashlib.sha256(emit(report)).hexdigest() == digest
+
+
+class TestCommandTable:
+    def test_every_command_has_keys_and_a_runner(self):
+        assert COMMANDS == tuple(_COMMAND_KEYS) == tuple(_RUNNERS)
+
+
+class TestRegressions:
+    def test_verify_single_part_passes(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(command="verify", d=1, budget=4))
+        assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")]) == 0
+
+    def test_fractional_polya_initial_rejected(self, tmp_path):
+        with pytest.raises(ConfigError):
+            parse_config(
+                config_text(command="estimate", source={"kind": "polya", "initial": [1.5, 2]})
+            )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            config_text(
+                command="estimate",
+                source={"kind": "polya", "initial": [1.5, 2]},
+                horizon=10,
+                replicates=2,
+            )
+        )
+        assert main(["estimate", "--config", str(cfg_path)]) == 2
+
+    def test_pair_counts(self):
+        assert kernel_pair_count(3, 8) == 16_071
+        assert kernel_pair_count(4, 10) == 592_878
+        assert kernel_pair_count(1, 12) == 91
+        assert kernel_pair_count(3, 8) <= MAX_KERNEL_PAIRS < kernel_pair_count(4, 10)
+
+    def test_pair_count_matches_kernel_rows(self):
+        report, _ = run(parse_config(config_text(command="kernel", d=3, budget=3)))
+        assert len(report.rows) == kernel_pair_count(3, 3)
+
+    @pytest.mark.parametrize("command", ["verify", "kernel"])
+    def test_pair_budget_rejects_before_work(self, tmp_path, command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(command=command, d=10, budget=12))
+        start = time.perf_counter()
+        assert main([command, "--config", str(cfg_path)]) == 3
+        assert time.perf_counter() - start < 1.0

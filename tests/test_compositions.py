@@ -20,6 +20,7 @@ from martinwalk import (
     h_transform,
     is_harmonic,
     polya_cotransition,
+    product_moment,
     uniform_walk,
 )
 from martinwalk.compositions import EXACT_KERNEL_LIMIT, rounded_ray_point
@@ -150,6 +151,55 @@ class TestBoundaryKernel:
             name="plain",
         )
         assert not is_harmonic(w, plain, 4).ok
+
+
+def reference_moment(point, counts):
+    value = Fraction(1)
+    for a, c in zip(point, counts):
+        for _ in range(c):
+            value *= a
+    return value
+
+
+class TestProductMoment:
+    def test_zero_to_the_zero_is_one(self):
+        assert product_moment((Fraction(0), Fraction(1)), (0, 3)) == 1
+        assert product_moment((Fraction(0), Fraction(1)), (1, 3)) == 0
+        assert product_moment((), ()) == 1
+
+    @given(
+        st.lists(
+            st.tuples(st.fractions(min_value=0, max_value=1, max_denominator=12), st.integers(0, 4)),
+            max_size=5,
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_exact_matches_reference_loop(self, pairs):
+        point = [a for a, _ in pairs]
+        counts = [c for _, c in pairs]
+        value = product_moment(point, counts)
+        assert isinstance(value, Fraction)
+        assert value == reference_moment(point, counts)
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(min_value=0, max_value=1), st.integers(1, 4)),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_float_matches_reference_loop(self, pairs):
+        point = [a for a, _ in pairs]
+        counts = [c for _, c in pairs]
+        value = product_moment(point, counts)
+        assert isinstance(value, float)
+        assert value == pytest.approx(float(reference_moment(point, counts)), rel=1e-12, abs=1e-300)
+
+    def test_boundary_kernel_is_scaled_moment(self):
+        alpha = (Fraction(1, 5), Fraction(0), Fraction(4, 5))
+        for x in compositions(3, 3):
+            assert boundary_kernel(x, alpha) == 27 * product_moment(alpha, x)
 
 
 class TestAlphaWalk:
