@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -54,6 +54,32 @@ def replicate_rng(seed: int, replicate: int = 0) -> np.random.Generator:
     if seed < 0 or replicate < 0:
         raise ValueError("seed and replicate index must be non-negative")
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, replicate)))
+
+
+def replicate_rows(
+    seed: int, start: int, stop: int, width: int, draw: Callable[[np.random.Generator], Any]
+) -> np.ndarray:
+    """Row i is ``draw(replicate_rng(seed, start + i))``: replicates start..stop-1
+    as a (stop - start, width) int64 array, each row from its own stream alone,
+    so rows never depend on how the replicate range is split."""
+    out = np.empty((stop - start, width), dtype=np.int64)
+    for i, r in enumerate(range(start, stop)):
+        out[i] = draw(replicate_rng(seed, r))
+    return out
+
+
+class CountSampler(Protocol):
+    """Array-native sampler of a chain whose payloads are count vectors in N^d.
+
+    Replicate r draws from ``replicate_rng(seed, r)`` only.  Every source
+    kind in ``definetti`` meets the ``sample_final_counts`` half.
+    """
+
+    def sample_path_counts(self, n: int, seed: int, replicate: int) -> np.ndarray:
+        """Payloads of Y_0, ..., Y_n as an int64 array of shape (n + 1, d)."""
+
+    def sample_final_counts(self, n: int, seed: int, start: int, stop: int) -> np.ndarray:
+        """Payloads of Y_n for replicates start..stop-1, int64 of shape (stop - start, d)."""
 
 
 @dataclass(frozen=True)
@@ -142,13 +168,10 @@ class GradedChain:
     level_budget:
         Maximum level for exact enumeration (family calls, forward laws,
         kernels).
-    path_sampler:
-        Optional fast replacement for the generic step-by-step sampler;
-        called as ``path_sampler(n, rng)`` and expected to return the list
-        [Y_0, ..., Y_n].
-    final_sampler:
-        Optional vectorized sampler of Y_n alone; called as
-        ``final_sampler(n, seed, replicates)``.
+    sampler:
+        Optional ``CountSampler`` for chains whose payloads are count
+        vectors; ``sample_path`` and ``sample_final`` then wrap its arrays
+        in states instead of stepping through ``successors``.
 
     Forward and conditional laws share one memo: ``_cond[x]`` maps levels
     to the law of Y_n given Y_m = x, and the forward law is the entry of
@@ -165,16 +188,14 @@ class GradedChain:
         successors: Callable[[State], Successors],
         level_budget: int,
         name: str = "chain",
-        path_sampler: Optional[Callable[[int, np.random.Generator], list[State]]] = None,
-        final_sampler: Optional[Callable[[int, int, int], list[State]]] = None,
+        sampler: Optional[CountSampler] = None,
     ):
         self.root = root
         self.level_budget = level_budget
         self.name = name
         self._family = family
         self._successors = successors
-        self._path_sampler = path_sampler
-        self._final_sampler = final_sampler
+        self.sampler = sampler
         self._levels: dict[int, tuple[State, ...]] = {0: (root,)}
         self._rows: dict[State, tuple[tuple[State, Prob], ...]] = {}
         self._preds: dict[int, dict[State, tuple[tuple[State, Prob], ...]]] = {}
@@ -388,9 +409,10 @@ class GradedChain:
 
     def sample_path(self, n: int, seed: int, replicate: int = 0) -> list[State]:
         """One trajectory (Y_0, ..., Y_n); same (seed, replicate) gives the same path."""
+        if self.sampler is not None:
+            counts = self.sampler.sample_path_counts(n, seed, replicate)
+            return [State(k, tuple(row)) for k, row in enumerate(counts.tolist())]
         rng = replicate_rng(seed, replicate)
-        if self._path_sampler is not None:
-            return self._path_sampler(n, rng)
         path = [self.root]
         x = self.root
         for _ in range(n):
@@ -408,8 +430,9 @@ class GradedChain:
 
     def sample_final(self, n: int, seed: int, replicates: int) -> list[State]:
         """Y_n for replicate indices 0..replicates-1, one stream per replicate."""
-        if self._final_sampler is not None:
-            return self._final_sampler(n, seed, replicates)
+        if self.sampler is not None:
+            counts = self.sampler.sample_final_counts(n, seed, 0, replicates)
+            return [State(n, tuple(row)) for row in counts.tolist()]
         return [self.sample_path(n, seed, r)[-1] for r in range(replicates)]
 
     # -- on-demand structural checks -----------------------------------------

@@ -370,14 +370,12 @@ def _run_simulate(config: RunConfig, report: Report) -> None:
         walk = alpha_walk(config.alpha, level_budget=config.budget)
     else:
         walk = uniform_walk(config.d, level_budget=config.budget)
-    d = config.d
+    fields = ("replicate", "step", *(f"part_{i + 1}" for i in range(config.d)))
     for r in range(config.replicates):
-        path = walk.sample_path(config.horizon, config.seed, r)
-        for state in path:
-            row = {"replicate": r, "step": state.level}
-            for i in range(d):
-                row[f"part_{i + 1}"] = state.payload[i]
-            report.rows.append(row)
+        counts = walk.sampler.sample_path_counts(config.horizon, config.seed, r)
+        report.rows.extend(
+            dict(zip(fields, (r, k, *row))) for k, row in enumerate(counts.tolist())
+        )
 
 
 def _run_estimate(config: RunConfig, report: Report) -> None:

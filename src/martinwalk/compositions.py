@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .chain import GradedChain, State, replicate_rng
+from .chain import GradedChain, State, replicate_rng, replicate_rows
 from .harmonic import HarmonicFn
 from .prob import Prob, validate_simplex
 
@@ -65,6 +65,25 @@ def _payload(x) -> Composition:
     return tuple(x.payload) if isinstance(x, State) else tuple(x)
 
 
+@dataclass(frozen=True)
+class StepSampler:
+    """``CountSampler`` of the walk: i.i.d. unit steps e_j with probability probs[j]."""
+
+    probs: tuple[float, ...]
+
+    def sample_path_counts(self, n: int, seed: int, replicate: int) -> np.ndarray:
+        d = len(self.probs)
+        steps = replicate_rng(seed, replicate).choice(d, size=n, p=self.probs)
+        counts = np.zeros((n + 1, d), dtype=np.int64)
+        np.cumsum(steps[:, None] == np.arange(d), axis=0, out=counts[1:])
+        return counts
+
+    def sample_final_counts(self, n: int, seed: int, start: int, stop: int) -> np.ndarray:
+        return replicate_rows(
+            seed, start, stop, len(self.probs), lambda rng: rng.multinomial(n, self.probs)
+        )
+
+
 def _walk(alpha: tuple[Prob, ...], level_budget: int, name: str) -> GradedChain:
     d = len(alpha)
     live = tuple(j for j in range(d) if alpha[j] != 0)
@@ -87,30 +106,13 @@ def _walk(alpha: tuple[Prob, ...], level_budget: int, name: str) -> GradedChain:
             for j in live
         )
 
-    step_probs = np.array([float(a) for a in alpha])
-
-    def path_sampler(n: int, rng: np.random.Generator) -> list[State]:
-        steps = rng.choice(d, size=n, p=step_probs)
-        hits = np.zeros((n, d), dtype=np.int64)
-        hits[np.arange(n), steps] = 1
-        counts = np.vstack([np.zeros((1, d), dtype=np.int64), np.cumsum(hits, axis=0)])
-        return [State(k, tuple(row)) for k, row in enumerate(counts.tolist())]
-
-    def final_sampler(n: int, seed: int, replicates: int) -> list[State]:
-        out = []
-        for r in range(replicates):
-            counts = replicate_rng(seed, r).multinomial(n, step_probs)
-            out.append(State(n, tuple(int(c) for c in counts)))
-        return out
-
     return GradedChain(
         root=State(0, (0,) * d),
         family=family,
         successors=successors,
         level_budget=level_budget,
         name=name,
-        path_sampler=path_sampler,
-        final_sampler=final_sampler,
+        sampler=StepSampler(tuple(float(a) for a in alpha)),
     )
 
 

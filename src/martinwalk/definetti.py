@@ -22,7 +22,7 @@ from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .chain import (
     GradedChain,
     State,
     markov_property_check,
-    replicate_rng,
+    replicate_rows,
 )
 from .compositions import polya_cotransition, product_moment, uniform_walk
 from .errors import BudgetExceededError, MartinWalkError, NonStochasticError, UnreachableStateError
@@ -40,10 +40,28 @@ from .harmonic import HarmonicFn, h_transform, is_harmonic, recover_h
 from .prob import FLOAT_TOL, Prob, format_prob, probs_equal, validate_simplex
 from .reports import CheckReport, MonteCarloResult
 
-_POLYA_SAMPLE_BLOCK = 256
+#: Markov sampling draws at most this many step-map entries (steps x d) at once
+_MARKOV_CHUNK_CELLS = 1 << 20
 
 
 # -- sources -----------------------------------------------------------------
+
+
+class Source(Protocol):
+    """What every source kind provides: alphabet size, a name, the exact law
+    of each word, and final counts Y_n drawn per replicate stream."""
+
+    @property
+    def d(self) -> int: ...
+
+    @property
+    def name(self) -> str: ...
+
+    def word_probability(self, word: Sequence[int]) -> Prob: ...
+
+    def sample_final_counts(self, n: int, seed: int, start: int, stop: int) -> np.ndarray:
+        """Y_n for replicates start..stop-1 as (stop - start, d) int64; see
+        ``chain.CountSampler``."""
 
 
 @dataclass(frozen=True)
@@ -94,12 +112,13 @@ class MixtureSource:
     def sample_final_counts(self, n: int, seed: int, start: int, stop: int) -> np.ndarray:
         weights = np.array([float(w) for w in self.weights])
         atoms = np.array([[float(a) for a in atom] for atom in self.atoms])
-        out = np.empty((stop - start, self.d), dtype=np.int64)
-        for i, r in enumerate(range(start, stop)):
-            rng = replicate_rng(seed, r)
-            atom = atoms[rng.choice(len(weights), p=weights)]
-            out[i] = rng.multinomial(n, atom)
-        return out
+        return replicate_rows(
+            seed,
+            start,
+            stop,
+            self.d,
+            lambda rng: rng.multinomial(n, atoms[rng.choice(len(weights), p=weights)]),
+        )
 
 
 @dataclass(frozen=True)
@@ -110,6 +129,8 @@ class PolyaUrnSource:
     initial: tuple[int, ...]
 
     def __post_init__(self):
+        if any(isinstance(c, bool) for c in self.initial):
+            raise TypeError("urn counts must be integers, not booleans")
         counts = tuple(operator.index(c) for c in self.initial)
         if not counts or any(c <= 0 for c in counts):
             raise ValueError("urn needs a positive initial count per symbol")
@@ -137,24 +158,13 @@ class PolyaUrnSource:
         return dirichlet_moment(self.initial, counts)
 
     def sample_final_counts(self, n: int, seed: int, start: int, stop: int) -> np.ndarray:
+        """Y_n drawn as Multinomial(n, p) with p ~ Dirichlet(initial): the urn's
+        limit frequency is Dirichlet(initial) and, given it, the draws are
+        i.i.d. (Blackwell & MacQueen 1973), so each replicate costs O(d)."""
         initial = np.array(self.initial, dtype=np.float64)
-        total0 = initial.sum()
-        out = np.empty((stop - start, self.d), dtype=np.int64)
-        for block_lo in range(start, stop, _POLYA_SAMPLE_BLOCK):
-            block_hi = min(block_lo + _POLYA_SAMPLE_BLOCK, stop)
-            rows = block_hi - block_lo
-            uniforms = np.empty((rows, n))
-            for i, r in enumerate(range(block_lo, block_hi)):
-                uniforms[i] = replicate_rng(seed, r).random(n)
-            counts = np.zeros((rows, self.d), dtype=np.int64)
-            indices = np.arange(rows)
-            for k in range(n):
-                cum = np.cumsum((initial + counts) / (total0 + k), axis=1)
-                chosen = (uniforms[:, k][:, None] >= cum).sum(axis=1)
-                np.clip(chosen, 0, self.d - 1, out=chosen)
-                counts[indices, chosen] += 1
-            out[block_lo - start : block_hi - start] = counts
-        return out
+        return replicate_rows(
+            seed, start, stop, self.d, lambda rng: rng.multinomial(n, rng.dirichlet(initial))
+        )
 
 
 @dataclass(frozen=True)
@@ -188,6 +198,47 @@ class MarkovSource:
         for prev, cur in zip(word, word[1:]):
             p *= self.rows[prev - 1][cur - 1]
         return p
+
+    def sample_final_counts(self, n: int, seed: int, start: int, stop: int) -> np.ndarray:
+        initial = _cdf(self.initial)
+        rows = [_cdf(row) for row in self.rows]
+        return replicate_rows(
+            seed, start, stop, self.d, lambda rng: _markov_counts(n, initial, rows, rng)
+        )
+
+
+def _cdf(probs: Sequence[Prob]) -> np.ndarray:
+    cdf = np.cumsum([float(p) for p in probs])
+    # the last entry is exactly 1, so a uniform in [0, 1) never falls past it
+    return cdf / cdf[-1]
+
+
+def _markov_counts(n: int, initial: np.ndarray, rows: Sequence[np.ndarray], rng) -> np.ndarray:
+    """Symbol counts of one n-step path, by inverse CDF from n uniforms.
+
+    Uniform k turns step k into a map of the alphabet (symbol i goes to the
+    symbol u_k selects from row i; step 1 selects from ``initial`` whatever
+    i is).  Composing the maps by prefix doubling yields the whole path in
+    log2(n) array passes instead of n Python steps.
+    """
+    d = len(initial)
+    chunk = max(1, _MARKOV_CHUNK_CELLS // d)
+    counts = np.zeros(d, dtype=np.int64)
+    symbol = 0
+    for lo in range(0, n, chunk):
+        u = rng.random(min(chunk, n - lo))
+        maps = np.stack([np.searchsorted(row, u, side="right") for row in rows], axis=1)
+        if lo == 0:
+            maps[0] = np.searchsorted(initial, u[0], side="right")
+        shift = 1
+        while shift < len(maps):
+            # maps[k] becomes maps[k] after maps[k - shift]
+            maps[shift:] = np.take_along_axis(maps[shift:], maps[:-shift], axis=1)
+            shift *= 2
+        path = maps[:, symbol]
+        counts += np.bincount(path, minlength=d)
+        symbol = path[-1]
+    return counts
 
 
 def _check_word(word: Sequence[int], d: int) -> None:
@@ -444,7 +495,7 @@ def _sample_block(args) -> np.ndarray:
 
 
 def estimate_directing_measure(
-    source,
+    source: Source,
     horizon: int,
     replicates: int,
     seed: int,
@@ -455,7 +506,7 @@ def estimate_directing_measure(
 
     Replicate r always uses the stream (seed, r), so the result is independent
     of the block partition and of the worker count.  Multi-worker runs fan
-    the blocks out to separate processes (the urn update loop holds the GIL).
+    the blocks out to separate processes (per-replicate sampling holds the GIL).
     """
     tasks = [
         (source, horizon, seed, lo, min(lo + block_size, replicates))

@@ -1,11 +1,18 @@
 """Config parsing, command execution, output determinism, exit statuses."""
 
+import contextlib
 import hashlib
+import io
 import json
+import re
+import tempfile
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from martinwalk import BudgetExceededError, ConfigError
 from martinwalk.cli import (
@@ -325,6 +332,32 @@ class TestRegressions:
         )
         assert main(["estimate", "--config", str(cfg_path)]) == 2
 
+    def test_boolean_polya_initial_rejected(self, tmp_path):
+        with pytest.raises(ConfigError):
+            parse_config(
+                config_text(command="estimate", source={"kind": "polya", "initial": [True, 2]})
+            )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            '{"command": "estimate", "source": {"kind": "polya", "initial": [true, 2]}}'
+        )
+        assert main(["estimate", "--config", str(cfg_path)]) == 2
+
+    def test_readme_markov_estimate_runs_for_any_worker_count(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", readme, re.S)]
+        (doc,) = [b for b in blocks if b.get("source", {}).get("kind") == "markov"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        outputs = []
+        for workers in ("1", "3"):
+            out = tmp_path / f"workers-{workers}.json"
+            argv = ["estimate", "--config", str(cfg_path), "--out", str(out), "--workers", workers]
+            assert main(argv) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert len(json.loads(outputs[0])["rows"]) == doc["replicates"]
+
     def test_pair_counts(self):
         assert kernel_pair_count(3, 8) == 16_071
         assert kernel_pair_count(4, 10) == 592_878
@@ -342,3 +375,65 @@ class TestRegressions:
         start = time.perf_counter()
         assert main([command, "--config", str(cfg_path)]) == 3
         assert time.perf_counter() - start < 1.0
+
+
+def _simplex(d):
+    """Rational points of the d-simplex as "p/q" strings."""
+    return (
+        st.lists(st.integers(0, 4), min_size=d, max_size=d)
+        .filter(lambda ks: sum(ks) > 0)
+        .map(lambda ks: [f"{k}/{sum(ks)}" for k in ks])
+    )
+
+
+@st.composite
+def _sources(draw):
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["mixture", "polya", "markov"]))
+    if kind == "mixture":
+        atoms = draw(st.lists(_simplex(d), min_size=1, max_size=3))
+        return {"kind": kind, "atoms": atoms, "weights": draw(_simplex(len(atoms)))}
+    if kind == "polya":
+        return {"kind": kind, "initial": draw(st.lists(st.integers(1, 5), min_size=d, max_size=d))}
+    rows = draw(st.lists(_simplex(d), min_size=d, max_size=d))
+    return {"kind": kind, "initial": draw(_simplex(d)), "rows": rows}
+
+
+class TestEstimateProperty:
+    @given(
+        source=_sources(),
+        horizon=st.integers(1, 200),
+        replicates=st.integers(1, 40),
+        seed=st.integers(0, 2**64),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_small_estimates_run_on_the_simplex_for_any_worker_count(
+        self, source, horizon, replicates, seed
+    ):
+        doc = {
+            "command": "estimate",
+            "source": source,
+            "horizon": horizon,
+            "replicates": replicates,
+            "seed": seed,
+        }
+        outputs = []
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = Path(tmp) / "cfg.json"
+            cfg_path.write_text(json.dumps(doc))
+            for workers in ("1", "2"):
+                out = Path(tmp) / f"workers-{workers}.json"
+                argv = ["estimate", "--config", str(cfg_path), "--workers", workers]
+                stderr = io.StringIO()
+                with contextlib.redirect_stderr(stderr):
+                    status = main([*argv, "--out", str(out)])
+                assert status == 0 and "Traceback" not in stderr.getvalue(), stderr.getvalue()
+                outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        rows = json.loads(outputs[0])["rows"]
+        assert [r["replicate"] for r in rows] == list(range(replicates))
+        d = len(source.get("initial") or source["atoms"][0])
+        for row in rows:
+            coords = [row[f"coord_{i + 1}"] for i in range(d)]
+            assert abs(sum(coords) - 1) <= 1e-9
+            assert all(c >= 0 and abs(c * horizon - round(c * horizon)) <= 1e-6 for c in coords)
