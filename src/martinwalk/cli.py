@@ -38,7 +38,7 @@ from .definetti import (
 )
 from .errors import BudgetExceededError, ConfigError
 from .prob import Prob, format_prob, parse_prob, validate_simplex
-from .reports import CheckReport, MonteCarloResult
+from .reports import CheckReport
 from .suites import full_verification
 
 #: largest level budget the exact verification suites will accept
@@ -64,6 +64,7 @@ _SOURCE_KEYS = {
     "markov": {"kind", "initial", "rows"},
 }
 
+#: the CSV header of a report without rows; the Monte Carlo columns are part of its bytes
 _RECORD_FIELDS = (
     "name",
     "mode",
@@ -130,7 +131,9 @@ class RunConfig:
 class Report:
     config: dict
     records: list[dict] = field(default_factory=list)
-    rows: list[dict] = field(default_factory=list)
+    #: the column names of ``rows``, each row a tuple in this order
+    fields: tuple[str, ...] = ()
+    rows: list[tuple] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
 
     @property
@@ -294,19 +297,6 @@ def _exact_record(report: CheckReport) -> dict:
     }
 
 
-def _mc_record(result: MonteCarloResult, z_limit: float = 3.0) -> dict:
-    return {
-        "name": result.name,
-        "mode": "montecarlo",
-        "status": "pass" if result.within(z_limit) else "fail",
-        "estimate": result.estimate,
-        "std_error": result.std_error,
-        "z_score": result.z_score,
-        "target": result.target,
-        "replicates": result.replicates,
-    }
-
-
 # -- commands -------------------------------------------------------------------------
 
 
@@ -339,30 +329,15 @@ def _run_verify(config: RunConfig, report: Report) -> None:
 def _run_kernel(config: RunConfig, report: Report) -> None:
     _check_budget(config)
     chain = uniform_walk(config.d, level_budget=config.budget)
+    report.fields = ("kind", "x", "m", "y", "n", "value")
     for x, y in kernel_pairs(chain, config.budget):
-        report.rows.append(
-            {
-                "kind": "lattice",
-                "x": str(x.payload),
-                "m": x.level,
-                "y": str(y.payload),
-                "n": y.level,
-                "value": format_prob(chain.martin_kernel(x, y)),
-            }
-        )
+        value = format_prob(chain.martin_kernel(x, y))
+        report.rows.append(("lattice", str(x.payload), x.level, str(y.payload), y.level, value))
     if config.alpha is not None:
         for m in range(config.budget + 1):
             for x in chain.enumerate_level(m):
-                report.rows.append(
-                    {
-                        "kind": "boundary",
-                        "x": str(x.payload),
-                        "m": m,
-                        "y": "",
-                        "n": "",
-                        "value": format_prob(boundary_kernel(x, config.alpha)),
-                    }
-                )
+                value = format_prob(boundary_kernel(x, config.alpha))
+                report.rows.append(("boundary", str(x.payload), m, "", "", value))
 
 
 def _run_simulate(config: RunConfig, report: Report) -> None:
@@ -370,12 +345,10 @@ def _run_simulate(config: RunConfig, report: Report) -> None:
         walk = alpha_walk(config.alpha, level_budget=config.budget)
     else:
         walk = uniform_walk(config.d, level_budget=config.budget)
-    fields = ("replicate", "step", *(f"part_{i + 1}" for i in range(config.d)))
+    report.fields = ("replicate", "step", *(f"part_{i + 1}" for i in range(config.d)))
     for r in range(config.replicates):
         counts = walk.sampler.sample_path_counts(config.horizon, config.seed, r)
-        report.rows.extend(
-            dict(zip(fields, (r, k, *row))) for k, row in enumerate(counts.tolist())
-        )
+        report.rows.extend((r, k, *row) for k, row in enumerate(counts.tolist()))
 
 
 def _run_estimate(config: RunConfig, report: Report) -> None:
@@ -386,12 +359,8 @@ def _run_estimate(config: RunConfig, report: Report) -> None:
         seed=config.seed,
         workers=config.workers,
     )
-    d = config.source.d
-    for r in range(estimate.replicates):
-        row = {"replicate": r}
-        for i in range(d):
-            row[f"coord_{i + 1}"] = float(estimate.samples[r, i])
-        report.rows.append(row)
+    report.fields = ("replicate", *(f"coord_{i + 1}" for i in range(config.source.d)))
+    report.rows.extend((r, *row) for r, row in enumerate(estimate.samples.tolist()))
     means, seconds = estimate.coordinate_moments()
     report.summary["coordinate_means"] = list(means)
     report.summary["coordinate_second_moments"] = list(seconds)
@@ -409,17 +378,12 @@ def _run_estimate(config: RunConfig, report: Report) -> None:
 
 def _run_lift(config: RunConfig, report: Report) -> None:
     bound = Fraction(1, 2**config.depth)
+    report.fields = ("point", "digits", "reconstructed")
     for p in config.points:
         digits = binary_digits(p, config.depth)
         back = reconstruct_real(digits)
         gap = abs(Fraction(p) - back)
-        report.rows.append(
-            {
-                "point": format_prob(p),
-                "digits": "".join(map(str, digits)),
-                "reconstructed": format_prob(back),
-            }
-        )
+        report.rows.append((format_prob(p), "".join(map(str, digits)), format_prob(back)))
         report.records.append(
             {
                 "name": f"digit-roundtrip@{format_prob(p)}",
@@ -468,7 +432,7 @@ def emit(report: Report, fmt: str = "json") -> bytes:
         doc = {
             "config": report.config,
             "records": report.records,
-            "rows": report.rows,
+            "rows": [dict(zip(report.fields, row)) for row in report.rows],
             "summary": report.summary,
         }
         return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
@@ -478,9 +442,8 @@ def emit(report: Report, fmt: str = "json") -> bytes:
     for key in sorted(report.config):
         buffer.write(f"# {key}={json.dumps(report.config[key], sort_keys=True)}\n")
     if report.rows:
-        fields = list(report.rows[0])
-        writer = csv.DictWriter(buffer, fieldnames=fields, lineterminator="\n")
-        writer.writeheader()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(report.fields)
         writer.writerows(report.rows)
     else:
         writer = csv.DictWriter(

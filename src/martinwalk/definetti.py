@@ -34,9 +34,9 @@ from .chain import (
     markov_property_check,
     replicate_rows,
 )
-from .compositions import polya_cotransition, product_moment, uniform_walk
+from .compositions import product_moment, uniform_walk
 from .errors import BudgetExceededError, MartinWalkError, NonStochasticError, UnreachableStateError
-from .harmonic import HarmonicFn, h_transform, is_harmonic, recover_h
+from .harmonic import HarmonicFn, cotransition_equality_check, h_transform, is_harmonic, recover_h
 from .prob import FLOAT_TOL, Prob, format_prob, probs_equal, validate_simplex
 from .reports import CheckReport, MonteCarloResult
 
@@ -392,34 +392,15 @@ def verify_counting_markov(source, n: int, atom_budget: int = DEFAULT_ATOM_BUDGE
 def verify_counting_cotransitions(
     source, n: int, atom_budget: int = DEFAULT_ATOM_BUDGET, tol: float = FLOAT_TOL
 ) -> CheckReport:
-    """Backward one-step law of the counting process against (y_j + 1) / (k + 1).
+    """Cotransitions of the counting chain against those of the uniform walk.
 
     This is the decisive identity: together with the Markov property it
     exhibits the counting chain as an h-transform of the uniform walk.
     """
-    law = counting_chain_law(source, n, atom_budget)
-    report = CheckReport(f"counting-cotransitions[{source.name}]@{n}")
-    root_payload = (0,) * source.d
-    for y, p in sorted(law.marginal(1).items()):
-        if p == 0:
-            continue
-        j = 1 + y.payload.index(1)
-        report.record(
-            f"cotransition@({y} -> root)", polya_cotransition(root_payload, j), 1, tol
-        )
-    for k in range(1, n):
-        next_mass = law.marginal(k + 1)
-        for (x, y), p in sorted(law.pair_marginal(k).items()):
-            if p == 0:
-                continue
-            increment = [b - a for a, b in zip(x.payload, y.payload)]
-            j = 1 + increment.index(1)
-            report.record(
-                f"cotransition@({y} -> {x})",
-                polya_cotransition(x.payload, j),
-                p / next_mass[y],
-                tol,
-            )
+    report = cotransition_equality_check(
+        uniform_walk(source.d, level_budget=n), counting_chain(source, n, atom_budget), n, tol
+    )
+    report.name = f"counting-cotransitions[{source.name}]@{n}"
     dead = dead_symbols(source, atom_budget)
     if dead:
         report.note(f"symbols {dead} never occur; their states are pruned")

@@ -10,7 +10,7 @@ wrapper class is needed; a value's mode is simply its type.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import ConfigError
 
@@ -86,7 +86,3 @@ def validate_simplex(coords: Iterable[Prob], tol: float = FLOAT_TOL) -> tuple[Pr
     elif abs(float(total) - 1.0) > tol:
         raise ValueError(f"simplex coordinates sum to {float(total)}, expected 1")
     return pt
-
-
-def as_floats(values: Sequence[Prob]) -> list[float]:
-    return [float(v) for v in values]

@@ -1,6 +1,7 @@
 """Config parsing, command execution, output determinism, exit statuses."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -109,15 +110,17 @@ class TestRun:
         )
         report, status = run(cfg)
         assert status == 0
-        parts = [(r["part_1"], r["part_2"]) for r in report.rows]
+        rows = json.loads(emit(report))["rows"]
+        parts = [(r["part_1"], r["part_2"]) for r in rows]
         assert parts == [(k, 0) for k in range(6)]
 
     def test_kernel_rows(self):
         cfg = parse_config(config_text(command="kernel", d=2, budget=2, alpha=["1/2", "1/2"]))
         report, status = run(cfg)
         assert status == 0
-        lattice = [r for r in report.rows if r["kind"] == "lattice"]
-        boundary = [r for r in report.rows if r["kind"] == "boundary"]
+        rows = json.loads(emit(report))["rows"]
+        lattice = [r for r in rows if r["kind"] == "lattice"]
+        boundary = [r for r in rows if r["kind"] == "boundary"]
         assert lattice and boundary
         assert all(r["value"] == "1/1" for r in boundary)
 
@@ -125,7 +128,8 @@ class TestRun:
         cfg = parse_config(config_text(command="lift", points=["5/8", "1/4"], depth=6))
         report, status = run(cfg)
         assert status == 0
-        digits = {r["point"]: r["digits"] for r in report.rows}
+        rows = json.loads(emit(report))["rows"]
+        digits = {r["point"]: r["digits"] for r in rows}
         assert digits["5/8"] == "101000"
 
     def test_estimate_summary(self):
@@ -278,31 +282,74 @@ class TestMain:
 
 
 class TestGoldenBytes:
-    """Report digests recorded before the exact engine's routes were merged;
-    any change to ``verify``/``kernel``/``lift`` bytes must be deliberate."""
+    """Report digests: the JSON ones recorded before the exact engine's routes
+    were merged, the CSV ones before rows became tuples under one header; any
+    change to ``verify``/``kernel``/``lift`` bytes must be deliberate."""
 
     @pytest.mark.parametrize(
-        "doc, digest",
+        "doc, fmt, digest",
         [
             (
                 {"command": "verify", "d": 2, "budget": 4},
+                "json",
                 "ee848b4ce3329d399561e350c2bf194a34c4299808055a270276829790610eda",
             ),
             (
                 {"command": "kernel", "d": 2, "budget": 4, "alpha": ["1/3", "2/3"]},
+                "json",
                 "485efae5b095de36e5fc82f29cf87582f50173e22eb61828dc8c44f081505925",
             ),
             (
                 {"command": "lift", "points": ["5/8", "1/4"], "depth": 4},
+                "json",
                 "1bb95a7bc361639cb4a88dffba4fbb0d4fe1eb0a35f17da381c2fd1f280036f3",
             ),
+            (
+                {"command": "kernel", "d": 2, "budget": 4, "alpha": ["1/3", "2/3"]},
+                "csv",
+                "4b60308dd95b25b8e941dd5098d5f74ffa8bff759afa0c3e6ea96f0da19a8b8e",
+            ),
+            (
+                {"command": "lift", "points": ["5/8", "1/4"], "depth": 4},
+                "csv",
+                "b2c2d792dc9b2005489078d1d9bcae0f215bb230fc954276747b721dea39ffa0",
+            ),
         ],
-        ids=["verify", "kernel", "lift"],
+        ids=["verify", "kernel", "lift", "kernel-csv", "lift-csv"],
     )
-    def test_report_digest(self, doc, digest):
+    def test_report_digest(self, doc, fmt, digest):
         report, status = run(parse_config(json.dumps(doc)))
         assert status == 0
-        assert hashlib.sha256(emit(report)).hexdigest() == digest
+        assert hashlib.sha256(emit(report, fmt)).hexdigest() == digest
+
+
+class TestRowShape:
+    """JSON and CSV render the same tuple rows under the one ``Report.fields`` header."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"command": "kernel", "d": 2, "budget": 2, "alpha": ["1/3", "2/3"]},
+            {"command": "simulate", "d": 3, "horizon": 6, "replicates": 2, "seed": 1},
+            {
+                "command": "estimate",
+                "source": {"kind": "polya", "initial": [1, 2]},
+                "horizon": 20,
+                "replicates": 5,
+            },
+            {"command": "lift", "points": ["1/3", "5/8"], "depth": 5},
+        ],
+        ids=["kernel", "simulate", "estimate", "lift"],
+    )
+    def test_json_and_csv_rows_agree(self, doc):
+        report, _ = run(parse_config(json.dumps(doc)))
+        rows = json.loads(emit(report, "json"))["rows"]
+        lines = [line for line in emit(report, "csv").decode().splitlines() if line[:1] != "#"]
+        header, *parsed = csv.reader(lines)
+        assert rows
+        assert all(set(row) == set(report.fields) for row in rows)
+        assert tuple(header) == report.fields
+        assert parsed == [[str(row[f]) for f in report.fields] for row in rows]
 
 
 class TestCommandTable:
