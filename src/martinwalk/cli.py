@@ -495,7 +495,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with open(config.out, "wb") as fh:
             fh.write(payload)
     else:
-        sys.stdout.write(payload.decode())
+        sys.stdout.flush()
+        sys.stdout.buffer.write(payload)
     return status
 
 

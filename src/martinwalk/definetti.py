@@ -59,6 +59,9 @@ class Source(Protocol):
 
     def word_probability(self, word: Sequence[int]) -> Prob: ...
 
+    def next_symbol_law(self, counts: Sequence[int], last: Optional[int]) -> tuple[Prob, ...]:
+        """P(X_{n+1} = j | Y_n = counts, X_n = last), j = 1..d; last is None at n = 0."""
+
     def sample_final_counts(self, n: int, seed: int, start: int, stop: int) -> np.ndarray:
         """Y_n for replicates start..stop-1 as (stop - start, d) int64; see
         ``chain.CountSampler``."""
@@ -105,6 +108,10 @@ class MixtureSource:
             product_moment((w, *atom), (1, *counts))
             for w, atom in zip(self.weights, self.atoms)
         )
+
+    def next_symbol_law(self, counts: Sequence[int], last: Optional[int]) -> tuple[Prob, ...]:
+        moment = self.directing_moment(counts)
+        return tuple(self.directing_moment(_add_symbol(counts, j)) / moment for j in range(self.d))
 
     def directing_atoms(self) -> tuple[tuple[Prob, tuple[Prob, ...]], ...]:
         return tuple(zip(self.weights, self.atoms))
@@ -157,6 +164,10 @@ class PolyaUrnSource:
     def directing_moment(self, counts: Sequence[int]) -> Fraction:
         return dirichlet_moment(self.initial, counts)
 
+    def next_symbol_law(self, counts: Sequence[int], last: Optional[int]) -> tuple[Fraction, ...]:
+        total = sum(self.initial) + sum(counts)
+        return tuple(Fraction(a + c, total) for a, c in zip(self.initial, counts))
+
     def sample_final_counts(self, n: int, seed: int, start: int, stop: int) -> np.ndarray:
         """Y_n drawn as Multinomial(n, p) with p ~ Dirichlet(initial): the urn's
         limit frequency is Dirichlet(initial) and, given it, the draws are
@@ -198,6 +209,9 @@ class MarkovSource:
         for prev, cur in zip(word, word[1:]):
             p *= self.rows[prev - 1][cur - 1]
         return p
+
+    def next_symbol_law(self, counts: Sequence[int], last: Optional[int]) -> tuple[Prob, ...]:
+        return self.initial if last is None else self.rows[last - 1]
 
     def sample_final_counts(self, n: int, seed: int, start: int, stop: int) -> np.ndarray:
         initial = _cdf(self.initial)
@@ -294,57 +308,42 @@ def counting_chain_law(source, n: int, atom_budget: int = DEFAULT_ATOM_BUDGET) -
     return CylinderLaw(n, dict(sorted(atoms.items())))
 
 
-def dead_symbols(source, atom_budget: int = DEFAULT_ATOM_BUDGET) -> tuple[int, ...]:
+def dead_symbols(source) -> tuple[int, ...]:
     """Symbols with zero one-step probability; their states are pruned, not errors."""
-    law = source_cylinder_law(source, 1, atom_budget)
-    return tuple(s for s in range(1, source.d + 1) if law.atoms.get((s,), 0) == 0)
+    return tuple(j for j, p in enumerate(source.next_symbol_law((0,) * source.d, None), 1) if not p)
 
 
-def counting_chain(source, horizon: int, atom_budget: int = DEFAULT_ATOM_BUDGET) -> GradedChain:
-    """The counting process as a graded chain, with transitions extracted from
-    the exact path law (not from any closed form)."""
-    law = counting_chain_law(source, horizon, atom_budget)
-    d = source.d
-    root = State(0, (0,) * d)
-    mass: dict[State, Prob] = defaultdict(int)
-    joint: dict[State, dict[State, Prob]] = defaultdict(lambda: defaultdict(int))
-    for path, p in law.atoms.items():
-        prev = root
-        mass[root] = 1
-        for st in path:
-            mass[st] += p
-            joint[prev][st] += p
-            prev = st
-    families: dict[int, tuple[State, ...]] = {}
-    for st in mass:
-        families.setdefault(st.level, ())
-    for level in families:
-        families[level] = tuple(sorted(s for s in mass if s.level == level))
-    table = {
-        x: tuple((y, q / mass[x]) for y, q in sorted(rows.items()))
-        for x, rows in joint.items()
-    }
+def _add_symbol(counts: Sequence[int], j: int) -> tuple[int, ...]:
+    """counts + e_j for a 0-based symbol index j."""
+    return tuple(c + (i == j) for i, c in enumerate(counts))
+
+
+def counting_chain(source, horizon: int) -> GradedChain:
+    """The counting process as a graded chain, lumped by counts (Kemeny & Snell)
+    from the chain on (Y_n, X_n) that ``source.next_symbol_law`` drives: the
+    lifted mass at (y + e_j, j) is P(Y_n = y, X_{n+1} = j), so the row out of
+    y is that mass over its sum, and no word is enumerated."""
+    root = (0,) * source.d
+
+    def lifted_successors(x: State):
+        law = enumerate(source.next_symbol_law(*x.payload))
+        return [(State(x.level + 1, (_add_symbol(x.payload[0], j), j + 1)), p) for j, p in law]
+
+    lifted = GradedChain(State(0, (root, None)), None, lifted_successors, horizon, "lifted")
 
     def family(n: int) -> tuple[State, ...]:
-        return families.get(n, ())
+        return tuple(sorted({State(n, x.payload[0]) for x in lifted.forward_law(n).support}))
 
-    def successors(x: State):
-        row = table.get(x)
-        if row is None:
-            if x.level >= horizon:
-                raise BudgetExceededError(
-                    f"counting chain extracted up to horizon {horizon}"
-                )
-            raise UnreachableStateError(f"{x} has zero probability under {source.name}")
-        return row
+    def successors(y: State):
+        law = lifted.forward_law(y.level + 1)  # past the horizon this raises BudgetExceededError
+        steps = [State(y.level + 1, _add_symbol(y.payload, j)) for j in range(source.d)]
+        joint = [law.prob(State(z.level, (z.payload, j))) for j, z in enumerate(steps, 1)]
+        mass = sum(joint)
+        if mass == 0:
+            raise UnreachableStateError(f"{y} has zero probability under {source.name}")
+        return sorted((z, p / mass) for z, p in zip(steps, joint) if p != 0)
 
-    return GradedChain(
-        root=root,
-        family=family,
-        successors=successors,
-        level_budget=horizon,
-        name=f"counting[{source.name}]",
-    )
+    return GradedChain(State(0, root), family, successors, horizon, f"counting[{source.name}]")
 
 
 # -- exchangeability and the two decisive counting-chain facts ----------------
@@ -383,47 +382,47 @@ def verify_counting_markov(source, n: int, atom_budget: int = DEFAULT_ATOM_BUDGE
     """Markov property of the counting process, from the exact path law."""
     report = markov_property_check(counting_chain_law(source, n, atom_budget))
     report.name = f"counting-markov[{source.name}]@{n}"
-    dead = dead_symbols(source, atom_budget)
+    dead = dead_symbols(source)
     if dead:
         report.note(f"symbols {dead} never occur; their states are pruned")
     return report
 
 
-def verify_counting_cotransitions(
-    source, n: int, atom_budget: int = DEFAULT_ATOM_BUDGET, tol: float = FLOAT_TOL
-) -> CheckReport:
+def verify_counting_cotransitions(source, n: int, tol: float = FLOAT_TOL) -> CheckReport:
     """Cotransitions of the counting chain against those of the uniform walk.
 
     This is the decisive identity: together with the Markov property it
     exhibits the counting chain as an h-transform of the uniform walk.
     """
-    report = cotransition_equality_check(
-        uniform_walk(source.d, level_budget=n), counting_chain(source, n, atom_budget), n, tol
-    )
+    walk = uniform_walk(source.d, level_budget=n)
+    report = cotransition_equality_check(walk, counting_chain(source, n), n, tol)
     report.name = f"counting-cotransitions[{source.name}]@{n}"
-    dead = dead_symbols(source, atom_budget)
+    dead = dead_symbols(source)
     if dead:
         report.note(f"symbols {dead} never occur; their states are pruned")
     return report
 
 
-def counting_h_recovery(source, n: int, atom_budget: int = DEFAULT_ATOM_BUDGET) -> HarmonicFn:
+def counting_h_recovery(source, n: int) -> HarmonicFn:
     """Recover the harmonic function for which the counting chain is the
-    h-transform of the uniform walk, and verify the identification exactly."""
-    observed = counting_chain(source, n, atom_budget)
+    h-transform of the uniform walk, and verify the identification exactly:
+    equal rows at every reachable state below n, hence equal path laws."""
+    observed = counting_chain(source, n)
     base = uniform_walk(source.d, level_budget=n)
     h = recover_h(base, observed, max_level=n)
     harmonicity = is_harmonic(base, h, n)
     if not harmonicity.ok:
         raise MartinWalkError(f"recovered function is not harmonic:\n{harmonicity}")
-    reproduced = h_transform(base, h).cylinder_law(n, atom_budget)
-    expected = counting_chain_law(source, n, atom_budget)
-    if set(reproduced.atoms) != set(expected.atoms) or any(
-        not probs_equal(p, expected.atoms[path]) for path, p in reproduced.atoms.items()
-    ):
-        raise MartinWalkError(
-            f"h-transform of the uniform walk does not reproduce the counting law of {source.name}"
-        )
+    transformed = h_transform(base, h)
+    for m in range(n):
+        for x in observed.forward_law(m).support:
+            expected, reproduced = dict(observed.successors(x)), dict(transformed.successors(x))
+            if expected.keys() != reproduced.keys() or not all(
+                probs_equal(p, expected[y]) for y, p in reproduced.items()
+            ):
+                raise MartinWalkError(
+                    f"h-transform of the uniform walk misses the row of {x} in {observed.name}"
+                )
     return h
 
 

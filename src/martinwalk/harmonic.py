@@ -36,26 +36,17 @@ from .reports import CheckReport, MonteCarloResult, Violation
 class HarmonicFn:
     """A non-negative function on states, normalized to 1 at the root.
 
-    Wraps a plain callable; the support predicate defaults to positivity
-    of the value.
+    Wraps a plain callable; its support is where the value is positive.
     """
 
-    def __init__(
-        self,
-        fn: Callable[[State], Prob],
-        name: str = "h",
-        support: Optional[Callable[[State], bool]] = None,
-    ):
+    def __init__(self, fn: Callable[[State], Prob], name: str = "h"):
         self._fn = fn
-        self._support = support
         self.name = name
 
     def __call__(self, state: State) -> Prob:
         return self._fn(state)
 
     def supports(self, state: State) -> bool:
-        if self._support is not None:
-            return self._support(state)
         return self._fn(state) > 0
 
     def __repr__(self) -> str:

@@ -147,8 +147,9 @@ def test_criterion_09_constructive_definetti():
         for d in (2, 3):
             report = recovery_identity_report(d, 6)
             assert report.ok, str(report)
-        # recovered transform reproduces the counting law exactly (also enforced
-        # inside counting_h_recovery; asserted here for visibility)
+        # recovered transform reproduces the counting law exactly (enforced inside
+        # counting_h_recovery by equal rows on reachable states; the whole path
+        # law is compared here for visibility)
         mixture = MixtureSource(
             atoms=((Fraction(1, 5), Fraction(4, 5)), (Fraction(3, 5), Fraction(2, 5))),
             weights=(Fraction(1, 2), Fraction(1, 2)),

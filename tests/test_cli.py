@@ -218,6 +218,17 @@ class TestMain:
         out = capsys.readouterr().out
         assert '"digits": "1010"' in out
 
+    def test_stdout_bytes_equal_out_file_bytes(self, tmp_path, capsysbinary):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            config_text(command="simulate", d=3, horizon=40, replicates=3, seed=2, format="csv")
+        )
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        capsysbinary.readouterr()
+        assert main(["simulate", "--config", str(cfg_path)]) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
+
     def test_out_file_and_overrides(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(

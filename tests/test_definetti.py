@@ -34,10 +34,13 @@ from martinwalk import (
     projection_consistency_check,
     reconstruct_real,
     source_cylinder_law,
+    uniform_walk,
     verify_counting_cotransitions,
     verify_counting_markov,
 )
-from martinwalk.definetti import cylinder_exchangeability_report
+from martinwalk.chain import State
+from martinwalk.definetti import cylinder_exchangeability_report, dead_symbols
+from martinwalk.suites import standard_mixture, standard_negative_control
 
 MIX = MixtureSource(
     atoms=((Fraction(1, 5), Fraction(4, 5)), (Fraction(3, 5), Fraction(2, 5))),
@@ -167,6 +170,103 @@ class TestLemma:
         report = verify_counting_markov(src, 4)
         assert report.ok
         assert any("never occur" in note for note in report.notes)
+
+
+#: the eight sources whose lumped counting chain is held to the word-enumeration oracle
+DP_SOURCES = (
+    standard_mixture(2),
+    standard_mixture(3),
+    PolyaUrnSource((1, 1)),
+    PolyaUrnSource((1, 1, 1)),
+    PolyaUrnSource((2, 1)),
+    standard_negative_control(),
+    MixtureSource(atoms=((Fraction(3, 10), Fraction(7, 10)),), weights=(Fraction(1),)),
+    MixtureSource(
+        atoms=((Fraction(1, 2), Fraction(1, 2), Fraction(0)), (Fraction(1, 3), Fraction(2, 3), Fraction(0))),
+        weights=(Fraction(1, 4), Fraction(3, 4)),
+    ),
+)
+
+
+def extracted_rows(source, n):
+    """Level families and rows of the counting chain read off the d^n path law."""
+    law = counting_chain_law(source, n)
+    root = State(0, (0,) * source.d)
+    masses = [{root: Fraction(1)}] + [law.marginal(k) for k in range(1, n + 1)]
+    families = [tuple(sorted(x for x, p in mass.items() if p != 0)) for mass in masses]
+    rows = {root: {y: p for y, p in masses[1].items() if p != 0}}
+    for k in range(1, n):
+        for (x, y), p in law.pair_marginal(k).items():
+            if p != 0:
+                rows.setdefault(x, {})[y] = p / masses[k][x]
+    return families, rows
+
+
+class NoWords:
+    """A source whose words may not be enumerated: only its next-symbol law is usable."""
+
+    def __init__(self, source):
+        self.d = source.d
+        self.name = source.name
+        self.next_symbol_law = source.next_symbol_law
+
+    def word_probability(self, word):
+        raise AssertionError(f"word {word} enumerated")
+
+
+class TestLumpedCountingChain:
+    @pytest.mark.parametrize("source", DP_SOURCES, ids=lambda s: s.name)
+    @pytest.mark.parametrize("n", (2, 4, 6))
+    def test_rows_and_families_equal_extracted(self, source, n):
+        chain = counting_chain(source, n)
+        families, rows = extracted_rows(source, n)
+        for k in range(n + 1):
+            assert chain.enumerate_level(k) == families[k]
+        for k in range(n):
+            for x in families[k]:
+                assert dict(chain.successors(x)) == rows[x]
+
+    @pytest.mark.parametrize("source", (MIX, standard_mixture(3), POLYA, PolyaUrnSource((2, 1)), CONTROL))
+    def test_next_symbol_law_is_word_ratio(self, source):
+        for n in range(6):
+            for word in itertools.product(range(1, source.d + 1), repeat=n):
+                p = source.word_probability(word)
+                if p == 0:
+                    continue
+                counts = tuple(word.count(j) for j in range(1, source.d + 1))
+                law = source.next_symbol_law(counts, word[-1] if word else None)
+                expected = tuple(source.word_probability(word + (j,)) / p for j in range(1, source.d + 1))
+                assert law == expected
+
+    @pytest.mark.parametrize("source", (MIX, POLYA, CONTROL, DP_SOURCES[-1]), ids=lambda s: s.name)
+    def test_no_word_is_enumerated(self, source):
+        wrapped = NoWords(source)
+        with pytest.raises(AssertionError):
+            source_cylinder_law(wrapped, 1)
+        chain = counting_chain(wrapped, 8)
+        assert chain.forward_law(8).total() == 1
+        assert dead_symbols(wrapped) == dead_symbols(source)
+        report = verify_counting_cotransitions(wrapped, 8)
+        assert report.ok == (source is not CONTROL)
+        if source is not CONTROL:
+            counting_h_recovery(wrapped, 8)
+
+    @pytest.mark.parametrize("d, n", ((2, 40), (3, 15)))
+    def test_recovery_at_large_horizon(self, d, n):
+        mixture = standard_mixture(d)
+        urn = PolyaUrnSource((1,) * d)
+        h_mix = counting_h_recovery(mixture, n)
+        h_urn = counting_h_recovery(urn, n)
+        walk = uniform_walk(d, level_budget=n)
+        for k in range(n + 1):
+            for x in walk.enumerate_level(k):
+                assert h_mix(x) == sum(w * boundary_kernel(x, a) for w, a in mixture.directing_atoms())
+                assert h_urn(x) == Fraction(d) ** k * dirichlet_moment(urn.initial, x.payload)
+
+    def test_negative_control_fails_cotransitions_at_every_horizon(self):
+        control = standard_negative_control()
+        for n in range(3, 31):
+            assert not verify_counting_cotransitions(control, n).ok, n
 
 
 class TestHRecovery:
