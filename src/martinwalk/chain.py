@@ -30,9 +30,11 @@ from .errors import (
     NonStochasticError,
     UnreachableStateError,
 )
-from .prob import FLOAT_TOL, Prob, format_prob, is_exact, probs_equal
+from .prob import Prob, format_prob, probs_equal
 from .reports import CheckReport, Violation
 
+#: most paths or words one exact enumeration builds: ``cylinder_law`` here,
+#: the word laws of ``definetti``
 DEFAULT_ATOM_BUDGET = 10_000_000
 
 
@@ -232,11 +234,7 @@ class GradedChain:
             return cached
         row = tuple(self._successors(x))
         total = sum(p for _, p in row)
-        if is_exact(total):
-            stochastic = total == 1
-        else:
-            stochastic = abs(float(total) - 1.0) <= FLOAT_TOL
-        if not stochastic:
+        if not probs_equal(total, 1):
             raise NonStochasticError(
                 f"row out of {x} sums to {format_prob(total)} in {self.name}"
             )
@@ -382,11 +380,12 @@ class GradedChain:
 
     # -- path space ---------------------------------------------------------
 
-    def cylinder_law(self, n: int, atom_budget: int = DEFAULT_ATOM_BUDGET) -> CylinderLaw:
+    def cylinder_law(self, n: int) -> CylinderLaw:
         """Exact probability of every root-anchored path (Y_1, ..., Y_n).
 
         Exponential by design; this is the brute-force oracle that the
-        dynamic-programming routes are tested against.
+        dynamic-programming routes are tested against.  Raises
+        ``BudgetExceededError`` past ``DEFAULT_ATOM_BUDGET`` paths.
         """
         atoms: dict[tuple, Prob] = {}
         stack: list[tuple[tuple, Prob]] = [((self.root,), 1)]
@@ -394,9 +393,9 @@ class GradedChain:
             path, p = stack.pop()
             if len(path) == n + 1:
                 atoms[path[1:]] = p
-                if len(atoms) > atom_budget:
+                if len(atoms) > DEFAULT_ATOM_BUDGET:
                     raise BudgetExceededError(
-                        f"cylinder law at horizon {n} exceeds atom budget {atom_budget}"
+                        f"cylinder law at horizon {n} exceeds atom budget {DEFAULT_ATOM_BUDGET}"
                     )
                 continue
             for y, q in self.successors(path[-1]):
@@ -467,7 +466,7 @@ def kernel_pairs(chain: GradedChain, max_level: int) -> Iterator[tuple[State, St
                     yield x, y
 
 
-def markov_property_check(law: CylinderLaw, tol: float = FLOAT_TOL) -> CheckReport:
+def markov_property_check(law: CylinderLaw) -> CheckReport:
     """Compare next-step conditionals given the full history and given the state.
 
     Lists every triple (history, x_k, x_{k+1}) where the two conditionals
@@ -478,7 +477,7 @@ def markov_property_check(law: CylinderLaw, tol: float = FLOAT_TOL) -> CheckRepo
         raise ValueError(f"need horizon >= 2 to test the Markov property, got {law.horizon}")
     report = CheckReport("markov-property")
     total = law.total()
-    if not probs_equal(total, 1, tol):
+    if not probs_equal(total, 1):
         raise NonStochasticError(f"cylinder atoms sum to {format_prob(total)}")
     for k in range(1, law.horizon):
         prefix_mass = law.prefix_masses(k)
@@ -491,7 +490,5 @@ def markov_property_check(law: CylinderLaw, tol: float = FLOAT_TOL) -> CheckRepo
             history, nxt = ext[:k], ext[k]
             cond_history = pm / prefix_mass[history]
             cond_state = pair_mass[(history[-1], nxt)] / state_mass[history[-1]]
-            report.record(
-                f"history={history} -> {nxt}", cond_state, cond_history, tol
-            )
+            report.record(f"history={history} -> {nxt}", cond_state, cond_history)
     return report

@@ -22,7 +22,7 @@ from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Protocol, Sequence
+from typing import Iterator, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .chain import (
 from .compositions import product_moment, uniform_walk
 from .errors import BudgetExceededError, MartinWalkError, NonStochasticError, UnreachableStateError
 from .harmonic import HarmonicFn, cotransition_equality_check, h_transform, is_harmonic, recover_h
-from .prob import FLOAT_TOL, Prob, format_prob, probs_equal, validate_simplex
+from .prob import Prob, format_prob, probs_equal, validate_simplex
 from .reports import CheckReport, MonteCarloResult
 
 #: Markov sampling draws at most this many step-map entries (steps x d) at once
@@ -264,14 +264,21 @@ def _check_word(word: Sequence[int], d: int) -> None:
 # -- exact sequence and counting laws -----------------------------------------
 
 
-def source_cylinder_law(source, n: int, atom_budget: int = DEFAULT_ATOM_BUDGET) -> CylinderLaw:
+def _words(d: int, n: int) -> Iterator[tuple[int, ...]]:
+    """Every word of length n over 1..d in lexicographic order.
+
+    Raises ``BudgetExceededError`` before building any word when the d^n
+    words exceed ``DEFAULT_ATOM_BUDGET``.
+    """
+    if d**n > DEFAULT_ATOM_BUDGET:
+        raise BudgetExceededError(f"{d}^{n} words exceed the atom budget {DEFAULT_ATOM_BUDGET}")
+    return itertools.product(range(1, d + 1), repeat=n)
+
+
+def source_cylinder_law(source, n: int) -> CylinderLaw:
     """Exact joint law of (X_1, ..., X_n) as a cylinder table over words."""
-    if source.d**n > atom_budget:
-        raise BudgetExceededError(
-            f"{source.d}^{n} words exceed the atom budget {atom_budget}"
-        )
     atoms: dict[tuple, Prob] = {}
-    for word in itertools.product(range(1, source.d + 1), repeat=n):
+    for word in _words(source.d, n):
         p = source.word_probability(word)
         if p != 0:
             atoms[word] = p
@@ -294,13 +301,13 @@ def counting_chain_path(word: Sequence[int], d: int) -> list[State]:
     return path
 
 
-def counting_chain_law(source, n: int, atom_budget: int = DEFAULT_ATOM_BUDGET) -> CylinderLaw:
+def counting_chain_law(source, n: int) -> CylinderLaw:
     """Push-forward of the sequence law onto composition paths.
 
     The count path reveals the word (each step increments one coordinate),
     so this is a bijective re-keying of the word law.
     """
-    word_law = source_cylinder_law(source, n, atom_budget)
+    word_law = source_cylinder_law(source, n)
     atoms = {
         tuple(counting_chain_path(word, source.d)[1:]): p
         for word, p in word_law.atoms.items()
@@ -349,7 +356,7 @@ def counting_chain(source, horizon: int) -> GradedChain:
 # -- exchangeability and the two decisive counting-chain facts ----------------
 
 
-def cylinder_exchangeability_report(law: CylinderLaw, tol: float = FLOAT_TOL) -> CheckReport:
+def cylinder_exchangeability_report(law: CylinderLaw) -> CheckReport:
     """Permutation invariance of a sequence law, checked class by class.
 
     Within each multiset of symbols all orderings must carry equal mass
@@ -366,41 +373,39 @@ def cylinder_exchangeability_report(law: CylinderLaw, tol: float = FLOAT_TOL) ->
         reference = law.atoms.get(orderings[0], 0)
         for other in orderings[1:]:
             report.record(
-                f"permutation@{other} vs {orderings[0]}",
-                reference,
-                law.atoms.get(other, 0),
-                tol,
+                f"permutation@{other} vs {orderings[0]}", reference, law.atoms.get(other, 0)
             )
     return report
 
 
-def exchangeability_report(source, n: int, atom_budget: int = DEFAULT_ATOM_BUDGET) -> CheckReport:
-    return cylinder_exchangeability_report(source_cylinder_law(source, n, atom_budget))
+def exchangeability_report(source, n: int) -> CheckReport:
+    return cylinder_exchangeability_report(source_cylinder_law(source, n))
 
 
-def verify_counting_markov(source, n: int, atom_budget: int = DEFAULT_ATOM_BUDGET) -> CheckReport:
-    """Markov property of the counting process, from the exact path law."""
-    report = markov_property_check(counting_chain_law(source, n, atom_budget))
-    report.name = f"counting-markov[{source.name}]@{n}"
+def _counting_report(report: CheckReport, identity: str, source, n: int) -> CheckReport:
+    """Name a counting-chain report and note the symbols the source never draws."""
+    report.name = f"counting-{identity}[{source.name}]@{n}"
     dead = dead_symbols(source)
     if dead:
         report.note(f"symbols {dead} never occur; their states are pruned")
     return report
 
 
-def verify_counting_cotransitions(source, n: int, tol: float = FLOAT_TOL) -> CheckReport:
+def verify_counting_markov(source, n: int) -> CheckReport:
+    """Markov property of the counting process, from the exact path law."""
+    report = markov_property_check(counting_chain_law(source, n))
+    return _counting_report(report, "markov", source, n)
+
+
+def verify_counting_cotransitions(source, n: int) -> CheckReport:
     """Cotransitions of the counting chain against those of the uniform walk.
 
     This is the decisive identity: together with the Markov property it
     exhibits the counting chain as an h-transform of the uniform walk.
     """
     walk = uniform_walk(source.d, level_budget=n)
-    report = cotransition_equality_check(walk, counting_chain(source, n), n, tol)
-    report.name = f"counting-cotransitions[{source.name}]@{n}"
-    dead = dead_symbols(source)
-    if dead:
-        report.note(f"symbols {dead} never occur; their states are pruned")
-    return report
+    report = cotransition_equality_check(walk, counting_chain(source, n), n)
+    return _counting_report(report, "cotransitions", source, n)
 
 
 def counting_h_recovery(source, n: int) -> HarmonicFn:
@@ -520,39 +525,37 @@ def definetti_identity_check(
     source,
     k: int,
     directing: Optional[Sequence[tuple[Prob, Sequence[Prob]]]] = None,
-    atom_budget: int = DEFAULT_ATOM_BUDGET,
-    tol: float = FLOAT_TOL,
 ) -> CheckReport:
     """Cylinder probabilities against the mixture integral of the directing law.
 
     With ``directing=None`` the source's own closed-form moment is used (the
     Dirichlet moment for urns); an explicit list of (weight, atom) pairs can
-    be passed instead.
+    be passed instead, and must be for a source without a directing law.
     """
-    if source.d**k > atom_budget:
-        raise BudgetExceededError(f"{source.d}^{k} cylinders exceed the atom budget")
+    if directing is None:
+        if not hasattr(source, "directing_moment"):
+            raise MartinWalkError(
+                f"{source.name} has no directing law; pass directing=[(weight, atom), ...]"
+            )
+        moment = source.directing_moment
+    else:
+        def moment(counts):
+            return sum(product_moment((w, *atom), (1, *counts)) for w, atom in directing)
+
     report = CheckReport(f"definetti-identity[{source.name}]@{k}")
-    for word in itertools.product(range(1, source.d + 1), repeat=k):
+    for word in _words(source.d, k):
         counts = [0] * source.d
         for s in word:
             counts[s - 1] += 1
-        if directing is None:
-            integral = source.directing_moment(counts)
-        else:
-            integral = sum(product_moment((w, *atom), (1, *counts)) for w, atom in directing)
-        report.record(f"cylinder@{word}", integral, source.word_probability(word), tol)
+        report.record(f"cylinder@{word}", moment(counts), source.word_probability(word))
     return report
 
 
-def definetti_identity_mc(
-    source, estimate: DirectingEstimate, k: int, atom_budget: int = DEFAULT_ATOM_BUDGET
-) -> list[MonteCarloResult]:
+def definetti_identity_mc(source, estimate: DirectingEstimate, k: int) -> list[MonteCarloResult]:
     """Same identity with the integral replaced by an average over estimated
     boundary points; one z-scored record per cylinder."""
-    if source.d**k > atom_budget:
-        raise BudgetExceededError(f"{source.d}^{k} cylinders exceed the atom budget")
     out = []
-    for word in itertools.product(range(1, source.d + 1), repeat=k):
+    for word in _words(source.d, k):
         values = np.ones(estimate.replicates)
         for s in word:
             values = values * estimate.samples[:, s - 1]
@@ -616,27 +619,23 @@ def lift_point_masses(masses: Mapping, depth: int) -> dict[tuple[int, ...], Prob
     return dict(sorted(out.items()))
 
 
-def lift_source_law(
-    source, points: Sequence, depth: int, n: int, atom_budget: int = DEFAULT_ATOM_BUDGET
-) -> CylinderLaw:
+def lift_source_law(source, points: Sequence, depth: int, n: int) -> CylinderLaw:
     """Law of the digit-truncated sequence when symbol s stands for points[s-1]."""
     if len(points) != source.d:
         raise ValueError("need one point per symbol")
     digit_of = {s: binary_digits(points[s - 1], depth) for s in range(1, source.d + 1)}
-    word_law = source_cylinder_law(source, n, atom_budget)
+    word_law = source_cylinder_law(source, n)
     atoms: dict[tuple, Prob] = defaultdict(int)
     for word, p in word_law.atoms.items():
         atoms[tuple(digit_of[s] for s in word)] += p
     return CylinderLaw(n, dict(sorted(atoms.items())))
 
 
-def projection_consistency_check(
-    law_deeper: Mapping, law_shallower: Mapping, tol: float = FLOAT_TOL
-) -> CheckReport:
+def projection_consistency_check(law_deeper: Mapping, law_shallower: Mapping) -> CheckReport:
     """Dropping the last digit must push the deeper law onto the shallower one."""
     for label, law in (("deeper", law_deeper), ("shallower", law_shallower)):
         total = sum(law.values())
-        if not probs_equal(total, 1, tol):
+        if not probs_equal(total, 1):
             raise NonStochasticError(f"{label} law sums to {format_prob(total)}")
     depths = {len(k) for k in law_deeper} | {len(k) + 1 for k in law_shallower}
     if len(depths) != 1:
@@ -646,7 +645,7 @@ def projection_consistency_check(
         pushed[digits[:-1]] += weight
     report = CheckReport("projection-consistency")
     for key in sorted(set(pushed) | set(law_shallower)):
-        report.record(f"digits={key}", law_shallower.get(key, 0), pushed.get(key, 0), tol)
+        report.record(f"digits={key}", law_shallower.get(key, 0), pushed.get(key, 0))
     return report
 
 

@@ -22,14 +22,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .chain import DEFAULT_ATOM_BUDGET, GradedChain, State, kernel_pairs
+from .chain import GradedChain, State, kernel_pairs
 from .errors import (
     BudgetExceededError,
     CotransitionMismatchError,
     NotHarmonicError,
     UnreachableStateError,
 )
-from .prob import FLOAT_TOL, Prob, format_prob, is_exact
+from .prob import Prob, format_prob, probs_equal
 from .reports import CheckReport, MonteCarloResult, Violation
 
 
@@ -67,16 +67,14 @@ class HarmonicFn:
         return cls(value, name=name)
 
 
-def is_harmonic(
-    chain: GradedChain, h: HarmonicFn, max_level: int, tol: float = FLOAT_TOL
-) -> CheckReport:
+def is_harmonic(chain: GradedChain, h: HarmonicFn, max_level: int) -> CheckReport:
     """Report every failure of the mean-value identity below max_level.
 
     Also checks h(root) = 1 and h >= 0 on all enumerated states.  Failures
     are report content, not errors.
     """
     report = CheckReport(f"harmonicity[{h.name} on {chain.name}]")
-    report.record("root-normalization", 1, h(chain.root), tol)
+    report.record("root-normalization", 1, h(chain.root))
     for n in range(max_level + 1):
         for x in chain.enumerate_level(n):
             hx = h(x)
@@ -85,7 +83,7 @@ def is_harmonic(
                 report.violations.append(Violation(f"non-negativity@{x}", 0, hx))
             if n < max_level:
                 mean = sum(q * h(y) for y, q in chain.successors(x))
-                report.record(f"mean-value@{x}", hx, mean, tol)
+                report.record(f"mean-value@{x}", hx, mean)
     return report
 
 
@@ -97,11 +95,9 @@ class HTransformChain(GradedChain):
     harmonicity at that state.
     """
 
-    def __init__(self, base: GradedChain, h: HarmonicFn, tol: float = FLOAT_TOL):
+    def __init__(self, base: GradedChain, h: HarmonicFn):
         root_value = h(base.root)
-        if root_value != 1 and not (
-            not is_exact(root_value) and abs(float(root_value) - 1.0) <= tol
-        ):
+        if not probs_equal(root_value, 1):
             raise NotHarmonicError(
                 f"{h.name} has value {format_prob(root_value)} at the root, expected 1"
             )
@@ -122,8 +118,7 @@ class HTransformChain(GradedChain):
                 p = hy * q / hx
                 total += p
                 row.append((y, p))
-            exact = is_exact(total)
-            if (exact and total != 1) or (not exact and abs(float(total) - 1.0) > tol):
+            if not probs_equal(total, 1):
                 raise NotHarmonicError(
                     f"{h.name} is not harmonic at {x}: reweighted row sums to "
                     f"{format_prob(total)}"
@@ -146,31 +141,22 @@ def h_transform(chain: GradedChain, h: HarmonicFn) -> HTransformChain:
     return HTransformChain(chain, h)
 
 
-def density_ratio_check(
-    base: GradedChain,
-    transformed: HTransformChain,
-    n: int,
-    atom_budget: int = DEFAULT_ATOM_BUDGET,
-    tol: float = FLOAT_TOL,
-) -> CheckReport:
+def density_ratio_check(base: GradedChain, transformed: HTransformChain, n: int) -> CheckReport:
     """Check P_h(path) = h(x_n) P(path) for every positive base path of length n."""
     h = transformed.h
-    base_law = base.cylinder_law(n, atom_budget)
-    transformed_law = transformed.cylinder_law(n, atom_budget)
+    base_law = base.cylinder_law(n)
+    transformed_law = transformed.cylinder_law(n)
     report = CheckReport(f"density-ratio[{transformed.name}]@{n}")
     for path, p in base_law.atoms.items():
         if p == 0:
             continue
         lifted = transformed_law.atoms.get(path, 0)
-        report.record(f"path={path}", h(path[-1]) * p, lifted, tol)
+        report.record(f"path={path}", h(path[-1]) * p, lifted)
     return report
 
 
 def kernel_transform_check(
-    base: GradedChain,
-    transformed: HTransformChain,
-    max_level: int,
-    tol: float = FLOAT_TOL,
+    base: GradedChain, transformed: HTransformChain, max_level: int
 ) -> CheckReport:
     """Check K_h(x, y) h(x) = K(x, y) on the support, both sides computed independently."""
     h = functools.cache(transformed.h)  # once per state, not once per pair
@@ -182,13 +168,11 @@ def kernel_transform_check(
             continue
         original = base.martin_kernel(x, y)
         lifted = transformed.martin_kernel(x, y)
-        report.record(f"K_h@({x}; {y})", original, lifted * h(x), tol)
+        report.record(f"K_h@({x}; {y})", original, lifted * h(x))
     return report
 
 
-def cotransition_equality_check(
-    a: GradedChain, b: GradedChain, max_level: int, tol: float = FLOAT_TOL
-) -> CheckReport:
+def cotransition_equality_check(a: GradedChain, b: GradedChain, max_level: int) -> CheckReport:
     """Compare backward one-step laws of two chains over the same family.
 
     Only conditioning states reachable in both chains are compared; the
@@ -203,10 +187,7 @@ def cotransition_equality_check(
             candidates = {x for x, _ in a.predecessors(y)} | {x for x, _ in b.predecessors(y)}
             for x in sorted(candidates):
                 report.record(
-                    f"cotransition@({y} -> {x})",
-                    a.cotransition(y, x),
-                    b.cotransition(y, x),
-                    tol,
+                    f"cotransition@({y} -> {x})", a.cotransition(y, x), b.cotransition(y, x)
                 )
     return report
 
@@ -250,7 +231,6 @@ def representation_check(
     x: State,
     n: int,
     transformed: Optional[HTransformChain] = None,
-    tol: float = FLOAT_TOL,
 ) -> CheckReport:
     """Exact finite-horizon representation identity: E_{P_h} K(x, Y_n) = h(x).
 
@@ -265,7 +245,7 @@ def representation_check(
     law = transformed.forward_law(n)
     total = sum(base.martin_kernel(x, y) * p for y, p in law.items())
     report = CheckReport(f"representation[{h.name}]@({x}, n={n})")
-    report.record("expected-kernel", h(x), total, tol)
+    report.record("expected-kernel", h(x), total)
     return report
 
 

@@ -24,11 +24,12 @@ def is_exact(value: Prob) -> bool:
     return isinstance(value, (Fraction, int))
 
 
-def probs_equal(a: Prob, b: Prob, tol: float = FLOAT_TOL) -> bool:
-    """Exact equality for two exact values, |a-b| <= tol otherwise."""
+def probs_equal(a: Prob, b: Prob) -> bool:
+    """The one equality rule: exact equality for two exact values,
+    |a-b| <= FLOAT_TOL otherwise."""
     if is_exact(a) and is_exact(b):
         return a == b
-    return abs(float(a) - float(b)) <= tol
+    return abs(float(a) - float(b)) <= FLOAT_TOL
 
 
 def residual(a: Prob, b: Prob) -> Prob:
@@ -72,7 +73,7 @@ def format_prob(value: Prob) -> str:
     return repr(float(value))
 
 
-def validate_simplex(coords: Iterable[Prob], tol: float = FLOAT_TOL) -> tuple[Prob, ...]:
+def validate_simplex(coords: Iterable[Prob]) -> tuple[Prob, ...]:
     """Check that coords are non-negative and sum to one, return them as a tuple."""
     pt = tuple(coords)
     if not pt:
@@ -80,9 +81,6 @@ def validate_simplex(coords: Iterable[Prob], tol: float = FLOAT_TOL) -> tuple[Pr
     if any(c < 0 for c in pt):
         raise ValueError(f"negative coordinate in simplex point {pt}")
     total = sum(pt)
-    if is_exact(total):
-        if total != 1:
-            raise ValueError(f"simplex coordinates sum to {total}, expected 1")
-    elif abs(float(total) - 1.0) > tol:
-        raise ValueError(f"simplex coordinates sum to {float(total)}, expected 1")
+    if not probs_equal(total, 1):
+        raise ValueError(f"simplex coordinates sum to {total}, expected 1")
     return pt

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .prob import FLOAT_TOL, Prob, format_prob, probs_equal, residual
+from .prob import Prob, format_prob, probs_equal, residual
 
 
 @dataclass(frozen=True)
@@ -42,11 +42,16 @@ class CheckReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def record(self, site: str, expected: Prob, actual: Prob, tol: float = FLOAT_TOL) -> None:
+    def record(self, site: str, expected: Prob, actual: Prob) -> None:
         """Compare one identity instance; keep it only if it fails."""
         self.checked += 1
-        if not probs_equal(expected, actual, tol):
+        if not probs_equal(expected, actual):
             self.violations.append(Violation(site, expected, actual))
+
+    def absorb(self, sub: CheckReport) -> None:
+        """Merge another report's checks and violations into this one."""
+        self.checked += sub.checked
+        self.violations.extend(sub.violations)
 
     def note(self, message: str) -> None:
         self.notes.append(message)

@@ -217,9 +217,7 @@ def boundary_harmonicity_report(
     chain = uniform_walk(d, level_budget=max_level)
     report = CheckReport(f"boundary-harmonicity[d={d}]<= {max_level}")
     for alpha in alphas:
-        sub = is_harmonic(chain, boundary_harmonic(alpha), max_level)
-        report.checked += sub.checked
-        report.violations.extend(sub.violations)
+        report.absorb(is_harmonic(chain, boundary_harmonic(alpha), max_level))
     return report
 
 
@@ -249,14 +247,12 @@ def kernel_limit_report(
     alphas: Sequence[tuple[Prob, ...]],
     horizons: Sequence[int] = (10**3, 10**4, 10**5),
     tol: float = 1e-3,
-    max_probe_level: int = 3,
 ) -> CheckReport:
     """Floating-point check: K(x, round(n alpha)) approaches K(x, alpha), with
-    error at most tol at the largest horizon and non-increasing along the way."""
+    error at most tol at the largest horizon and non-increasing along the way,
+    for every probe x up to level 3."""
     report = CheckReport(f"kernel-limit[d={d}] (float)")
-    probes = [
-        c for n in range(max_probe_level + 1) for c in compositions(d, n)
-    ]
+    probes = [c for n in range(4) for c in compositions(d, n)]
     for alpha in alphas:
         for x in probes:
             target = float(boundary_kernel(x, alpha))
@@ -315,20 +311,17 @@ def transform_identity_reports(
     return out
 
 
-def representation_report(
-    d: int, horizon: int, alphas: Sequence[tuple[Prob, ...]], max_probe_level: int = 2
-) -> CheckReport:
-    """Exact finite-horizon representation identity for the conditioned walks."""
+def representation_report(d: int, horizon: int, alphas: Sequence[tuple[Prob, ...]]) -> CheckReport:
+    """Exact finite-horizon representation identity for the conditioned walks,
+    at every probe state up to level 2."""
     base = uniform_walk(d, level_budget=horizon)
     report = CheckReport(f"representation[d={d}]@{horizon}")
     for alpha in alphas:
         h = boundary_harmonic(alpha)
         transformed = h_transform(base, h)
-        for m in range(max_probe_level + 1):
+        for m in range(3):
             for x in transformed.enumerate_level(m):
-                sub = representation_check(base, h, x, horizon, transformed=transformed)
-                report.checked += sub.checked
-                report.violations.extend(sub.violations)
+                report.absorb(representation_check(base, h, x, horizon, transformed=transformed))
     return report
 
 
@@ -420,23 +413,21 @@ def projection_report(depth: int = 3) -> CheckReport:
     ]
     for masses in laws:
         for k in range(1, depth):
-            sub = projection_consistency_check(
-                lift_point_masses(masses, k + 1), lift_point_masses(masses, k)
-            )
-            report.checked += sub.checked
-            report.violations.extend(sub.violations)
+            deeper, shallower = lift_point_masses(masses, k + 1), lift_point_masses(masses, k)
+            report.absorb(projection_consistency_check(deeper, shallower))
     return report
 
 
-def lift_exchangeability_report(n: int = 3, depth: int = 2) -> CheckReport:
-    """A lifted exchangeable law over dyadic atoms stays exchangeable, exactly."""
+def lift_exchangeability_report() -> CheckReport:
+    """A lifted exchangeable law over dyadic atoms stays exchangeable, exactly:
+    three draws, each truncated to two binary digits."""
     source = MixtureSource(
         atoms=((Fraction(1, 4), Fraction(3, 4)), (Fraction(2, 3), Fraction(1, 3))),
         weights=(Fraction(1, 2), Fraction(1, 2)),
     )
     points = (Fraction(5, 8), Fraction(1, 4))
-    report = cylinder_exchangeability_report(lift_source_law(source, points, depth, n))
-    report.name = f"lift-exchangeability[depth {depth}]@{n}"
+    report = cylinder_exchangeability_report(lift_source_law(source, points, depth=2, n=3))
+    report.name = "lift-exchangeability[depth 2]@3"
     return report
 
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import martinwalk.chain
 from martinwalk import (
     BudgetExceededError,
     CylinderLaw,
@@ -200,9 +201,10 @@ class TestCylinderLaw:
         table = walk2.forward_law(3)
         assert marginal == dict(table.items())
 
-    def test_atom_budget(self, walk2):
+    def test_atom_budget(self, walk2, monkeypatch):
+        monkeypatch.setattr(martinwalk.chain, "DEFAULT_ATOM_BUDGET", 10)
         with pytest.raises(BudgetExceededError):
-            walk2.cylinder_law(6, atom_budget=10)
+            walk2.cylinder_law(6)
 
     def test_backwards_martingale_identity(self, walk2):
         # sum_x' K(x, x') P(Y_n = x' | Y_{n+1} = y) = K(x, y)

@@ -293,9 +293,11 @@ class TestMain:
 
 
 class TestGoldenBytes:
-    """Report digests: the JSON ones recorded before the exact engine's routes
-    were merged, the CSV ones before rows became tuples under one header; any
-    change to ``verify``/``kernel``/``lift`` bytes must be deliberate."""
+    """Report digests: the first three recorded before the exact engine's routes
+    were merged, the next two before rows became tuples under one header, the
+    d=3 ``verify`` and float-mode ones before the float tolerance and the atom
+    budget became constants; any change to ``verify``/``kernel``/``lift`` bytes
+    must be deliberate."""
 
     @pytest.mark.parametrize(
         "doc, fmt, digest",
@@ -325,8 +327,38 @@ class TestGoldenBytes:
                 "csv",
                 "b2c2d792dc9b2005489078d1d9bcae0f215bb230fc954276747b721dea39ffa0",
             ),
+            (
+                {"command": "verify", "d": 3, "budget": 6},
+                "json",
+                "94b4304715208885af56e23a68c266e14c7bd4ba331b3db20d4e597ebe7ea36f",
+            ),
+            (
+                {"command": "verify", "d": 3, "budget": 6},
+                "csv",
+                "da02999fd2f261b602fa4bbc8dfee7c4862d546966bb4ec4503c10211611c781",
+            ),
+            (
+                {"command": "kernel", "mode": "float", "d": 2, "budget": 4, "alpha": [0.25, 0.75]},
+                "json",
+                "546bc6a7a1fb42099e74f145cecffcae45f1138817831391af9431026108e678",
+            ),
+            (
+                {"command": "lift", "mode": "float", "points": [0.625, 0.25], "depth": 4},
+                "json",
+                "8064d05ae20887780f94688133c11c042948142bc1504d76a91e4f13f1e18e65",
+            ),
         ],
-        ids=["verify", "kernel", "lift", "kernel-csv", "lift-csv"],
+        ids=[
+            "verify",
+            "kernel",
+            "lift",
+            "kernel-csv",
+            "lift-csv",
+            "verify-d3",
+            "verify-d3-csv",
+            "kernel-float",
+            "lift-float",
+        ],
     )
     def test_report_digest(self, doc, fmt, digest):
         report, status = run(parse_config(json.dumps(doc)))

@@ -2,6 +2,7 @@
 binary-expansion lift."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 
 from martinwalk import (
     BudgetExceededError,
+    DirectingEstimate,
     HarmonicFn,
+    MartinWalkError,
     MarkovSource,
     MixtureSource,
     PolyaUrnSource,
@@ -71,9 +74,33 @@ class TestSourceCylinderLaw:
         for src in (MIX, POLYA, CONTROL):
             assert source_cylinder_law(src, 4).total() == 1
 
-    def test_atom_budget(self):
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: source_cylinder_law(MIX, 30),
+            lambda: counting_chain_law(MIX, 30),
+            lambda: exchangeability_report(MIX, 30),
+            lambda: verify_counting_markov(MIX, 30),
+            lambda: definetti_identity_check(MIX, 30),
+            lambda: definetti_identity_mc(MIX, DirectingEstimate(np.full((2, 2), 0.5), 1, 0), 30),
+            lambda: lift_source_law(MIX, (Fraction(5, 8), Fraction(1, 4)), 2, 30),
+        ],
+        ids=[
+            "source_cylinder_law",
+            "counting_chain_law",
+            "exchangeability_report",
+            "verify_counting_markov",
+            "definetti_identity_check",
+            "definetti_identity_mc",
+            "lift_source_law",
+        ],
+    )
+    def test_atom_budget(self, build):
+        # 2^30 words: the budget is checked before any word is built
+        start = time.perf_counter()
         with pytest.raises(BudgetExceededError):
-            source_cylinder_law(MIX, 30)
+            build()
+        assert time.perf_counter() - start < 1.0
 
     def test_out_of_alphabet(self):
         with pytest.raises(ValueError):
@@ -348,6 +375,15 @@ class TestDefinettiIdentity:
     def test_explicit_atoms(self):
         report = definetti_identity_check(MIX, 2, directing=MIX.directing_atoms())
         assert report.ok
+
+    def test_source_without_directing_law(self):
+        with pytest.raises(MartinWalkError, match="no directing law"):
+            definetti_identity_check(standard_negative_control(), 2)
+
+    def test_negative_control_fails(self):
+        directing = [(1, (Fraction(1, 2), Fraction(1, 2)))]
+        report = definetti_identity_check(standard_negative_control(), 2, directing=directing)
+        assert (report.checked, len(report.violations)) == (4, 4)
 
     def test_monte_carlo_mode(self):
         est = estimate_directing_measure(MIX, horizon=10_000, replicates=2_000, seed=11)
