@@ -31,7 +31,7 @@ from .errors import (
     UnreachableStateError,
 )
 from .prob import Prob, format_prob, probs_equal
-from .reports import CheckReport, Violation
+from .reports import CheckReport
 
 #: most paths or words one exact enumeration builds: ``cylinder_law`` here,
 #: the word laws of ``definetti``
@@ -385,18 +385,27 @@ class GradedChain:
 
         Exponential by design; this is the brute-force oracle that the
         dynamic-programming routes are tested against.  Raises
-        ``BudgetExceededError`` past ``DEFAULT_ATOM_BUDGET`` paths.
+        ``BudgetExceededError`` before building any path when there are more
+        than ``DEFAULT_ATOM_BUDGET`` paths, counted level by level.
         """
+        counts: dict[State, int] = {self.root: 1}
+        for _ in range(n):
+            nxt: dict[State, int] = defaultdict(int)
+            for z, c in counts.items():
+                for y, q in self.successors(z):
+                    if q != 0:
+                        nxt[y] += c
+            counts = nxt
+        if sum(counts.values()) > DEFAULT_ATOM_BUDGET:
+            raise BudgetExceededError(
+                f"cylinder law at horizon {n} exceeds atom budget {DEFAULT_ATOM_BUDGET}"
+            )
         atoms: dict[tuple, Prob] = {}
         stack: list[tuple[tuple, Prob]] = [((self.root,), 1)]
         while stack:
             path, p = stack.pop()
             if len(path) == n + 1:
                 atoms[path[1:]] = p
-                if len(atoms) > DEFAULT_ATOM_BUDGET:
-                    raise BudgetExceededError(
-                        f"cylinder law at horizon {n} exceeds atom budget {DEFAULT_ATOM_BUDGET}"
-                    )
                 continue
             for y, q in self.successors(path[-1]):
                 if q != 0:
@@ -410,7 +419,7 @@ class GradedChain:
         """One trajectory (Y_0, ..., Y_n); same (seed, replicate) gives the same path."""
         if self.sampler is not None:
             counts = self.sampler.sample_path_counts(n, seed, replicate)
-            return [State(k, tuple(row)) for k, row in enumerate(counts.tolist())]
+            return list(map(State, range(n + 1), map(tuple, counts.tolist())))
         rng = replicate_rng(seed, replicate)
         path = [self.root]
         x = self.root
@@ -450,9 +459,7 @@ class GradedChain:
         for n in range(max_level + 1):
             law = self.forward_law(n)
             for x in self.enumerate_level(n):
-                report.checked += 1
-                if law.prob(x) == 0:
-                    report.violations.append(Violation(f"P(Y_{n}={x})>0", 1, 0))
+                report.require(f"P(Y_{n}={x})>0", law.prob(x) != 0, 1, 0)
         return report
 
 

@@ -63,6 +63,7 @@ _SOURCE_KEYS = {
     "polya": {"kind", "initial"},
     "markov": {"kind", "initial", "rows"},
 }
+_SOURCE_KINDS = {MixtureSource: "mixture", PolyaUrnSource: "polya", MarkovSource: "markov"}
 
 #: the CSV header of a report without rows; the Monte Carlo columns are part of its bytes
 _RECORD_FIELDS = (
@@ -104,27 +105,9 @@ class RunConfig:
         scheduling and destination only, never the report content, and the
         output must be byte-identical across worker counts.
         """
-        doc: dict = {
-            "command": self.command,
-            "seed": self.seed,
-            "mode": self.mode,
-            "format": self.format,
-        }
-        if self.command in ("verify", "kernel", "simulate"):
-            doc["d"] = self.d
-        if self.command in ("verify", "kernel"):
-            doc["budget"] = self.budget
-        if self.alpha is not None:
-            doc["alpha"] = [format_prob(a) for a in self.alpha]
-        if self.source is not None:
-            doc["source"] = _echo_source(self.source)
-        if self.command in ("simulate", "estimate"):
-            doc["horizon"] = self.horizon
-            doc["replicates"] = self.replicates
-        if self.command == "lift":
-            doc["points"] = [format_prob(p) for p in self.points]
-            doc["depth"] = self.depth
-        return doc
+        keys = ("command", "seed", "mode", "format", *sorted(_COMMAND_KEYS[self.command]))
+        values = {key: getattr(self, key) for key in keys}
+        return {key: _echo_value(value) for key, value in values.items() if value is not None}
 
 
 @dataclass
@@ -195,20 +178,18 @@ def _parse_source(raw, mode: str):
         raise ConfigError(f"bad {kind} source: {exc}") from exc
 
 
-def _echo_source(source) -> dict:
-    if isinstance(source, MixtureSource):
-        return {
-            "kind": "mixture",
-            "atoms": [[format_prob(a) for a in atom] for atom in source.atoms],
-            "weights": [format_prob(w) for w in source.weights],
-        }
-    if isinstance(source, PolyaUrnSource):
-        return {"kind": "polya", "initial": list(source.initial)}
-    return {
-        "kind": "markov",
-        "initial": [format_prob(p) for p in source.initial],
-        "rows": [[format_prob(p) for p in row] for row in source.rows],
-    }
+def _echo_value(value):
+    """A config value as JSON: probabilities as strings, tuples as lists, a
+    source as its kind and its config keys; ints and strings as they are."""
+    if isinstance(value, (Fraction, float)):
+        return format_prob(value)
+    if isinstance(value, tuple):
+        return [_echo_value(v) for v in value]
+    kind = _SOURCE_KINDS.get(type(value))
+    if kind is None:
+        return value
+    fields = sorted(_SOURCE_KEYS[kind] - {"kind"})
+    return {"kind": kind, **{key: _echo_value(getattr(value, key)) for key in fields}}
 
 
 def parse_config(text: str, overrides: Optional[dict] = None) -> RunConfig:

@@ -30,7 +30,7 @@ from .errors import (
     UnreachableStateError,
 )
 from .prob import Prob, format_prob, probs_equal
-from .reports import CheckReport, MonteCarloResult, Violation
+from .reports import CheckReport, MonteCarloResult
 
 
 class HarmonicFn:
@@ -78,9 +78,7 @@ def is_harmonic(chain: GradedChain, h: HarmonicFn, max_level: int) -> CheckRepor
     for n in range(max_level + 1):
         for x in chain.enumerate_level(n):
             hx = h(x)
-            report.checked += 1
-            if hx < 0:
-                report.violations.append(Violation(f"non-negativity@{x}", 0, hx))
+            report.require(f"non-negativity@{x}", hx >= 0, 0, hx)
             if n < max_level:
                 mean = sum(q * h(y) for y, q in chain.successors(x))
                 report.record(f"mean-value@{x}", hx, mean)

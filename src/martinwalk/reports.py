@@ -42,11 +42,15 @@ class CheckReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def record(self, site: str, expected: Prob, actual: Prob) -> None:
-        """Compare one identity instance; keep it only if it fails."""
+    def require(self, site: str, holds: bool, expected: Prob, actual: Prob) -> None:
+        """Count one check; keep ``(site, expected, actual)`` only if it fails."""
         self.checked += 1
-        if not probs_equal(expected, actual):
+        if not holds:
             self.violations.append(Violation(site, expected, actual))
+
+    def record(self, site: str, expected: Prob, actual: Prob) -> None:
+        """Compare one identity instance under the one equality rule."""
+        self.require(site, probs_equal(expected, actual), expected, actual)
 
     def absorb(self, sub: CheckReport) -> None:
         """Merge another report's checks and violations into this one."""

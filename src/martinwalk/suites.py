@@ -49,8 +49,8 @@ from .harmonic import (
     recover_h,
     representation_check,
 )
-from .prob import Prob
-from .reports import CheckReport, Violation
+from .prob import Prob, probs_equal
+from .reports import CheckReport
 
 
 # -- parameter grids -----------------------------------------------------------
@@ -119,14 +119,11 @@ def kernel_symmetry_report(d: int, max_level: int) -> CheckReport:
             for y in chain.enumerate_level(n):
                 for x in chain.enumerate_level(m):
                     forward = chain.martin_kernel(x, y)
-                    px = law_m.prob(x)
-                    backward = chain.backward_conditional(y, x) / px
-                    report.record(f"symmetry@({x}; {y})", forward, backward)
-                    report.checked += 1
-                    if forward > 1 / px:
-                        report.violations.append(
-                            Violation(f"bound@({x}; {y})", 1 / px, forward)
-                        )
+                    bound = 1 / law_m.prob(x)
+                    backward = chain.backward_conditional(y, x) * bound
+                    pair = f"({x}; {y})"
+                    report.record("symmetry@" + pair, forward, backward)
+                    report.require("bound@" + pair, forward <= bound, bound, forward)
                 report.record(
                     f"root-normalization@{y}", 1, chain.martin_kernel(chain.root, y)
                 )
@@ -231,14 +228,10 @@ def unnormalized_rejection_report(
     for alpha in alphas:
         plain = HarmonicFn(lambda state: product_moment(alpha, state.payload), name="plain-product")
         sub = is_harmonic(chain, plain, max_level)
-        report.checked += 1
         # the mean-value identity must fail at every interior state
         interior = sum(len(chain.enumerate_level(n)) for n in range(max_level))
         failures = sum(1 for v in sub.violations if v.site.startswith("mean-value"))
-        if failures != interior:
-            report.violations.append(
-                Violation(f"plain-product-should-fail@alpha={alpha}", interior, failures)
-            )
+        report.record(f"plain-product-should-fail@alpha={alpha}", interior, failures)
     return report
 
 
@@ -260,17 +253,12 @@ def kernel_limit_report(
                 abs(float(closed_form_kernel(x, rounded_ray_point(n, alpha))) - target)
                 for n in horizons
             ]
-            report.checked += 1
-            if errors[-1] > tol:
-                report.violations.append(
-                    Violation(f"limit@({x}; alpha={alpha}; n={horizons[-1]})", tol, errors[-1])
-                )
+            probe = f"{x}; alpha={alpha}"
+            report.require(
+                f"limit@({probe}; n={horizons[-1]})", errors[-1] <= tol, tol, errors[-1]
+            )
             for a, b, n in zip(errors, errors[1:], horizons[1:]):
-                report.checked += 1
-                if b > a + 1e-12:
-                    report.violations.append(
-                        Violation(f"monotone@({x}; alpha={alpha}; n={n})", a, b)
-                    )
+                report.require(f"monotone@({probe}; n={n})", b <= a or probs_equal(a, b), a, b)
     return report
 
 
@@ -345,16 +333,11 @@ def lemma_reports(d: int, horizon: int) -> list[CheckReport]:
     negative = CheckReport("negative-control-detected")
     markov_rep = verify_counting_markov(control, min(horizon, 6))
     cotrans_rep = verify_counting_cotransitions(control, min(horizon, 6))
-    negative.checked += 2
     # expected: at least one violation each; record the violation counts
-    if markov_rep.ok:
-        negative.violations.append(
-            Violation("markov-check-should-fail", 1, len(markov_rep.violations))
-        )
-    if cotrans_rep.ok:
-        negative.violations.append(
-            Violation("cotransition-check-should-fail", 1, len(cotrans_rep.violations))
-        )
+    negative.require("markov-check-should-fail", not markov_rep.ok, 1, len(markov_rep.violations))
+    negative.require(
+        "cotransition-check-should-fail", not cotrans_rep.ok, 1, len(cotrans_rep.violations)
+    )
     out.append(negative)
     return out
 
@@ -396,10 +379,8 @@ def digit_roundtrip_report(points: int = 10_000, depth: int = 30) -> CheckReport
     bound = Fraction(1, 2**depth)
     for i in range(points):
         x = Fraction(i, points)
-        back = reconstruct_real(binary_digits(x, depth))
-        report.checked += 1
-        if abs(x - back) >= bound:
-            report.violations.append(Violation(f"roundtrip@{x}", bound, abs(x - back)))
+        gap = abs(x - reconstruct_real(binary_digits(x, depth)))
+        report.require(f"roundtrip@{x}", gap < bound, bound, gap)
     return report
 
 
@@ -453,28 +434,28 @@ def identity_reports(d: int, horizon: int) -> list[CheckReport]:
 def full_verification(d: int, budget: int) -> list[CheckReport]:
     """The exact invariant suites of all modules at the given budgets."""
     chain = uniform_walk(d, level_budget=budget)
-    oracle_level = min(budget, 6)
+    small_level = min(budget, 6)
     alphas = rational_alphas(d, 4)
     reports = [
         chain.check_row_stochastic(budget),
         chain.check_weak_irreducibility(budget),
-        oracle_equivalence_report(uniform_walk(d, level_budget=oracle_level), oracle_level),
-        cylinder_markov_report(uniform_walk(d, level_budget=oracle_level), oracle_level),
+        oracle_equivalence_report(uniform_walk(d, level_budget=small_level), small_level),
+        cylinder_markov_report(uniform_walk(d, level_budget=small_level), small_level),
         kernel_agreement_report(d, budget),
         kernel_symmetry_report(d, budget),
-        martingale_identity_report(d, min(budget, 6)),
-        expectation_identity_report(d, min(budget, 6)),
+        martingale_identity_report(d, small_level),
+        expectation_identity_report(d, small_level),
         boundary_harmonicity_report(d, budget, alphas),
     ]
     if d >= 2:
         # at d = 1 the plain product is the normalized kernel (d^m = 1), so it cannot fail
         reports.append(unnormalized_rejection_report(d, min(budget, 4), alphas[:2]))
-    reports.append(representation_report(d, min(budget, 6), alphas[:2]))
-    reports.extend(transform_identity_reports(d, min(budget, 6), alphas[:2]))
+    reports.append(representation_report(d, small_level, alphas[:2]))
+    reports.extend(transform_identity_reports(d, small_level, alphas[:2]))
     if d in (2, 3):
-        reports.extend(lemma_reports(d, min(budget, 6)))
-        reports.append(recovery_identity_report(d, min(budget, 6)))
-        reports.extend(identity_reports(d, min(budget, 6)))
+        reports.extend(lemma_reports(d, small_level))
+        reports.append(recovery_identity_report(d, small_level))
+        reports.extend(identity_reports(d, small_level))
     reports.append(digit_roundtrip_report(points=1000, depth=30))
     reports.append(projection_report())
     reports.append(lift_exchangeability_report())

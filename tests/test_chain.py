@@ -5,6 +5,7 @@ oracle) and are frozen as exact rationals.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -205,6 +206,13 @@ class TestCylinderLaw:
         monkeypatch.setattr(martinwalk.chain, "DEFAULT_ATOM_BUDGET", 10)
         with pytest.raises(BudgetExceededError):
             walk2.cylinder_law(6)
+
+    def test_atom_budget_raises_before_building_paths(self):
+        # 2^24 = 16,777,216 paths: counted level by level, none built
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="cylinder law at horizon 24 exceeds"):
+            uniform_walk(2, level_budget=24).cylinder_law(24)
+        assert time.perf_counter() - start < 1.0
 
     def test_backwards_martingale_identity(self, walk2):
         # sum_x' K(x, x') P(Y_n = x' | Y_{n+1} = y) = K(x, y)

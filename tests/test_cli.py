@@ -395,6 +395,138 @@ class TestRowShape:
         assert parsed == [[str(row[f]) for f in report.fields] for row in rows]
 
 
+_ECHO_BASE = {"seed": 0, "mode": "exact", "format": "json"}
+_MARKOV = {"initial": ["1/2", "1/2"], "rows": [["2/3", "1/3"], ["1/6", "5/6"]]}
+
+
+class TestEcho:
+    """``RunConfig.echo`` for one config per command and source kind, plus
+    float mode, integer weights and an alpha with a zero part; the expected
+    dicts were recorded before the echo was derived from the key tables."""
+
+    CASES = {
+        "verify": (
+            {"command": "verify", "d": 3, "budget": 4},
+            {"command": "verify", "d": 3, "budget": 4},
+        ),
+        "kernel": (
+            {"command": "kernel", "budget": 3, "alpha": ["1/3", "2/3"], "seed": 5},
+            {"command": "kernel", "seed": 5, "d": 2, "budget": 3, "alpha": ["1/3", "2/3"]},
+        ),
+        "kernel-zero-part": (
+            {"command": "kernel", "budget": 2, "alpha": ["0", "1"]},
+            {"command": "kernel", "d": 2, "budget": 2, "alpha": ["0/1", "1/1"]},
+        ),
+        "simulate": (
+            {
+                "command": "simulate",
+                "d": 3,
+                "horizon": 20,
+                "replicates": 2,
+                "workers": 2,
+                "out": "x.csv",
+                "format": "csv",
+            },
+            {"command": "simulate", "format": "csv", "d": 3, "horizon": 20, "replicates": 2},
+        ),
+        "simulate-float": (
+            {"command": "simulate", "mode": "float", "alpha": [0.25, 0.75], "horizon": 10},
+            {
+                "command": "simulate",
+                "mode": "float",
+                "d": 2,
+                "alpha": ["0.25", "0.75"],
+                "horizon": 10,
+                "replicates": 100,
+            },
+        ),
+        "estimate-mixture": (
+            {
+                "command": "estimate",
+                "source": {
+                    "kind": "mixture",
+                    "atoms": [["1/5", "4/5"], ["3/5", "2/5"]],
+                    "weights": ["1/2", "1/2"],
+                },
+                "horizon": 50,
+                "replicates": 10,
+            },
+            {
+                "command": "estimate",
+                "source": {
+                    "kind": "mixture",
+                    "atoms": [["1/5", "4/5"], ["3/5", "2/5"]],
+                    "weights": ["1/2", "1/2"],
+                },
+                "horizon": 50,
+                "replicates": 10,
+            },
+        ),
+        "estimate-mixture-int-weights": (
+            {
+                "command": "estimate",
+                "source": {"kind": "mixture", "atoms": [[0, 1]], "weights": [1]},
+            },
+            {
+                "command": "estimate",
+                "source": {"kind": "mixture", "atoms": [["0/1", "1/1"]], "weights": ["1/1"]},
+                "horizon": 1000,
+                "replicates": 100,
+            },
+        ),
+        "estimate-polya": (
+            {"command": "estimate", "source": {"kind": "polya", "initial": [1, 2, 3]}, "seed": 7},
+            {
+                "command": "estimate",
+                "seed": 7,
+                "source": {"kind": "polya", "initial": [1, 2, 3]},
+                "horizon": 1000,
+                "replicates": 100,
+            },
+        ),
+        "estimate-markov": (
+            {"command": "estimate", "source": {"kind": "markov", **_MARKOV}},
+            {
+                "command": "estimate",
+                "source": {"kind": "markov", **_MARKOV},
+                "horizon": 1000,
+                "replicates": 100,
+            },
+        ),
+        "estimate-markov-float": (
+            {
+                "command": "estimate",
+                "mode": "float",
+                "source": {"kind": "markov", "initial": [0.5, 0.5], "rows": [[1, 0], [0.25, 0.75]]},
+            },
+            {
+                "command": "estimate",
+                "mode": "float",
+                "source": {
+                    "kind": "markov",
+                    "initial": ["0.5", "0.5"],
+                    "rows": [["1/1", "0/1"], ["0.25", "0.75"]],
+                },
+                "horizon": 1000,
+                "replicates": 100,
+            },
+        ),
+        "lift": (
+            {"command": "lift", "points": ["5/8", "1/4", 0], "depth": 4},
+            {"command": "lift", "points": ["5/8", "1/4", "0/1"], "depth": 4},
+        ),
+        "lift-float": (
+            {"command": "lift", "mode": "float", "points": [0.625], "depth": 3},
+            {"command": "lift", "mode": "float", "points": ["0.625"], "depth": 3},
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES, ids=list(CASES))
+    def test_echo(self, case):
+        doc, expected = self.CASES[case]
+        assert parse_config(json.dumps(doc)).echo() == {**_ECHO_BASE, **expected}
+
+
 class TestCommandTable:
     def test_every_command_has_keys_and_a_runner(self):
         assert COMMANDS == tuple(_COMMAND_KEYS) == tuple(_RUNNERS)
