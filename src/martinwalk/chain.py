@@ -84,6 +84,32 @@ class CountSampler(Protocol):
         """Payloads of Y_n for replicates start..stop-1, int64 of shape (stop - start, d)."""
 
 
+class CountPath(Sequence[State]):
+    """A sampled path Y_0, ..., Y_n read as states from its (n + 1, d) count
+    array: a state is built only when it is read, so ``path[-1]`` costs one."""
+
+    def __init__(self, counts: np.ndarray):
+        self._counts = counts
+
+    def __len__(self) -> int:
+        return len(self._counts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(len(self)))]
+        k = range(len(self))[index]
+        return State(k, tuple(self._counts[k].tolist()))
+
+    def __iter__(self) -> Iterator[State]:
+        return map(State, range(len(self)), map(tuple, self._counts.tolist()))
+
+    def __eq__(self, other) -> bool:
+        """Equal to a path with the same counts, or to a list of the same states."""
+        if isinstance(other, CountPath):
+            return np.array_equal(self._counts, other._counts)
+        return list(self) == other
+
+
 @dataclass(frozen=True)
 class DistributionTable:
     """Law of Y_n: positive-probability states only, unless zeros were requested."""
@@ -172,8 +198,8 @@ class GradedChain:
         kernels).
     sampler:
         Optional ``CountSampler`` for chains whose payloads are count
-        vectors; ``sample_path`` and ``sample_final`` then wrap its arrays
-        in states instead of stepping through ``successors``.
+        vectors; ``sample_path`` and ``sample_final`` then read its arrays
+        as states instead of stepping through ``successors``.
 
     Forward and conditional laws share one memo: ``_cond[x]`` maps levels
     to the law of Y_n given Y_m = x, and the forward law is the entry of
@@ -415,11 +441,10 @@ class GradedChain:
 
     # -- sampling ------------------------------------------------------------
 
-    def sample_path(self, n: int, seed: int, replicate: int = 0) -> list[State]:
+    def sample_path(self, n: int, seed: int, replicate: int = 0) -> Sequence[State]:
         """One trajectory (Y_0, ..., Y_n); same (seed, replicate) gives the same path."""
         if self.sampler is not None:
-            counts = self.sampler.sample_path_counts(n, seed, replicate)
-            return list(map(State, range(n + 1), map(tuple, counts.tolist())))
+            return CountPath(self.sampler.sample_path_counts(n, seed, replicate))
         rng = replicate_rng(seed, replicate)
         path = [self.root]
         x = self.root

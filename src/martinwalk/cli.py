@@ -22,7 +22,8 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence
 
 from .chain import kernel_pairs
 from .compositions import alpha_walk, boundary_kernel, uniform_walk
@@ -44,9 +45,10 @@ from .suites import full_verification
 #: largest level budget the exact verification suites will accept
 MAX_EXACT_BUDGET = 12
 
-#: most kernel pairs (x, y) that ``verify`` and ``kernel`` will walk.  d=4 at
-#: budget 8 (149,292 pairs) is admitted: on a 2-core machine ``verify`` took 8 s
-#: and ``kernel`` peaked at 290 MB; d=4 at budget 10 (592,878 pairs) is not.
+#: most kernel pairs (x, y) that ``verify`` and ``kernel`` will walk; a bound on
+#: time, since reports are streamed.  d=4 at budget 8 (149,292 pairs) is
+#: admitted: on a 2-core machine ``verify`` took 8 s and ``kernel`` 2.4 s; d=4 at
+#: budget 10 (592,878 pairs) is not.
 MAX_KERNEL_PAIRS = 150_000
 
 _COMMON_KEYS = {"command", "seed", "workers", "out", "format", "mode"}
@@ -80,6 +82,10 @@ _RECORD_FIELDS = (
     "replicates",
 )
 
+#: what ``json.dumps`` writes for a value of exactly these types, without its
+#: per-call set-up; a row cell of any other type goes through ``json.dumps``
+_JSON_CELL = {str: encode_basestring_ascii, int: int.__repr__}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -110,13 +116,26 @@ class RunConfig:
         return {key: _echo_value(value) for key, value in values.items() if value is not None}
 
 
+@dataclass(frozen=True)
+class LazyRows:
+    """Rows made on demand: every pass calls ``make`` afresh, so a report can
+    be written more than once without ever holding all of its rows."""
+
+    make: Callable[[], Iterator[tuple]]
+
+    def __iter__(self) -> Iterator[tuple]:
+        return self.make()
+
+
 @dataclass
 class Report:
     config: dict
     records: list[dict] = field(default_factory=list)
-    #: the column names of ``rows``, each row a tuple in this order
+    #: the column names of ``rows``, each row a tuple in this order; a report
+    #: without them writes its records as its CSV table
     fields: tuple[str, ...] = ()
-    rows: list[tuple] = field(default_factory=list)
+    #: a list, or ``LazyRows`` where there are too many rows to hold
+    rows: Iterable[tuple] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
 
     @property
@@ -311,14 +330,18 @@ def _run_kernel(config: RunConfig, report: Report) -> None:
     _check_budget(config)
     chain = uniform_walk(config.d, level_budget=config.budget)
     report.fields = ("kind", "x", "m", "y", "n", "value")
-    for x, y in kernel_pairs(chain, config.budget):
-        value = format_prob(chain.martin_kernel(x, y))
-        report.rows.append(("lattice", str(x.payload), x.level, str(y.payload), y.level, value))
-    if config.alpha is not None:
-        for m in range(config.budget + 1):
-            for x in chain.enumerate_level(m):
-                value = format_prob(boundary_kernel(x, config.alpha))
-                report.rows.append(("boundary", str(x.payload), m, "", "", value))
+
+    def rows() -> Iterator[tuple]:
+        for x, y in kernel_pairs(chain, config.budget):
+            value = format_prob(chain.martin_kernel(x, y))
+            yield "lattice", str(x.payload), x.level, str(y.payload), y.level, value
+        if config.alpha is not None:
+            for m in range(config.budget + 1):
+                for x in chain.enumerate_level(m):
+                    value = format_prob(boundary_kernel(x, config.alpha))
+                    yield "boundary", str(x.payload), m, "", "", value
+
+    report.rows = LazyRows(rows)
 
 
 def _run_simulate(config: RunConfig, report: Report) -> None:
@@ -327,9 +350,13 @@ def _run_simulate(config: RunConfig, report: Report) -> None:
     else:
         walk = uniform_walk(config.d, level_budget=config.budget)
     report.fields = ("replicate", "step", *(f"part_{i + 1}" for i in range(config.d)))
-    for r in range(config.replicates):
-        counts = walk.sampler.sample_path_counts(config.horizon, config.seed, r)
-        report.rows.extend((r, k, *row) for k, row in enumerate(counts.tolist()))
+
+    def rows() -> Iterator[tuple]:
+        for r in range(config.replicates):
+            counts = walk.sampler.sample_path_counts(config.horizon, config.seed, r)
+            yield from ((r, k, *row) for k, row in enumerate(counts.tolist()))
+
+    report.rows = LazyRows(rows)
 
 
 def _run_estimate(config: RunConfig, report: Report) -> None:
@@ -407,32 +434,62 @@ def run(config: RunConfig) -> tuple[Report, int]:
 # -- output ---------------------------------------------------------------------------
 
 
-def emit(report: Report, fmt: str = "json") -> bytes:
-    """Render a report: canonical JSON, or CSV with the config echo in comments."""
-    if fmt == "json":
-        doc = {
-            "config": report.config,
-            "records": report.records,
-            "rows": [dict(zip(report.fields, row)) for row in report.rows],
-            "summary": report.summary,
-        }
-        return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
-    if fmt != "csv":
+def write_report(report: Report, fmt: str, stream: BinaryIO) -> None:
+    """Write a report to a binary stream as its rows are made: canonical JSON,
+    or CSV with the config echo in comments.  An error raised while making a
+    row propagates after the bytes written so far are flushed."""
+    if fmt not in ("json", "csv"):
         raise ConfigError(f"unknown output format {fmt!r}")
-    buffer = io.StringIO()
+    text = io.TextIOWrapper(stream, encoding="utf-8", newline="")
+    try:
+        (_write_json if fmt == "json" else _write_csv)(report, text)
+    finally:
+        text.detach()
+
+
+def _write_json(report: Report, out) -> None:
+    """The bytes of ``json.dumps(doc, sort_keys=True, indent=2)`` for the doc
+    {config, records, rows, summary}, whose rows are dicts over ``fields``:
+    the sorted keys put rows between records and summary, and each row is one
+    template over the sorted fields filled with the JSON of each cell."""
+    head = json.dumps(
+        {"config": report.config, "records": report.records}, sort_keys=True, indent=2
+    )
+    out.write(head[: -len("\n}")] + ',\n  "rows": [')
+    order = sorted(range(len(report.fields)), key=report.fields.__getitem__)
+    keys = (json.dumps(report.fields[i]).replace("%", "%%") for i in order)
+    template = "\n    {\n" + ",\n".join(f"      {key}: %s" for key in keys) + "\n    }"
+    separator = ""
+    encoder_for = _JSON_CELL.get
+    for row in report.rows:
+        cells = tuple([encoder_for(type(row[i]), json.dumps)(row[i]) for i in order])
+        out.write(separator + template % cells)
+        separator = ","
+    out.write("\n  ]" if separator else "]")
+    tail = json.dumps({"summary": report.summary}, sort_keys=True, indent=2)
+    out.write("," + tail[len("{"):] + "\n")
+
+
+def _write_csv(report: Report, out) -> None:
     for key in sorted(report.config):
-        buffer.write(f"# {key}={json.dumps(report.config[key], sort_keys=True)}\n")
-    if report.rows:
-        writer = csv.writer(buffer, lineterminator="\n")
+        out.write(f"# {key}={json.dumps(report.config[key], sort_keys=True)}\n")
+    if report.fields:
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(report.fields)
         writer.writerows(report.rows)
     else:
         writer = csv.DictWriter(
-            buffer, fieldnames=_RECORD_FIELDS, restval="", lineterminator="\n"
+            out, fieldnames=_RECORD_FIELDS, restval="", lineterminator="\n"
         )
         writer.writeheader()
         writer.writerows(report.records)
-    return buffer.getvalue().encode()
+
+
+def emit(report: Report, fmt: str = "json") -> bytes:
+    """The bytes ``write_report`` writes, as one value."""
+    buffer = io.BytesIO()
+    write_report(report, fmt, buffer)
+    return buffer.getvalue()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -465,19 +522,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             },
         )
         report, status = run(config)
+        # rows are made while they are written, so the write can raise too
+        if config.out:
+            with open(config.out, "wb") as fh:
+                write_report(report, config.format, fh)
+        else:
+            sys.stdout.flush()
+            write_report(report, config.format, sys.stdout.buffer)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    payload = emit(report, config.format)
-    if config.out:
-        with open(config.out, "wb") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.flush()
-        sys.stdout.buffer.write(payload)
     return status
 
 

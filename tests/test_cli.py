@@ -588,7 +588,7 @@ class TestRegressions:
 
     def test_pair_count_matches_kernel_rows(self):
         report, _ = run(parse_config(config_text(command="kernel", d=3, budget=3)))
-        assert len(report.rows) == kernel_pair_count(3, 3)
+        assert len(json.loads(emit(report))["rows"]) == kernel_pair_count(3, 3)
 
     @pytest.mark.parametrize("command", ["verify", "kernel"])
     def test_pair_budget_rejects_before_work(self, tmp_path, command):

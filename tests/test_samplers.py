@@ -171,6 +171,17 @@ class TestArrayContract:
             for row in walk.sampler.sample_final_counts(25, 6, 0, 5)
         ]
 
+    def test_path_view_reads_like_its_list(self):
+        path = uniform_walk(2).sample_path(30, seed=1, replicate=2)
+        states = list(path)
+        assert len(path) == len(states) == 31
+        assert [path[k] for k in range(-31, 31)] == states + states
+        assert path[3:9] == states[3:9] and path[::-2] == states[::-2]
+        assert path == states and path != states[:-1]
+        assert all(type(c) is int for c in path[-1].payload)
+        with pytest.raises(IndexError):
+            path[31]
+
     def test_chain_without_sampler_steps_through_rows(self):
         root = State(0, 0)
         chain = GradedChain(
