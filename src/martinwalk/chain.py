@@ -18,6 +18,7 @@ chained cotransitions, which gives an independent route for testing.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,12 +31,15 @@ from .errors import (
     NonStochasticError,
     UnreachableStateError,
 )
-from .prob import Prob, format_prob, probs_equal
+from .prob import Prob, format_prob, is_exact, probs_equal
 from .reports import CheckReport
 
 #: most paths or words one exact enumeration builds: ``cylinder_law`` here,
 #: the word laws of ``definetti``
 DEFAULT_ATOM_BUDGET = 10_000_000
+
+#: the kernel value of every pair that no path joins
+_ZERO = Fraction(0)
 
 
 class State(NamedTuple):
@@ -112,28 +116,58 @@ class CountPath(Sequence[State]):
 
 @dataclass(frozen=True)
 class DistributionTable:
-    """Law of Y_n: positive-probability states only, unless zeros were requested."""
+    """Law of Y_n on its positive-probability states, unless zeros were requested.
+
+    An exact table holds int numerators over one denominator ``den``, in lowest
+    terms across the table: gcd(den, *nums) == 1.  A table reached through a
+    float step probability holds the probabilities themselves, and ``den`` is
+    None.  ``prob`` and ``probs`` build the ``Fraction`` of an exact entry.
+    """
 
     level: int
-    probs: dict[State, Prob]
+    nums: dict[State, Prob]
+    den: Optional[int] = 1
 
     def prob(self, state: State) -> Prob:
         if state.level != self.level:
             return 0
-        return self.probs.get(state, 0)
+        num = self.nums.get(state, 0)
+        return num if self.den is None or not num else Fraction(num, self.den)
+
+    def __contains__(self, state: State) -> bool:
+        """Whether the state has positive mass."""
+        return bool(self.nums.get(state))
+
+    def ratio(
+        self, other: DistributionTable, state: State, other_state: Optional[State] = None
+    ) -> Prob:
+        """self.prob(state) / other.prob(other_state), other_state defaulting to
+        state: a single ``Fraction`` of numerators and denominators when both
+        tables are exact."""
+        other_state = state if other_state is None else other_state
+        if self.den is None or other.den is None:
+            return self.prob(state) / other.prob(other_state)
+        return Fraction(
+            self.nums.get(state, 0) * other.den, self.den * other.nums.get(other_state, 0)
+        )
+
+    @property
+    def probs(self) -> dict[State, Prob]:
+        return {s: self.prob(s) for s in self.nums}
 
     def items(self):
         return self.probs.items()
 
     def total(self) -> Prob:
-        return sum(self.probs.values())
+        total = sum(self.nums.values())
+        return total if self.den is None else Fraction(total, self.den)
 
     @property
     def support(self) -> tuple[State, ...]:
-        return tuple(s for s, p in self.probs.items() if p != 0)
+        return tuple(s for s, p in self.nums.items() if p != 0)
 
     def __len__(self) -> int:
-        return len(self.probs)
+        return len(self.nums)
 
 
 @dataclass(frozen=True)
@@ -203,7 +237,9 @@ class GradedChain:
 
     Forward and conditional laws share one memo: ``_cond[x]`` maps levels
     to the law of Y_n given Y_m = x, and the forward law is the entry of
-    the root, so ``conditional_law(root, n)`` is ``forward_law(n)``.
+    the root, so ``conditional_law(root, n)`` is ``forward_law(n)``.  While
+    every step probability is exact, these laws are int numerators over one
+    denominator per table (see ``DistributionTable``).
 
     Instances are immutable apart from internal memo tables; sharing across
     threads is safe (a lost cache write just means recomputation).
@@ -226,11 +262,13 @@ class GradedChain:
         self.sampler = sampler
         self._levels: dict[int, tuple[State, ...]] = {0: (root,)}
         self._rows: dict[State, tuple[tuple[State, Prob], ...]] = {}
+        self._exact_rows: dict[State, Optional[tuple[int, tuple[tuple[State, int], ...]]]] = {}
         self._preds: dict[int, dict[State, tuple[tuple[State, Prob], ...]]] = {}
         self._cond: dict[State, dict[int, DistributionTable]] = {
-            root: {0: DistributionTable(0, {root: Fraction(1)})}
+            root: {0: DistributionTable(0, {root: 1})}
         }
         self._back: dict[State, dict[int, dict[State, Prob]]] = {}
+        self._cotransitions: dict[tuple[State, State], Prob] = {}
 
     def __repr__(self) -> str:
         return f"GradedChain({self.name!r}, budget={self.level_budget})"
@@ -273,6 +311,20 @@ class GradedChain:
             self._rows[x] = row
         return row
 
+    def _exact_row(self, x: State) -> Optional[tuple[int, tuple[tuple[State, int], ...]]]:
+        """The row out of x as (den, ((y, num), ...)), its positive step
+        probabilities num / den over the lcm of their denominators; None when
+        a step probability is a float."""
+        if x in self._exact_rows:
+            return self._exact_rows[x]
+        row = [(y, q) for y, q in self.successors(x) if q != 0]
+        exact = None
+        if all(is_exact(q) for _, q in row):
+            den = math.lcm(*(q.denominator for _, q in row))
+            exact = den, tuple((y, q.numerator * (den // q.denominator)) for y, q in row)
+        self._exact_rows[x] = exact
+        return exact
+
     def step(self, x: State, y: State) -> Prob:
         """One-step transition probability, 0 unless level(y) = level(x) + 1."""
         if y.level != x.level + 1:
@@ -304,16 +356,28 @@ class GradedChain:
 
         The one forward DP: forward and conditional laws both come from here.
         """
-        start = max(k for k in memo if k <= n)
-        current = memo[start].probs
-        for k in range(start, n):
+        table = memo[max(k for k in memo if k <= n)]
+        for k in range(table.level, n):
             nxt: dict[State, Prob] = defaultdict(int)
-            for z, p in current.items():
-                for y, q in self.successors(z):
-                    if q != 0:
+            rows = None if table.den is None else [self._exact_row(z) for z in table.nums]
+            if rows is not None and None not in rows:
+                # exact: one int denominator for the level, reduced by the gcd
+                scale = math.lcm(*(row_den for row_den, _ in rows))
+                for p, (row_den, row) in zip(table.nums.values(), rows):
+                    p *= scale // row_den
+                    for y, q in row:
                         nxt[y] += p * q
-            current = dict(nxt)
-            memo[k + 1] = DistributionTable(k + 1, current)
+                den = table.den * scale
+                g = math.gcd(den, *nxt.values())
+                table = DistributionTable(k + 1, {y: v // g for y, v in nxt.items()}, den // g)
+            else:
+                # a float step probability: float laws from this level on
+                for z, p in table.probs.items():
+                    for y, q in self.successors(z):
+                        if q != 0:
+                            nxt[y] += p * q
+                table = DistributionTable(k + 1, dict(nxt), None)
+            memo[k + 1] = table
         return memo[n]
 
     def forward_law(self, n: int, include_zeros: bool = False) -> DistributionTable:
@@ -325,8 +389,8 @@ class GradedChain:
         memo = self._cond[self.root]
         table = memo[n] if n in memo else self._propagate(memo, n)
         if include_zeros:
-            padded = {s: table.prob(s) for s in self.enumerate_level(n)}
-            return DistributionTable(n, padded)
+            padded = {s: table.nums.get(s, 0) for s in self.enumerate_level(n)}
+            return DistributionTable(n, padded, table.den)
         return table
 
     def conditional_law(self, x: State, n: int) -> DistributionTable:
@@ -337,7 +401,7 @@ class GradedChain:
             )
         if x.level > n:
             raise ValueError(f"conditional horizon {n} below level of {x}")
-        if self.forward_law(x.level).prob(x) == 0:
+        if x not in self.forward_law(x.level):
             raise UnreachableStateError(f"conditioning on unreachable state {x}")
         per_state = self._cond.setdefault(x, {x.level: DistributionTable(x.level, {x: 1})})
         return per_state[n] if n in per_state else self._propagate(per_state, n)
@@ -354,25 +418,40 @@ class GradedChain:
         """K(x, y); raises on conditioning or targeting an unreachable state."""
         if x.level > y.level:
             return 0
-        px = self.forward_law(x.level).prob(x)
-        if px == 0:
+        if x not in self.forward_law(x.level):
             raise UnreachableStateError(f"unreachable conditioning state {x}")
-        py = self.forward_law(y.level).prob(y)
-        if py == 0:
+        law = self.forward_law(y.level)
+        if y not in law:
             raise UnreachableStateError(f"unreachable target state {y}")
-        return self.conditional_forward(x, y) / py
+        return self.conditional_law(x, y.level).ratio(law, y)
+
+    def kernel_row(self, x: State, n: int) -> dict[State, Prob]:
+        """K(x, .) on level n >= level(x): every y with P(Y_n = y) > 0, at 0
+        where y cannot follow x.  Each entry is the ``martin_kernel`` formula,
+        one ``Fraction`` N_cond * D_fwd / (D_cond * N_fwd) on exact laws, built
+        only for the y that x reaches."""
+        law = self.forward_law(n)
+        cond = self.conditional_law(x, n)
+        if law.den is None or cond.den is None:
+            return {y: cond.ratio(law, y) for y in law.nums}
+        row = dict.fromkeys(law.nums, _ZERO)
+        for y, num in cond.nums.items():
+            row[y] = Fraction(num * law.den, cond.den * law.nums[y])
+        return row
 
     def cotransition(self, y: State, x: State) -> Prob:
-        """P(Y_n = x | Y_{n+1} = y), the backward one-step law."""
+        """P(Y_n = x | Y_{n+1} = y), the backward one-step law; one memo entry per edge."""
+        value = self._cotransitions.get((y, x))
+        if value is not None:
+            return value
         if x.level != y.level - 1:
             raise ValueError(f"{x} is not one level below {y}")
-        py = self.forward_law(y.level).prob(y)
-        if py == 0:
+        law_y, law_x = self.forward_law(y.level), self.forward_law(x.level)
+        if y not in law_y:
             raise UnreachableStateError(f"unreachable conditioning state {y}")
-        px = self.forward_law(x.level).prob(x)
-        if px == 0:
-            return 0
-        return px * self.step(x, y) / py
+        value = self.step(x, y) * law_x.ratio(law_y, x, y) if x in law_x else 0
+        self._cotransitions[(y, x)] = value
+        return value
 
     def backward_conditional(self, y: State, x: State) -> Prob:
         """P(Y_m = x | Y_n = y) built by chaining cotransitions downward.
@@ -383,23 +462,19 @@ class GradedChain:
         """
         if x.level > y.level:
             return 0
-        if self.forward_law(y.level).prob(y) == 0:
+        if y not in self.forward_law(y.level):
             raise UnreachableStateError(f"unreachable conditioning state {y}")
         per_state = self._back.setdefault(y, {y.level: {y: 1}})
         level = min(per_state)
         while level > x.level:
-            current = per_state[level]
-            law_cur = self.forward_law(level)
-            law_prev = self.forward_law(level - 1)
             prev: dict[State, Prob] = defaultdict(int)
-            for z, mass in current.items():
+            for z, mass in per_state[level].items():
                 if mass == 0:
                     continue
-                pz = law_cur.prob(z)
-                for w, q in self.predecessors(z):
-                    pw = law_prev.prob(w)
-                    if pw != 0:
-                        prev[w] += mass * pw * q / pz
+                for w, _ in self.predecessors(z):
+                    back = self.cotransition(z, w)
+                    if back != 0:
+                        prev[w] += mass * back
             level -= 1
             per_state[level] = dict(prev)
         return per_state[x.level].get(x, 0)
@@ -475,7 +550,7 @@ class GradedChain:
         for n in range(max_level):
             for x in self.enumerate_level(n):
                 row = self.successors(x)  # raises NonStochasticError on failure
-                report.record(f"row-sum@{x}", 1, sum(p for _, p in row))
+                report.record(lambda: f"row-sum@{x}", 1, sum(p for _, p in row))
         return report
 
     def check_weak_irreducibility(self, max_level: int) -> CheckReport:
@@ -484,7 +559,7 @@ class GradedChain:
         for n in range(max_level + 1):
             law = self.forward_law(n)
             for x in self.enumerate_level(n):
-                report.require(f"P(Y_{n}={x})>0", law.prob(x) != 0, 1, 0)
+                report.require(lambda: f"P(Y_{n}={x})>0", x in law, 1, 0)
         return report
 
 
@@ -522,5 +597,5 @@ def markov_property_check(law: CylinderLaw) -> CheckReport:
             history, nxt = ext[:k], ext[k]
             cond_history = pm / prefix_mass[history]
             cond_state = pair_mass[(history[-1], nxt)] / state_mass[history[-1]]
-            report.record(f"history={history} -> {nxt}", cond_state, cond_history)
+            report.record(lambda: f"history={history} -> {nxt}", cond_state, cond_history)
     return report

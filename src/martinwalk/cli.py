@@ -8,8 +8,8 @@ Configs are strict JSON: unknown keys are rejected, rationals travel as
 "p/q" strings, and floats require ``"mode": "float"``.  Outputs are
 canonical (sorted keys, no timestamps) so a fixed config and seed yield
 byte-identical reports, regardless of worker count.  Exit status: 0 all
-checks pass, 1 check failure, 2 bad config, 3 budget exceeded (level or
-kernel-pair count).
+checks pass, 1 check failure, 2 bad config or an ``--out`` path that cannot
+be written, 3 budget exceeded (level or kernel-pair count).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence
 
-from .chain import kernel_pairs
 from .compositions import alpha_walk, boundary_kernel, uniform_walk
 from .definetti import (
     MarkovSource,
@@ -332,9 +331,12 @@ def _run_kernel(config: RunConfig, report: Report) -> None:
     report.fields = ("kind", "x", "m", "y", "n", "value")
 
     def rows() -> Iterator[tuple]:
-        for x, y in kernel_pairs(chain, config.budget):
-            value = format_prob(chain.martin_kernel(x, y))
-            yield "lattice", str(x.payload), x.level, str(y.payload), y.level, value
+        for m in range(config.budget + 1):
+            for x in chain.enumerate_level(m):
+                for n in range(m, config.budget + 1):
+                    row = chain.kernel_row(x, n)
+                    for y in chain.enumerate_level(n):
+                        yield "lattice", str(x.payload), m, str(y.payload), n, format_prob(row[y])
         if config.alpha is not None:
             for m in range(config.budget + 1):
                 for x in chain.enumerate_level(m):
@@ -524,8 +526,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report, status = run(config)
         # rows are made while they are written, so the write can raise too
         if config.out:
-            with open(config.out, "wb") as fh:
-                write_report(report, config.format, fh)
+            try:
+                with open(config.out, "wb") as fh:
+                    write_report(report, config.format, fh)
+            except OSError as exc:
+                print(f"error: cannot write report: {exc}", file=sys.stderr)
+                return 2
         else:
             sys.stdout.flush()
             write_report(report, config.format, sys.stdout.buffer)

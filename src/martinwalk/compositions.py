@@ -28,7 +28,7 @@ import numpy as np
 
 from .chain import GradedChain, State, replicate_rng, replicate_rows
 from .harmonic import HarmonicFn
-from .prob import Prob, validate_simplex
+from .prob import Prob, is_exact, validate_simplex
 
 #: below this level sum, the kernel is evaluated in exact rational arithmetic
 EXACT_KERNEL_LIMIT = 64
@@ -175,27 +175,35 @@ def product_moment(point: Sequence[Prob], counts: Sequence[int]) -> Prob:
     factor can lead the product as an extra coordinate (d with count m, a
     weight with count 1); float rounding then follows the factor-first order.
     """
+    powers = [(a, c) for a, c in zip(point, counts) if c]
+    if all(is_exact(a) for a, _ in powers):
+        return Fraction(
+            math.prod(a.numerator**c for a, c in powers),
+            math.prod(a.denominator**c for a, c in powers),
+        )
     value: Prob = Fraction(1)
-    for a, c in zip(point, counts):
-        if c:
-            value *= a**c
+    for a, c in powers:
+        value *= a**c
     return value
 
 
 def boundary_kernel(x, alpha: Sequence[Prob]) -> Prob:
     """Extended kernel K(x, alpha) = d^m * prod_i alpha_i^{x_i}, with 0^0 = 1."""
-    cx = _payload(x)
-    pt = validate_simplex(alpha)
+    return _boundary_kernel(_payload(x), validate_simplex(alpha))
+
+
+def _boundary_kernel(cx: Composition, pt: tuple[Prob, ...]) -> Prob:
     if len(cx) != len(pt):
         raise ValueError(f"composition {cx} does not match a {len(pt)}-part simplex point")
     return product_moment((len(cx), *pt), (sum(cx), *cx))
 
 
 def boundary_harmonic(alpha: Sequence[Prob]) -> HarmonicFn:
-    """K(., alpha) as a normalized harmonic function of the uniform walk."""
+    """K(., alpha) as a normalized harmonic function of the uniform walk;
+    alpha is validated once, not at every state."""
     pt = validate_simplex(alpha)
     return HarmonicFn(
-        lambda state: boundary_kernel(state, pt),
+        lambda state: _boundary_kernel(_payload(state), pt),
         name=f"K(.,{tuple(map(str, pt))})",
     )
 

@@ -344,11 +344,13 @@ def counting_chain(source, horizon: int) -> GradedChain:
     def successors(y: State):
         law = lifted.forward_law(y.level + 1)  # past the horizon this raises BudgetExceededError
         steps = [State(y.level + 1, _add_symbol(y.payload, j)) for j in range(source.d)]
-        joint = [law.prob(State(z.level, (z.payload, j))) for j, z in enumerate(steps, 1)]
+        joint = [law.nums.get(State(z.level, (z.payload, j)), 0) for j, z in enumerate(steps, 1)]
         mass = sum(joint)
         if mass == 0:
             raise UnreachableStateError(f"{y} has zero probability under {source.name}")
-        return sorted((z, p / mass) for z, p in zip(steps, joint) if p != 0)
+        # the law's one denominator cancels, so an exact row is one Fraction per entry
+        share = operator.truediv if law.den is None else Fraction
+        return sorted((z, share(p, mass)) for z, p in zip(steps, joint) if p != 0)
 
     return GradedChain(State(0, root), family, successors, horizon, f"counting[{source.name}]")
 
@@ -373,7 +375,7 @@ def cylinder_exchangeability_report(law: CylinderLaw) -> CheckReport:
         reference = law.atoms.get(orderings[0], 0)
         for other in orderings[1:]:
             report.record(
-                f"permutation@{other} vs {orderings[0]}", reference, law.atoms.get(other, 0)
+                lambda: f"permutation@{other} vs {orderings[0]}", reference, law.atoms.get(other, 0)
             )
     return report
 
@@ -547,7 +549,7 @@ def definetti_identity_check(
         counts = [0] * source.d
         for s in word:
             counts[s - 1] += 1
-        report.record(f"cylinder@{word}", moment(counts), source.word_probability(word))
+        report.record(lambda: f"cylinder@{word}", moment(counts), source.word_probability(word))
     return report
 
 
@@ -645,7 +647,7 @@ def projection_consistency_check(law_deeper: Mapping, law_shallower: Mapping) ->
         pushed[digits[:-1]] += weight
     report = CheckReport("projection-consistency")
     for key in sorted(set(pushed) | set(law_shallower)):
-        report.record(f"digits={key}", law_shallower.get(key, 0), pushed.get(key, 0))
+        report.record(lambda: f"digits={key}", law_shallower.get(key, 0), pushed.get(key, 0))
     return report
 
 

@@ -15,14 +15,13 @@ the marginal ratio h(x) = P_observed(Y_n = x) / P_base(Y_n = x).
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .chain import GradedChain, State, kernel_pairs
+from .chain import GradedChain, State
 from .errors import (
     BudgetExceededError,
     CotransitionMismatchError,
@@ -78,10 +77,10 @@ def is_harmonic(chain: GradedChain, h: HarmonicFn, max_level: int) -> CheckRepor
     for n in range(max_level + 1):
         for x in chain.enumerate_level(n):
             hx = h(x)
-            report.require(f"non-negativity@{x}", hx >= 0, 0, hx)
+            report.require(lambda: f"non-negativity@{x}", hx >= 0, 0, hx)
             if n < max_level:
                 mean = sum(q * h(y) for y, q in chain.successors(x))
-                report.record(f"mean-value@{x}", hx, mean)
+                report.record(lambda: f"mean-value@{x}", hx, mean)
     return report
 
 
@@ -149,7 +148,7 @@ def density_ratio_check(base: GradedChain, transformed: HTransformChain, n: int)
         if p == 0:
             continue
         lifted = transformed_law.atoms.get(path, 0)
-        report.record(f"path={path}", h(path[-1]) * p, lifted)
+        report.record(lambda: f"path={path}", h(path[-1]) * p, lifted)
     return report
 
 
@@ -157,16 +156,18 @@ def kernel_transform_check(
     base: GradedChain, transformed: HTransformChain, max_level: int
 ) -> CheckReport:
     """Check K_h(x, y) h(x) = K(x, y) on the support, both sides computed independently."""
-    h = functools.cache(transformed.h)  # once per state, not once per pair
     report = CheckReport(f"kernel-transform[{transformed.name}]")
-    for x, y in kernel_pairs(transformed, max_level):
-        if transformed.forward_law(x.level).prob(x) == 0:
-            continue
-        if transformed.forward_law(y.level).prob(y) == 0:
-            continue
-        original = base.martin_kernel(x, y)
-        lifted = transformed.martin_kernel(x, y)
-        report.record(f"K_h@({x}; {y})", original, lifted * h(x))
+    for m in range(max_level + 1):
+        law = transformed.forward_law(m)
+        for x in transformed.enumerate_level(m):
+            if x not in law:
+                continue
+            hx = transformed.h(x)
+            for n in range(m, max_level + 1):
+                original, lifted = base.kernel_row(x, n), transformed.kernel_row(x, n)
+                for y in transformed.enumerate_level(n):
+                    if y in lifted:
+                        report.record(lambda: f"K_h@({x}; {y})", original[y], lifted[y] * hx)
     return report
 
 
@@ -185,7 +186,7 @@ def cotransition_equality_check(a: GradedChain, b: GradedChain, max_level: int) 
             candidates = {x for x, _ in a.predecessors(y)} | {x for x, _ in b.predecessors(y)}
             for x in sorted(candidates):
                 report.record(
-                    f"cotransition@({y} -> {x})", a.cotransition(y, x), b.cotransition(y, x)
+                    lambda: f"cotransition@({y} -> {x})", a.cotransition(y, x), b.cotransition(y, x)
                 )
     return report
 
@@ -213,12 +214,12 @@ def recover_h(base: GradedChain, observed: GradedChain, max_level: int) -> Harmo
             raise BudgetExceededError(
                 f"recovered h evaluated at level {state.level}, budget {eval_budget}"
             )
-        base_mass = base.forward_law(state.level).prob(state)
-        if base_mass == 0:
+        base_law = base.forward_law(state.level)
+        if state not in base_law:
             raise UnreachableStateError(
                 f"recovered h undefined at {state}: zero base probability"
             )
-        return observed.forward_law(state.level).prob(state) / base_mass
+        return observed.forward_law(state.level).ratio(base_law, state)
 
     return HarmonicFn(value, name=f"recovered[{observed.name}]")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Union
 
 from .prob import Prob, format_prob, probs_equal, residual
 
@@ -31,6 +32,11 @@ class Violation:
         )
 
 
+#: a check's site: its text, or a zero-argument callable that makes the text,
+#: called only when the check fails
+Site = Union[str, Callable[[], str]]
+
+
 @dataclass
 class CheckReport:
     name: str
@@ -42,13 +48,14 @@ class CheckReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def require(self, site: str, holds: bool, expected: Prob, actual: Prob) -> None:
+    def require(self, site: Site, holds: bool, expected: Prob, actual: Prob) -> None:
         """Count one check; keep ``(site, expected, actual)`` only if it fails."""
         self.checked += 1
         if not holds:
-            self.violations.append(Violation(site, expected, actual))
+            text = site if isinstance(site, str) else site()
+            self.violations.append(Violation(text, expected, actual))
 
-    def record(self, site: str, expected: Prob, actual: Prob) -> None:
+    def record(self, site: Site, expected: Prob, actual: Prob) -> None:
         """Compare one identity instance under the one equality rule."""
         self.require(site, probs_equal(expected, actual), expected, actual)
 

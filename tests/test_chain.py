@@ -6,6 +6,7 @@ oracle) and are frozen as exact rationals.
 
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,12 +20,20 @@ from martinwalk import (
     NonStochasticError,
     State,
     UnreachableStateError,
+    alpha_walk,
+    boundary_harmonic,
+    closed_form_kernel,
     comp_state,
+    counting_chain,
+    h_transform,
     kernel_pairs,
     markov_property_check,
     uniform_walk,
 )
-from martinwalk.suites import oracle_equivalence_report
+from martinwalk.suites import full_verification, oracle_equivalence_report, standard_mixture
+
+#: step probabilities with denominators 5, 3 and 15 in every row
+MIXED = (Fraction(1, 5), Fraction(1, 3), Fraction(7, 15))
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +252,74 @@ class TestOracleEquivalence:
     def test_dp_matches_enumeration(self, d, horizon):
         report = oracle_equivalence_report(uniform_walk(d, level_budget=horizon), horizon)
         assert report.ok, str(report)
+
+    @pytest.mark.parametrize(
+        "chain",
+        [
+            alpha_walk(MIXED, level_budget=5),
+            h_transform(uniform_walk(3, level_budget=5), boundary_harmonic(MIXED)),
+            alpha_walk((0.2, 0.3, 0.5), level_budget=5),
+        ],
+        ids=["mixed-denominators", "h-transform", "float-alpha"],
+    )
+    def test_dp_matches_enumeration_on_other_rows(self, chain):
+        report = oracle_equivalence_report(chain, 5)
+        assert report.ok, str(report)
+
+
+class TestIntegerLaws:
+    """Exact laws are int numerators over one reduced denominator per table;
+    a float step probability switches a chain to float laws."""
+
+    @pytest.mark.parametrize(
+        "chain",
+        [
+            uniform_walk(3, level_budget=5),
+            alpha_walk(MIXED, level_budget=5),
+            h_transform(uniform_walk(3, level_budget=5), boundary_harmonic(MIXED)),
+            counting_chain(standard_mixture(2), 5),
+        ],
+        ids=["uniform", "mixed-denominators", "h-transform", "counting"],
+    )
+    def test_every_table_is_in_lowest_terms(self, chain):
+        for m in range(6):
+            for x in chain.forward_law(m).support:
+                for n in range(m, 6):
+                    table = chain.conditional_law(x, n)
+                    assert isinstance(table.den, int)
+                    assert all(isinstance(v, int) for v in table.nums.values())
+                    assert math.gcd(table.den, *table.nums.values()) == 1
+                    assert table.total() == 1
+
+    def test_float_steps_give_float_laws(self):
+        chain = alpha_walk((0.2, 0.3, 0.5), level_budget=4)
+        assert chain.forward_law(0).den == 1
+        table = chain.forward_law(4)
+        assert table.den is None
+        assert table.prob(comp_state((1, 1, 2))) == pytest.approx(12 * 0.2 * 0.3 * 0.25)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_kernel_row_matches_pairs_and_closed_form(self, d):
+        chain = uniform_walk(d, level_budget=5)
+        for m in range(6):
+            for x in chain.enumerate_level(m):
+                for n in range(m, 6):
+                    row = chain.kernel_row(x, n)
+                    assert set(row) == set(chain.enumerate_level(n))
+                    for y in chain.enumerate_level(n):
+                        assert row[y] == chain.martin_kernel(x, y) == closed_form_kernel(x, y)
+                        if any(b < a for a, b in zip(x.payload, y.payload)):
+                            assert row[y] == 0
+
+    def test_full_verification_peak_memory(self):
+        """Guards against a per-pair kernel memo, which traced 5.05 MB on this call."""
+        tracemalloc.start()
+        try:
+            full_verification(3, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestMarkovPropertyCheck:

@@ -80,6 +80,28 @@ class TestRequire:
         assert report.violations[0].residual == Fraction(1, 6)
         assert report.max_residual() == pytest.approx(1 / 6)
 
+    def test_passing_check_never_calls_its_site(self):
+        def site() -> str:
+            raise AssertionError("a passing check formatted its site")
+
+        report = CheckReport("r")
+        report.record(site, Fraction(1, 2), Fraction(2, 4))
+        report.require(site, True, 1, 2)
+        assert (report.checked, report.violations) == (2, [])
+
+    def test_failing_check_keeps_the_text_of_its_site(self):
+        x, y = State(1, (1, 0)), State(2, (1, 1))
+        lazy, eager = CheckReport("r"), CheckReport("r")
+        lazy.record(lambda: f"K@({x}; {y})", 1, Fraction(1, 2))
+        lazy.require(lambda: f"bound@({x}; {y})", False, 2, 3)
+        eager.record(f"K@({x}; {y})", 1, Fraction(1, 2))
+        eager.require(f"bound@({x}; {y})", False, 2, 3)
+        assert lazy.violations == eager.violations
+        assert [v.site for v in lazy.violations] == [
+            "K@((1, 0)@1; (1, 1)@2)",
+            "bound@((1, 0)@1; (1, 1)@2)",
+        ]
+
     def test_record_checks_identities_under_the_equality_rule(self):
         report = CheckReport("r")
         report.record("exact-equal", Fraction(1, 2), Fraction(2, 4))
@@ -108,8 +130,13 @@ def _skip_b_chain() -> GradedChain:
 
 
 def _four_times_kernel(monkeypatch):
-    kernel = GradedChain.martin_kernel
-    monkeypatch.setattr(GradedChain, "martin_kernel", lambda self, x, y: 4 * kernel(self, x, y))
+    """Scale the kernel route the suite reads, its rows, by 4."""
+    row = GradedChain.kernel_row
+
+    def scaled(self, x, n):
+        return {y: 4 * k for y, k in row(self, x, n).items()}
+
+    monkeypatch.setattr(GradedChain, "kernel_row", scaled)
     return suites.kernel_symmetry_report(2, 1)
 
 

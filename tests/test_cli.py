@@ -291,13 +291,22 @@ class TestMain:
     def test_missing_config_file(self):
         assert main(["verify", "--config", "/nonexistent/cfg.json"]) == 2
 
+    def test_unwritable_out_path(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(command="lift", points=["5/8"], depth=4))
+        out = tmp_path / "missing" / "x.json"
+        assert main(["lift", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write report: ") and "Traceback" not in err
+
 
 class TestGoldenBytes:
     """Report digests: the first three recorded before the exact engine's routes
     were merged, the next two before rows became tuples under one header, the
     d=3 ``verify`` and float-mode ones before the float tolerance and the atom
-    budget became constants; any change to ``verify``/``kernel``/``lift`` bytes
-    must be deliberate."""
+    budget became constants, and d=3 ``verify`` at budget 8 before the exact
+    laws became int numerators; any change to ``verify``/``kernel``/``lift``
+    bytes must be deliberate."""
 
     @pytest.mark.parametrize(
         "doc, fmt, digest",
@@ -347,6 +356,11 @@ class TestGoldenBytes:
                 "json",
                 "8064d05ae20887780f94688133c11c042948142bc1504d76a91e4f13f1e18e65",
             ),
+            (
+                {"command": "verify", "d": 3, "budget": 8},
+                "json",
+                "9c25590095118e09356c475e61ce8320a65297cf984e5237f94d3c0a21dfcd6b",
+            ),
         ],
         ids=[
             "verify",
@@ -358,6 +372,7 @@ class TestGoldenBytes:
             "verify-d3-csv",
             "kernel-float",
             "lift-float",
+            "verify-d3-budget8",
         ],
     )
     def test_report_digest(self, doc, fmt, digest):
