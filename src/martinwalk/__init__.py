@@ -6,7 +6,7 @@ from .chain import (
     DistributionTable,
     GradedChain,
     State,
-    kernel_pairs,
+    kernel_rows,
     markov_property_check,
     replicate_rng,
 )

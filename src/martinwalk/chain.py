@@ -563,14 +563,18 @@ class GradedChain:
         return report
 
 
-def kernel_pairs(chain: GradedChain, max_level: int) -> Iterator[tuple[State, State]]:
-    """Every (x, y) with level(x) <= level(y) <= max_level: by level of x, then
-    x, then level of y, then y, each level in enumeration order."""
+def kernel_rows(
+    chain: GradedChain, max_level: int
+) -> Iterator[tuple[State, int, dict[State, Prob]]]:
+    """(x, n, K(x, .) on level n) for every reachable x and every n from
+    level(x) to max_level: by level of x, then x, then n, each level in
+    enumeration order.  The one walk over kernel rows."""
     for m in range(max_level + 1):
+        law = chain.forward_law(m)
         for x in chain.enumerate_level(m):
-            for n in range(m, max_level + 1):
-                for y in chain.enumerate_level(n):
-                    yield x, y
+            if x in law:
+                for n in range(m, max_level + 1):
+                    yield x, n, chain.kernel_row(x, n)
 
 
 def markov_property_check(law: CylinderLaw) -> CheckReport:

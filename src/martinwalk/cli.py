@@ -25,6 +25,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence
 
+from .chain import kernel_rows
 from .compositions import alpha_walk, boundary_kernel, uniform_walk
 from .definetti import (
     MarkovSource,
@@ -46,8 +47,8 @@ MAX_EXACT_BUDGET = 12
 
 #: most kernel pairs (x, y) that ``verify`` and ``kernel`` will walk; a bound on
 #: time, since reports are streamed.  d=4 at budget 8 (149,292 pairs) is
-#: admitted: on a 2-core machine ``verify`` took 8 s and ``kernel`` 2.4 s; d=4 at
-#: budget 10 (592,878 pairs) is not.
+#: admitted: on a 2-core machine ``verify`` takes 4.2 s and ``kernel`` 1.2 s; d=4
+#: at budget 10 (592,878 pairs) is not.
 MAX_KERNEL_PAIRS = 150_000
 
 _COMMON_KEYS = {"command", "seed", "workers", "out", "format", "mode"}
@@ -331,12 +332,9 @@ def _run_kernel(config: RunConfig, report: Report) -> None:
     report.fields = ("kind", "x", "m", "y", "n", "value")
 
     def rows() -> Iterator[tuple]:
-        for m in range(config.budget + 1):
-            for x in chain.enumerate_level(m):
-                for n in range(m, config.budget + 1):
-                    row = chain.kernel_row(x, n)
-                    for y in chain.enumerate_level(n):
-                        yield "lattice", str(x.payload), m, str(y.payload), n, format_prob(row[y])
+        for x, n, row in kernel_rows(chain, config.budget):
+            for y in chain.enumerate_level(n):
+                yield "lattice", str(x.payload), x.level, str(y.payload), n, format_prob(row[y])
         if config.alpha is not None:
             for m in range(config.budget + 1):
                 for x in chain.enumerate_level(m):

@@ -531,18 +531,19 @@ def definetti_identity_check(
     """Cylinder probabilities against the mixture integral of the directing law.
 
     With ``directing=None`` the source's own closed-form moment is used (the
-    Dirichlet moment for urns); an explicit list of (weight, atom) pairs can
-    be passed instead, and must be for a source without a directing law.
+    Dirichlet moment for urns); an explicit list of (weight, atom) pairs, read
+    as a ``MixtureSource`` and so validated, can be passed instead, and must
+    be for a source without a directing law.
     """
-    if directing is None:
-        if not hasattr(source, "directing_moment"):
-            raise MartinWalkError(
-                f"{source.name} has no directing law; pass directing=[(weight, atom), ...]"
-            )
+    if directing is not None:
+        weights, atoms = zip(*directing)
+        moment = MixtureSource(atoms, weights).directing_moment
+    elif hasattr(source, "directing_moment"):
         moment = source.directing_moment
     else:
-        def moment(counts):
-            return sum(product_moment((w, *atom), (1, *counts)) for w, atom in directing)
+        raise MartinWalkError(
+            f"{source.name} has no directing law; pass directing=[(weight, atom), ...]"
+        )
 
     report = CheckReport(f"definetti-identity[{source.name}]@{k}")
     for word in _words(source.d, k):

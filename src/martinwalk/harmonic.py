@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .chain import GradedChain, State
+from .chain import GradedChain, State, kernel_rows
 from .errors import (
     BudgetExceededError,
     CotransitionMismatchError,
@@ -157,17 +157,11 @@ def kernel_transform_check(
 ) -> CheckReport:
     """Check K_h(x, y) h(x) = K(x, y) on the support, both sides computed independently."""
     report = CheckReport(f"kernel-transform[{transformed.name}]")
-    for m in range(max_level + 1):
-        law = transformed.forward_law(m)
-        for x in transformed.enumerate_level(m):
-            if x not in law:
-                continue
-            hx = transformed.h(x)
-            for n in range(m, max_level + 1):
-                original, lifted = base.kernel_row(x, n), transformed.kernel_row(x, n)
-                for y in transformed.enumerate_level(n):
-                    if y in lifted:
-                        report.record(lambda: f"K_h@({x}; {y})", original[y], lifted[y] * hx)
+    for x, n, lifted in kernel_rows(transformed, max_level):
+        hx, original = transformed.h(x), base.kernel_row(x, n)
+        for y in transformed.enumerate_level(n):
+            if y in lifted:
+                report.record(lambda: f"K_h@({x}; {y})", original[y], lifted[y] * hx)
     return report
 
 

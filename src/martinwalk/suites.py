@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .chain import GradedChain, State, markov_property_check
+from .chain import GradedChain, State, kernel_rows, markov_property_check
 from .compositions import (
     alpha_walk,
     boundary_harmonic,
@@ -104,12 +104,9 @@ def kernel_agreement_report(d: int, max_level: int) -> CheckReport:
     """Closed-form kernel equals the dynamic-programming kernel, all pairs."""
     chain = uniform_walk(d, level_budget=max_level)
     report = CheckReport(f"kernel-agreement[d={d}]<= {max_level}")
-    for m in range(max_level + 1):
-        for x in chain.enumerate_level(m):
-            for n in range(m, max_level + 1):
-                row = chain.kernel_row(x, n)
-                for y in chain.enumerate_level(n):
-                    report.record(lambda: f"K@({x}; {y})", closed_form_kernel(x, y), row[y])
+    for x, n, row in kernel_rows(chain, max_level):
+        for y in chain.enumerate_level(n):
+            report.record(lambda: f"K@({x}; {y})", closed_form_kernel(x, y), row[y])
     return report
 
 
@@ -138,19 +135,16 @@ def martingale_identity_report(d: int, max_level: int) -> CheckReport:
     sum_x' K(x, x') P(Y_n = x' | Y_{n+1} = y) = K(x, y)."""
     chain = uniform_walk(d, level_budget=max_level)
     report = CheckReport(f"backwards-martingale[d={d}]<= {max_level}")
-    for m in range(max_level):
-        for x in chain.enumerate_level(m):
-            below = chain.kernel_row(x, m)
-            for n in range(m, max_level):
-                above = chain.kernel_row(x, n + 1)
-                for y in chain.enumerate_level(n + 1):
-                    mean = sum(
-                        below[xp] * chain.cotransition(y, xp)
-                        for xp, _ in chain.predecessors(y)
-                        if below[xp]
-                    )
-                    report.record(lambda: f"martingale@({x}; {y})", above[y], mean)
-                below = above
+    for x, n, above in kernel_rows(chain, max_level):
+        if n > x.level:
+            for y in chain.enumerate_level(n):
+                mean = sum(
+                    below[xp] * chain.cotransition(y, xp)
+                    for xp, _ in chain.predecessors(y)
+                    if below[xp]
+                )
+                report.record(lambda: f"martingale@({x}; {y})", above[y], mean)
+        below = above
     return report
 
 
@@ -159,11 +153,9 @@ def expectation_identity_report(d: int, max_level: int) -> CheckReport:
     chain = uniform_walk(d, level_budget=max_level)
     report = CheckReport(f"kernel-expectation[d={d}]<= {max_level}")
     laws = [chain.forward_law(n).probs for n in range(max_level + 1)]
-    for m in range(max_level + 1):
-        for x in chain.enumerate_level(m):
-            for n in range(m, max_level + 1):
-                total = sum(k * laws[n][y] for y, k in chain.kernel_row(x, n).items() if k)
-                report.record(lambda: f"expectation@({x}; n={n})", 1, total)
+    for x, n, row in kernel_rows(chain, max_level):
+        total = sum(k * laws[n][y] for y, k in row.items() if k)
+        report.record(lambda: f"expectation@({x}; n={n})", 1, total)
     return report
 
 

@@ -26,7 +26,7 @@ from martinwalk import (
     comp_state,
     counting_chain,
     h_transform,
-    kernel_pairs,
+    kernel_rows,
     markov_property_check,
     uniform_walk,
 )
@@ -104,7 +104,19 @@ class TestSharedForwardMemo:
         assert w.conditional_law(w.root, 4) is w.forward_law(4)
 
 
-class TestKernelPairs:
+def _skip_b_chain() -> GradedChain:
+    """Level 1 enumerates (2,), which no step reaches."""
+    a, b, c = State(1, (1,)), State(1, (2,)), State(1, (3,))
+    return GradedChain(
+        State(0, ()),
+        lambda n: (a, b, c) if n == 1 else (),
+        lambda x: [(a, Fraction(1, 2)), (c, Fraction(1, 2))],
+        1,
+        name="skip-b",
+    )
+
+
+class TestKernelRows:
     def test_order_matches_nested_levels(self):
         w = uniform_walk(2, level_budget=3)
         expected = [
@@ -114,8 +126,19 @@ class TestKernelPairs:
             for n in range(m, 4)
             for y in w.enumerate_level(n)
         ]
-        assert list(kernel_pairs(w, 3)) == expected
+        walked = [
+            (x, y) for x, n, row in kernel_rows(w, 3) for y in w.enumerate_level(n) if y in row
+        ]
+        assert walked == expected
         assert len(expected) == 65
+
+    def test_unreachable_state_has_no_row(self):
+        chain = _skip_b_chain()
+        root, a, b, c = chain.root, *chain.enumerate_level(1)
+        walked = [(x, n) for x, n, _ in kernel_rows(chain, 1)]
+        assert walked == [(root, 0), (root, 1), (a, 1), (c, 1)]
+        with pytest.raises(UnreachableStateError):
+            chain.kernel_row(b, 1)
 
 
 class TestConditionalForward:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from martinwalk import BudgetExceededError, ConfigError
+from martinwalk import BudgetExceededError, ConfigError, kernel_rows, uniform_walk
 from martinwalk.cli import (
     _COMMAND_KEYS,
     _RUNNERS,
@@ -304,9 +304,10 @@ class TestGoldenBytes:
     """Report digests: the first three recorded before the exact engine's routes
     were merged, the next two before rows became tuples under one header, the
     d=3 ``verify`` and float-mode ones before the float tolerance and the atom
-    budget became constants, and d=3 ``verify`` at budget 8 before the exact
-    laws became int numerators; any change to ``verify``/``kernel``/``lift``
-    bytes must be deliberate."""
+    budget became constants, d=3 ``verify`` at budget 8 before the exact
+    laws became int numerators, and d=3 ``kernel`` before its row loop moved
+    onto ``kernel_rows``; any change to ``verify``/``kernel``/``lift`` bytes
+    must be deliberate."""
 
     @pytest.mark.parametrize(
         "doc, fmt, digest",
@@ -361,6 +362,16 @@ class TestGoldenBytes:
                 "json",
                 "9c25590095118e09356c475e61ce8320a65297cf984e5237f94d3c0a21dfcd6b",
             ),
+            (
+                {"command": "kernel", "d": 3, "budget": 6, "alpha": ["1/5", "1/3", "7/15"]},
+                "json",
+                "229c2c9253ff9d830d9ad2ec674eb826e5eb94f7e25309b0c824ff5eb4d0fbf5",
+            ),
+            (
+                {"command": "kernel", "d": 3, "budget": 6, "alpha": ["1/5", "1/3", "7/15"]},
+                "csv",
+                "49ca6e30d2ebc437678bfa4425dac6347595241c2363a0a12490b6b9cf50b2ae",
+            ),
         ],
         ids=[
             "verify",
@@ -373,6 +384,8 @@ class TestGoldenBytes:
             "kernel-float",
             "lift-float",
             "verify-d3-budget8",
+            "kernel-d3",
+            "kernel-d3-csv",
         ],
     )
     def test_report_digest(self, doc, fmt, digest):
@@ -604,6 +617,12 @@ class TestRegressions:
     def test_pair_count_matches_kernel_rows(self):
         report, _ = run(parse_config(config_text(command="kernel", d=3, budget=3)))
         assert len(json.loads(emit(report))["rows"]) == kernel_pair_count(3, 3)
+        # the admission's closed form counts the entries of the walk it admits
+        for d in range(1, 5):
+            walk = uniform_walk(d, level_budget=6)
+            for budget in range(7):
+                walked = sum(len(row) for _, _, row in kernel_rows(walk, budget))
+                assert walked == kernel_pair_count(d, budget), (d, budget)
 
     @pytest.mark.parametrize("command", ["verify", "kernel"])
     def test_pair_budget_rejects_before_work(self, tmp_path, command):

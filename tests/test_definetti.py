@@ -385,6 +385,18 @@ class TestDefinettiIdentity:
         report = definetti_identity_check(standard_negative_control(), 2, directing=directing)
         assert (report.checked, len(report.violations)) == (4, 4)
 
+    @pytest.mark.parametrize(
+        "directing",
+        [
+            [(2, (Fraction(1, 2), Fraction(1, 2)))],
+            [(1, (Fraction(1, 2), Fraction(1, 3)))],
+        ],
+        ids=["weight-sums-to-2", "atom-sums-to-5/6"],
+    )
+    def test_explicit_directing_law_is_validated(self, directing):
+        with pytest.raises(ValueError, match="sum to"):
+            definetti_identity_check(standard_negative_control(), 2, directing=directing)
+
     def test_monte_carlo_mode(self):
         est = estimate_directing_measure(MIX, horizon=10_000, replicates=2_000, seed=11)
         results = definetti_identity_mc(MIX, est, 3)

@@ -1,9 +1,11 @@
-"""No module under src/martinwalk imports a name it never uses.
+"""No module under src/martinwalk imports a name it never uses, or defines a
+private module-level name it never reads.
 
-No linter is a test dependency, so this is a small ``ast`` check: every
-name an import binds must be read somewhere in the module, counting names
-inside string annotations.  ``__init__.py`` is exempt, since its imports
-are the package's re-exports.
+No linter is a test dependency, so these are small ``ast`` checks: every
+name an import binds, and every ``_name`` function, class or constant a
+module defines at its top level, must be read somewhere in the module,
+counting names inside string annotations.  ``__init__.py`` is exempt, since
+its imports are the package's re-exports.
 """
 
 import ast
@@ -28,10 +30,29 @@ def _imported(tree: ast.Module) -> dict[str, int]:
     return out
 
 
+def _private(tree: ast.Module) -> dict[str, int]:
+    """Name -> line of every top-level ``_name`` def, class or assignment."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            names = []
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = node.lineno
+    return out
+
+
 def _used(tree: ast.Module) -> set[str]:
+    """Every name the module reads."""
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             # a string annotation such as "HarmonicFn" names what it annotates
@@ -48,3 +69,11 @@ def test_no_unused_imports(path):
     used = _used(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unread_private_names(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used(tree)
+    unread = {name: line for name, line in _private(tree).items() if name not in used}
+    assert not unread, f"{path.name}: private names never read {unread}"
