@@ -11,16 +11,12 @@ from .chain import (
     replicate_rng,
 )
 from .compositions import (
-    BoundaryEstimate,
     alpha_walk,
     boundary_harmonic,
     boundary_kernel,
-    boundary_limit,
     closed_form_kernel,
     comp_state,
     compositions,
-    dm_convergence_check,
-    polya_cotransition,
     product_moment,
     uniform_walk,
 )
@@ -32,16 +28,13 @@ from .definetti import (
     binary_digits,
     counting_chain,
     counting_chain_law,
-    counting_chain_path,
     counting_h_recovery,
     definetti_identity_check,
-    definetti_identity_mc,
     dirichlet_moment,
     estimate_directing_measure,
     exchangeability_report,
     ks_distance_uniform,
     lift_point_masses,
-    lift_sequence,
     lift_source_law,
     projection_consistency_check,
     reconstruct_real,

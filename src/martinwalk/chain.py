@@ -116,7 +116,7 @@ class CountPath(Sequence[State]):
 
 @dataclass(frozen=True)
 class DistributionTable:
-    """Law of Y_n on its positive-probability states, unless zeros were requested.
+    """Law of Y_n on its positive-probability states.
 
     An exact table holds int numerators over one denominator ``den``, in lowest
     terms across the table: gcd(den, *nums) == 1.  A table reached through a
@@ -380,18 +380,14 @@ class GradedChain:
             memo[k + 1] = table
         return memo[n]
 
-    def forward_law(self, n: int, include_zeros: bool = False) -> DistributionTable:
+    def forward_law(self, n: int) -> DistributionTable:
         """P(Y_n = .) by level-by-level dynamic programming from the root."""
         if n > self.level_budget:
             raise BudgetExceededError(
                 f"forward law at level {n} exceeds budget {self.level_budget}"
             )
         memo = self._cond[self.root]
-        table = memo[n] if n in memo else self._propagate(memo, n)
-        if include_zeros:
-            padded = {s: table.nums.get(s, 0) for s in self.enumerate_level(n)}
-            return DistributionTable(n, padded, table.den)
-        return table
+        return memo[n] if n in memo else self._propagate(memo, n)
 
     def conditional_law(self, x: State, n: int) -> DistributionTable:
         """P(Y_n = . | Y_m = x) for x at level m <= n."""

@@ -229,72 +229,3 @@ def rounded_ray_point(n: int, alpha: Sequence[Prob]) -> Composition:
         base[i] += 1
     return tuple(base)
 
-
-@dataclass(frozen=True)
-class BoundaryEstimate:
-    point: tuple[float, ...]
-    oscillation: float
-    window: int
-
-
-def boundary_limit(path: Sequence, window: float = 0.2) -> BoundaryEstimate:
-    """Normalized final state Y_n / n with a trailing-window stability diagnostic.
-
-    The diagnostic is the largest coordinatewise oscillation of Y_k / k over
-    the trailing fraction ``window`` of the path.
-    """
-    comps = [_payload(s) for s in path]
-    if not comps:
-        raise ValueError("empty path")
-    final = comps[-1]
-    n = sum(final)
-    if n < 1:
-        raise ValueError("final state must have level >= 1")
-    point = tuple(c / n for c in final)
-    tail_len = max(2, math.ceil(window * len(comps)))
-    tail = [c for c in comps[-tail_len:] if sum(c) >= 1]
-    oscillation = 0.0
-    for i in range(len(final)):
-        ratios = [c[i] / sum(c) for c in tail]
-        oscillation = max(oscillation, max(ratios) - min(ratios))
-    return BoundaryEstimate(point, oscillation, len(tail))
-
-
-@dataclass(frozen=True)
-class ProbeDiagnostic:
-    probe: Composition
-    oscillation: float
-    converged: bool
-    final_value: float
-
-
-def dm_convergence_check(
-    states: Sequence,
-    probes: Sequence,
-    tol: float = 1e-3,
-    window: float = 0.2,
-) -> tuple[bool, list[ProbeDiagnostic]]:
-    """Sequential convergence criterion: K(x, y_n) must stabilize for every probe x.
-
-    True iff for each probe the oscillation of the kernel values over the
-    trailing window is at most tol.
-    """
-    comps = [_payload(s) for s in states]
-    if len(comps) < 2:
-        raise ValueError("need at least two states to assess convergence")
-    # levels must grow strictly, except that a sequence may settle on one
-    # state forever (the trivially convergent case)
-    for a, b in zip(comps, comps[1:]):
-        if sum(b) <= sum(a) and b != a:
-            raise ValueError("state levels must be strictly increasing")
-    diagnostics = []
-    tail_len = max(2, math.ceil(window * len(comps)))
-    for probe in probes:
-        cp = _payload(probe)
-        values = [float(closed_form_kernel(cp, c)) for c in comps]
-        tail = values[-tail_len:]
-        oscillation = max(tail) - min(tail)
-        diagnostics.append(
-            ProbeDiagnostic(cp, oscillation, oscillation <= tol, values[-1])
-        )
-    return all(p.converged for p in diagnostics), diagnostics

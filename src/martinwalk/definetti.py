@@ -16,7 +16,6 @@ facts to sequences with values in [0, 1).
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
@@ -38,7 +37,7 @@ from .compositions import product_moment, uniform_walk
 from .errors import BudgetExceededError, MartinWalkError, NonStochasticError, UnreachableStateError
 from .harmonic import HarmonicFn, cotransition_equality_check, h_transform, is_harmonic, recover_h
 from .prob import Prob, format_prob, probs_equal, validate_simplex
-from .reports import CheckReport, MonteCarloResult
+from .reports import CheckReport
 
 #: Markov sampling draws at most this many step-map entries (steps x d) at once
 _MARKOV_CHUNK_CELLS = 1 << 20
@@ -290,28 +289,21 @@ def source_cylinder_law(source, n: int) -> CylinderLaw:
     return law
 
 
-def counting_chain_path(word: Sequence[int], d: int) -> list[State]:
-    """Occurrence counts after each prefix: Y_k = (#{i <= k : X_i = j})_j."""
-    counts = [0] * d
-    path = [State(0, tuple(counts))]
-    for s in word:
-        _check_word((s,), d)
-        counts[s - 1] += 1
-        path.append(State(len(path), tuple(counts)))
-    return path
-
-
 def counting_chain_law(source, n: int) -> CylinderLaw:
-    """Push-forward of the sequence law onto composition paths.
+    """Push-forward of the sequence law onto composition paths: a word maps to
+    its occurrence counts Y_k = (#{i <= k : X_i = j})_j for k = 1..n.
 
     The count path reveals the word (each step increments one coordinate),
     so this is a bijective re-keying of the word law.
     """
-    word_law = source_cylinder_law(source, n)
-    atoms = {
-        tuple(counting_chain_path(word, source.d)[1:]): p
-        for word, p in word_law.atoms.items()
-    }
+    atoms = {}
+    for word, p in source_cylinder_law(source, n).atoms.items():
+        counts = [0] * source.d
+        path = []
+        for k, s in enumerate(word, 1):
+            counts[s - 1] += 1
+            path.append(State(k, tuple(counts)))
+        atoms[tuple(path)] = p
     return CylinderLaw(n, dict(sorted(atoms.items())))
 
 
@@ -532,12 +524,16 @@ def definetti_identity_check(
 
     With ``directing=None`` the source's own closed-form moment is used (the
     Dirichlet moment for urns); an explicit list of (weight, atom) pairs, read
-    as a ``MixtureSource`` and so validated, can be passed instead, and must
-    be for a source without a directing law.
+    as a ``MixtureSource`` and so validated, with atoms over the source's
+    alphabet, can be passed instead, and must be for a source without a
+    directing law.
     """
     if directing is not None:
         weights, atoms = zip(*directing)
-        moment = MixtureSource(atoms, weights).directing_moment
+        mixture = MixtureSource(atoms, weights)
+        if mixture.d != source.d:
+            raise ValueError(f"{mixture.d}-symbol atoms for the {source.d}-symbol {source.name}")
+        moment = mixture.directing_moment
     elif hasattr(source, "directing_moment"):
         moment = source.directing_moment
     else:
@@ -552,27 +548,6 @@ def definetti_identity_check(
             counts[s - 1] += 1
         report.record(lambda: f"cylinder@{word}", moment(counts), source.word_probability(word))
     return report
-
-
-def definetti_identity_mc(source, estimate: DirectingEstimate, k: int) -> list[MonteCarloResult]:
-    """Same identity with the integral replaced by an average over estimated
-    boundary points; one z-scored record per cylinder."""
-    out = []
-    for word in _words(source.d, k):
-        values = np.ones(estimate.replicates)
-        for s in word:
-            values = values * estimate.samples[:, s - 1]
-        spread = float(values.std(ddof=1)) if estimate.replicates > 1 else 0.0
-        out.append(
-            MonteCarloResult(
-                name=f"definetti-mc@{word}",
-                estimate=float(values.mean()),
-                target=float(source.word_probability(word)),
-                std_error=spread / math.sqrt(estimate.replicates),
-                replicates=estimate.replicates,
-            )
-        )
-    return out
 
 
 # -- binary expansion lift ------------------------------------------------------
@@ -596,11 +571,6 @@ def binary_digits(x, count: int) -> tuple[int, ...]:
         digits.append(int(current - 2 * previous))
         previous = current
     return tuple(digits)
-
-
-def lift_sequence(xs: Sequence, depth: int) -> tuple[tuple[int, ...], ...]:
-    """Elementwise digit truncation of a [0, 1)-valued sequence."""
-    return tuple(binary_digits(x, depth) for x in xs)
 
 
 def reconstruct_real(digits: Sequence[int]) -> Fraction:

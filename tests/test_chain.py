@@ -80,10 +80,6 @@ class TestForwardLaw:
         for n in range(6):
             assert walk3.forward_law(n).total() == 1
 
-    def test_include_zeros_covers_family(self, walk2):
-        law = walk2.forward_law(3, include_zeros=True)
-        assert set(law.probs) == set(walk2.enumerate_level(3))
-
     def test_non_stochastic_rows_raise(self):
         root = State(0, 0)
         chain = GradedChain(

@@ -1,5 +1,5 @@
 """Composition-walk tests: enumeration, closed forms, boundary kernel,
-conditioned walks, convergence detection."""
+conditioned walks."""
 
 import math
 from fractions import Fraction
@@ -12,18 +12,15 @@ from martinwalk import (
     alpha_walk,
     boundary_harmonic,
     boundary_kernel,
-    boundary_limit,
     closed_form_kernel,
     comp_state,
     compositions,
-    dm_convergence_check,
     h_transform,
     is_harmonic,
-    polya_cotransition,
     product_moment,
     uniform_walk,
 )
-from martinwalk.compositions import EXACT_KERNEL_LIMIT, rounded_ray_point
+from martinwalk.compositions import EXACT_KERNEL_LIMIT, polya_cotransition, rounded_ray_point
 
 
 class TestCompositions:
@@ -243,71 +240,3 @@ class TestPolyaCotransition:
     def test_bad_direction(self):
         with pytest.raises(ValueError):
             polya_cotransition((1, 1), 3)
-
-
-class TestBoundaryLimit:
-    def test_final_ratio(self):
-        path = [comp_state((k, 0)) for k in range(101)]
-        est = boundary_limit(path)
-        assert est.point == (1.0, 0.0)
-
-    def test_direct_arithmetic(self):
-        est = boundary_limit([comp_state((70, 30))])
-        assert est.point == (0.7, 0.3)
-
-    def test_concentration_many_seeds(self):
-        walk = alpha_walk((0.7, 0.3), level_budget=4)
-        for seed in range(30):
-            path = walk.sample_path(10_000, seed=seed)
-            est = boundary_limit(path)
-            assert abs(est.point[0] - 0.7) <= 0.02
-            assert est.oscillation <= 0.05
-
-    def test_uniform_walk_concentration(self):
-        walk = uniform_walk(2, level_budget=4)
-        for seed in range(10):
-            est = boundary_limit(walk.sample_path(10_000, seed=seed))
-            assert abs(est.point[0] - 0.5) <= 0.02
-
-    def test_empty_path(self):
-        with pytest.raises(ValueError):
-            boundary_limit([])
-
-
-class TestConvergenceCheck:
-    def test_constant_direction_converges(self):
-        states = [(n, 0) for n in range(1, 40)]
-        ok, diags = dm_convergence_check(states, probes=[(1, 0)])
-        assert ok
-        assert diags[0].final_value == pytest.approx(2.0)
-
-    def test_alternating_diverges(self):
-        # kernel at probe e_1 alternates between 2 and 0
-        states = [(n, 0) if n % 2 else (0, n) for n in range(1, 30)]
-        ok, diags = dm_convergence_check(states, probes=[(1, 0)])
-        assert not ok
-        assert diags[0].oscillation == pytest.approx(2.0)
-
-    def test_ray_converges(self):
-        states = [rounded_ray_point(n, (0.6, 0.4)) for n in (10, 100, 1000, 10_000, 100_000)]
-        ok, _ = dm_convergence_check(states, probes=[(1, 0), (1, 1), (2, 0)], tol=1e-1)
-        assert ok
-
-    def test_eventually_constant_converges(self):
-        states = [(1, 0), (1, 1), (2, 1)] + [(2, 2)] * 10
-        ok, diags = dm_convergence_check(states, probes=[(1, 0), (0, 1)])
-        assert ok
-        assert all(d.oscillation == 0.0 for d in diags)
-
-    def test_sampled_path_stabilizes(self):
-        # kernels along a sampled trajectory settle once the direction does
-        walk = alpha_walk((0.6, 0.4), level_budget=4)
-        path = walk.sample_path(20_000, seed=8)
-        checkpoints = [path[k] for k in (100, 400, 1000, 4000, 10_000, 20_000)]
-        probes = [(1, 0), (0, 1), (1, 1)]
-        ok, diags = dm_convergence_check(checkpoints, probes, tol=0.05)
-        assert ok, diags
-
-    def test_levels_must_increase(self):
-        with pytest.raises(ValueError):
-            dm_convergence_check([(2, 0), (1, 0)], probes=[(1, 0)])

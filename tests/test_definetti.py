@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from martinwalk import (
     BudgetExceededError,
-    DirectingEstimate,
     HarmonicFn,
     MartinWalkError,
     MarkovSource,
@@ -23,16 +22,13 @@ from martinwalk import (
     comp_state,
     counting_chain,
     counting_chain_law,
-    counting_chain_path,
     counting_h_recovery,
     definetti_identity_check,
-    definetti_identity_mc,
     dirichlet_moment,
     estimate_directing_measure,
     exchangeability_report,
     ks_distance_uniform,
     lift_point_masses,
-    lift_sequence,
     lift_source_law,
     projection_consistency_check,
     reconstruct_real,
@@ -82,7 +78,6 @@ class TestSourceCylinderLaw:
             lambda: exchangeability_report(MIX, 30),
             lambda: verify_counting_markov(MIX, 30),
             lambda: definetti_identity_check(MIX, 30),
-            lambda: definetti_identity_mc(MIX, DirectingEstimate(np.full((2, 2), 0.5), 1, 0), 30),
             lambda: lift_source_law(MIX, (Fraction(5, 8), Fraction(1, 4)), 2, 30),
         ],
         ids=[
@@ -91,7 +86,6 @@ class TestSourceCylinderLaw:
             "exchangeability_report",
             "verify_counting_markov",
             "definetti_identity_check",
-            "definetti_identity_mc",
             "lift_source_law",
         ],
     )
@@ -126,20 +120,19 @@ class TestExchangeability:
 
 
 class TestCountingPath:
+    """``counting_chain_law`` keys each word's mass by its count path Y_1..Y_n."""
+
     def test_empty(self):
-        assert [s.payload for s in counting_chain_path((), 2)] == [(0, 0)]
+        assert counting_chain_law(MIX, 0).atoms == {(): 1}
 
     def test_example_path(self):
-        path = counting_chain_path((1, 1, 2), 2)
-        assert [s.payload for s in path] == [(0, 0), (1, 0), (2, 0), (2, 1)]
+        path = (comp_state((1, 0)), comp_state((2, 0)), comp_state((2, 1)))
+        assert counting_chain_law(MIX, 3).atoms[path] == MIX.word_probability((1, 1, 2))
 
     def test_single_symbol(self):
-        path = counting_chain_path((2, 2, 2), 3)
-        assert [s.payload for s in path] == [(0, 0, 0), (0, 1, 0), (0, 2, 0), (0, 3, 0)]
-
-    def test_out_of_alphabet(self):
-        with pytest.raises(ValueError):
-            counting_chain_path((1, 0), 2)
+        src = MixtureSource(atoms=((Fraction(0), Fraction(1), Fraction(0)),), weights=(Fraction(1),))
+        path = (comp_state((0, 1, 0)), comp_state((0, 2, 0)), comp_state((0, 3, 0)))
+        assert counting_chain_law(src, 3).atoms == {path: 1}
 
 
 class TestCountingChainLaw:
@@ -397,11 +390,17 @@ class TestDefinettiIdentity:
         with pytest.raises(ValueError, match="sum to"):
             definetti_identity_check(standard_negative_control(), 2, directing=directing)
 
-    def test_monte_carlo_mode(self):
-        est = estimate_directing_measure(MIX, horizon=10_000, replicates=2_000, seed=11)
-        results = definetti_identity_mc(MIX, est, 3)
-        assert len(results) == 8
-        assert all(r.within(3.0) for r in results), "\n".join(map(str, results))
+    @pytest.mark.parametrize(
+        "source, atom",
+        [
+            (standard_negative_control(), (Fraction(1, 3),) * 3),
+            (standard_mixture(3), (Fraction(1, 2), Fraction(1, 2))),
+        ],
+        ids=["3-part-atom-on-2-symbols", "2-part-atom-on-3-symbols"],
+    )
+    def test_atom_size_must_match_the_source(self, source, atom):
+        with pytest.raises(ValueError, match="symbol"):
+            definetti_identity_check(source, 2, directing=[(1, atom)])
 
 
 class TestBinaryDigits:
@@ -444,15 +443,6 @@ class TestBinaryDigits:
 
 
 class TestLift:
-    def test_first_bits(self):
-        assert lift_sequence((0.625, 0.3), 1) == ((1,), (0,))
-
-    def test_constant_sequence(self):
-        assert lift_sequence((0.25,) * 3, 2) == ((0, 1),) * 3
-
-    def test_depth_two(self):
-        assert lift_sequence((0.625,), 2) == ((1, 0),)
-
     def test_point_mass_projection(self):
         deep = lift_point_masses({Fraction(5, 8): Fraction(1)}, 3)
         shallow = lift_point_masses({Fraction(5, 8): Fraction(1)}, 2)

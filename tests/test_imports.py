@@ -1,20 +1,26 @@
 """No module under src/martinwalk imports a name it never uses, or defines a
-private module-level name it never reads.
+private module-level name it never reads, and the package exports nothing
+that no one reads.
 
 No linter is a test dependency, so these are small ``ast`` checks: every
 name an import binds, and every ``_name`` function, class or constant a
 module defines at its top level, must be read somewhere in the module,
 counting names inside string annotations.  ``__init__.py`` is exempt, since
-its imports are the package's re-exports.
+its imports are the package's re-exports; each of those must be read by
+another module, by the acceptance tests or by the README library example.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "martinwalk"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "martinwalk"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+README = ROOT / "README.md"
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -77,3 +83,46 @@ def test_no_unread_private_names(path):
     used = _used(tree)
     unread = {name: line for name, line in _private(tree).items() if name not in used}
     assert not unread, f"{path.name}: private names never read {unread}"
+
+
+def _readme_example() -> str:
+    """The README's one ``python`` block, the library example."""
+    (block,) = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    return block
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """Every name read outside the top-level definition of that name: loaded
+    names, attribute names and names imported with ``from``."""
+    reads = set()
+    for top in tree.body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            reads.update(name for name in names if name != own)
+    return reads
+
+
+def test_every_export_is_read():
+    init = ast.parse((SRC / "__init__.py").read_text())
+    exports = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    readers = [p.read_text() for p in (*MODULES, ACCEPTANCE)] + [_readme_example()]
+    reads = set().union(*(_reads(ast.parse(text)) for text in readers))
+    unread = sorted(exports - reads)
+    assert not unread, f"package exports read nowhere: {unread}"
+
+
+def test_readme_example_runs():
+    exec(compile(_readme_example(), str(README), "exec"), {})

@@ -39,11 +39,13 @@ SPARSE_CONTROL = MarkovSource(
     ),
 )
 SOURCES = [MIX, PolyaUrnSource((2, 1, 1)), CONTROL, SPARSE_CONTROL]
-SAMPLERS = [
-    uniform_walk(3).sampler,
-    alpha_walk((Fraction(1, 4), Fraction(0), Fraction(3, 4))).sampler,
-    *SOURCES,
+WALKS = [
+    uniform_walk(3),
+    alpha_walk((Fraction(1, 4), Fraction(0), Fraction(3, 4))),
+    alpha_walk((Fraction(7, 10), Fraction(3, 10))),
 ]
+WALK_IDS = ["uniform", "alpha-sparse", "alpha-7/10"]
+SAMPLERS = [walk.sampler for walk in WALKS[:2]] + SOURCES
 
 #: draws per goodness-of-fit check
 GOF_DRAWS = 4000
@@ -63,6 +65,10 @@ def dirichlet_multinomial_pmf(initial, counts) -> Fraction:
 
 def exact_final_law(source, n: int) -> dict[tuple, Fraction]:
     return {s.payload: p for s, p in counting_chain_law(source, n).marginal(n).items()}
+
+
+def walk_final_law(walk: GradedChain, n: int) -> dict[tuple, Fraction]:
+    return {s.payload: p for s, p in walk.forward_law(n).items()}
 
 
 def chi_square(draws: np.ndarray, pmf: dict[tuple, Fraction]) -> float:
@@ -108,6 +114,23 @@ class TestSampledLaws:
     def test_markov_frequencies_fit_the_exact_law(self, source):
         pmf = exact_final_law(source, 6)
         draws = source.sample_final_counts(6, 23, 0, GOF_DRAWS)
+        assert chi_square(draws, pmf) <= chi_square_bound(pmf)
+
+    def test_mixture_frequencies_fit_the_exact_law(self):
+        pmf = exact_final_law(MIX, 6)
+        draws = MIX.sample_final_counts(6, 29, 0, GOF_DRAWS)
+        assert chi_square(draws, pmf) <= chi_square_bound(pmf)
+
+    @pytest.mark.parametrize("walk", WALKS, ids=WALK_IDS)
+    def test_walk_final_counts_fit_the_forward_law(self, walk):
+        pmf = walk_final_law(walk, 6)
+        draws = walk.sampler.sample_final_counts(6, 31, 0, GOF_DRAWS)
+        assert chi_square(draws, pmf) <= chi_square_bound(pmf)
+
+    @pytest.mark.parametrize("walk", WALKS, ids=WALK_IDS)
+    def test_walk_path_ends_fit_the_forward_law(self, walk):
+        pmf = walk_final_law(walk, 6)
+        draws = np.array([walk.sampler.sample_path_counts(6, 37, r)[-1] for r in range(GOF_DRAWS)])
         assert chi_square(draws, pmf) <= chi_square_bound(pmf)
 
     def test_bound_rejects_a_neighbouring_law(self):
