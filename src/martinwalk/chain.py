@@ -118,35 +118,30 @@ class CountPath(Sequence[State]):
 class DistributionTable:
     """Law of Y_n on its positive-probability states.
 
-    An exact table holds int numerators over one denominator ``den``, in lowest
-    terms across the table: gcd(den, *nums) == 1.  A table reached through a
-    float step probability holds the probabilities themselves, and ``den`` is
-    None.  ``prob`` and ``probs`` build the ``Fraction`` of an exact entry.
+    The table holds positive int numerators over one denominator ``den``, in
+    lowest terms across the table: gcd(den, *nums) == 1.  It stores no zero,
+    so its keys are its support.  ``prob`` and ``probs`` build the
+    ``Fraction`` of an entry.
     """
 
     level: int
-    nums: dict[State, Prob]
-    den: Optional[int] = 1
+    nums: dict[State, int]
+    den: int = 1
 
     def prob(self, state: State) -> Prob:
-        if state.level != self.level:
-            return 0
-        num = self.nums.get(state, 0)
-        return num if self.den is None or not num else Fraction(num, self.den)
+        num = self.nums.get(state, 0) if state.level == self.level else 0
+        return Fraction(num, self.den) if num else 0
 
     def __contains__(self, state: State) -> bool:
         """Whether the state has positive mass."""
-        return bool(self.nums.get(state))
+        return state in self.nums
 
     def ratio(
         self, other: DistributionTable, state: State, other_state: Optional[State] = None
     ) -> Prob:
         """self.prob(state) / other.prob(other_state), other_state defaulting to
-        state: a single ``Fraction`` of numerators and denominators when both
-        tables are exact."""
+        state: a single ``Fraction`` of numerators and denominators."""
         other_state = state if other_state is None else other_state
-        if self.den is None or other.den is None:
-            return self.prob(state) / other.prob(other_state)
         return Fraction(
             self.nums.get(state, 0) * other.den, self.den * other.nums.get(other_state, 0)
         )
@@ -158,13 +153,12 @@ class DistributionTable:
     def items(self):
         return self.probs.items()
 
-    def total(self) -> Prob:
-        total = sum(self.nums.values())
-        return total if self.den is None else Fraction(total, self.den)
+    def total(self) -> Fraction:
+        return Fraction(sum(self.nums.values()), self.den)
 
     @property
     def support(self) -> tuple[State, ...]:
-        return tuple(s for s, p in self.nums.items() if p != 0)
+        return tuple(self.nums)
 
     def __len__(self) -> int:
         return len(self.nums)
@@ -225,21 +219,21 @@ class GradedChain:
         up to ``level_budget``.
     successors:
         Maps a state at level n to its (state, probability) row at level
-        n+1.  This is the only thing samplers need, so paths may extend
-        past ``level_budget`` when states can be built lazily.
+        n+1.  Every law built here needs exact rows: a float step
+        probability raises ``ValueError`` there.
     level_budget:
         Maximum level for exact enumeration (family calls, forward laws,
         kernels).
     sampler:
         Optional ``CountSampler`` for chains whose payloads are count
-        vectors; ``sample_path`` and ``sample_final`` then read its arrays
-        as states instead of stepping through ``successors``.
+        vectors; ``sample_path`` reads its path arrays as states, and a
+        chain without one cannot be sampled.
 
     Forward and conditional laws share one memo: ``_cond[x]`` maps levels
     to the law of Y_n given Y_m = x, and the forward law is the entry of
-    the root, so ``conditional_law(root, n)`` is ``forward_law(n)``.  While
-    every step probability is exact, these laws are int numerators over one
-    denominator per table (see ``DistributionTable``).
+    the root, so ``conditional_law(root, n)`` is ``forward_law(n)``.  These
+    laws are int numerators over one denominator per table (see
+    ``DistributionTable``).
 
     Instances are immutable apart from internal memo tables; sharing across
     threads is safe (a lost cache write just means recomputation).
@@ -262,7 +256,7 @@ class GradedChain:
         self.sampler = sampler
         self._levels: dict[int, tuple[State, ...]] = {0: (root,)}
         self._rows: dict[State, tuple[tuple[State, Prob], ...]] = {}
-        self._exact_rows: dict[State, Optional[tuple[int, tuple[tuple[State, int], ...]]]] = {}
+        self._exact_rows: dict[State, tuple[int, tuple[tuple[State, int], ...]]] = {}
         self._preds: dict[int, dict[State, tuple[tuple[State, Prob], ...]]] = {}
         self._cond: dict[State, dict[int, DistributionTable]] = {
             root: {0: DistributionTable(0, {root: 1})}
@@ -311,19 +305,19 @@ class GradedChain:
             self._rows[x] = row
         return row
 
-    def _exact_row(self, x: State) -> Optional[tuple[int, tuple[tuple[State, int], ...]]]:
+    def _exact_row(self, x: State) -> tuple[int, tuple[tuple[State, int], ...]]:
         """The row out of x as (den, ((y, num), ...)), its positive step
-        probabilities num / den over the lcm of their denominators; None when
-        a step probability is a float."""
-        if x in self._exact_rows:
-            return self._exact_rows[x]
-        row = [(y, q) for y, q in self.successors(x) if q != 0]
-        exact = None
-        if all(is_exact(q) for _, q in row):
+        probabilities num / den over the lcm of their denominators; a float
+        step probability raises ``ValueError``."""
+        if x not in self._exact_rows:
+            row = [(y, q) for y, q in self.successors(x) if q != 0]
+            for y, q in row:
+                if not is_exact(q):
+                    raise ValueError(f"float step probability {q!r} at {x} -> {y}: laws are exact")
             den = math.lcm(*(q.denominator for _, q in row))
             exact = den, tuple((y, q.numerator * (den // q.denominator)) for y, q in row)
-        self._exact_rows[x] = exact
-        return exact
+            self._exact_rows[x] = exact
+        return self._exact_rows[x]
 
     def step(self, x: State, y: State) -> Prob:
         """One-step transition probability, 0 unless level(y) = level(x) + 1."""
@@ -355,28 +349,20 @@ class GradedChain:
         """Extend a {level: law} memo, which lacks level n, level by level up to n.
 
         The one forward DP: forward and conditional laws both come from here.
+        Each level has one int denominator, reduced by the gcd.
         """
         table = memo[max(k for k in memo if k <= n)]
         for k in range(table.level, n):
-            nxt: dict[State, Prob] = defaultdict(int)
-            rows = None if table.den is None else [self._exact_row(z) for z in table.nums]
-            if rows is not None and None not in rows:
-                # exact: one int denominator for the level, reduced by the gcd
-                scale = math.lcm(*(row_den for row_den, _ in rows))
-                for p, (row_den, row) in zip(table.nums.values(), rows):
-                    p *= scale // row_den
-                    for y, q in row:
-                        nxt[y] += p * q
-                den = table.den * scale
-                g = math.gcd(den, *nxt.values())
-                table = DistributionTable(k + 1, {y: v // g for y, v in nxt.items()}, den // g)
-            else:
-                # a float step probability: float laws from this level on
-                for z, p in table.probs.items():
-                    for y, q in self.successors(z):
-                        if q != 0:
-                            nxt[y] += p * q
-                table = DistributionTable(k + 1, dict(nxt), None)
+            rows = [self._exact_row(z) for z in table.nums]
+            scale = math.lcm(*(row_den for row_den, _ in rows))
+            nxt: dict[State, int] = defaultdict(int)
+            for p, (row_den, row) in zip(table.nums.values(), rows):
+                p *= scale // row_den
+                for y, q in row:
+                    nxt[y] += p * q
+            den = table.den * scale
+            g = math.gcd(den, *nxt.values())
+            table = DistributionTable(k + 1, {y: v // g for y, v in nxt.items()}, den // g)
             memo[k + 1] = table
         return memo[n]
 
@@ -424,12 +410,10 @@ class GradedChain:
     def kernel_row(self, x: State, n: int) -> dict[State, Prob]:
         """K(x, .) on level n >= level(x): every y with P(Y_n = y) > 0, at 0
         where y cannot follow x.  Each entry is the ``martin_kernel`` formula,
-        one ``Fraction`` N_cond * D_fwd / (D_cond * N_fwd) on exact laws, built
-        only for the y that x reaches."""
+        one ``Fraction`` N_cond * D_fwd / (D_cond * N_fwd), built only for the
+        y that x reaches."""
         law = self.forward_law(n)
         cond = self.conditional_law(x, n)
-        if law.den is None or cond.den is None:
-            return {y: cond.ratio(law, y) for y in law.nums}
         row = dict.fromkeys(law.nums, _ZERO)
         for y, num in cond.nums.items():
             row[y] = Fraction(num * law.den, cond.den * law.nums[y])
@@ -512,32 +496,12 @@ class GradedChain:
 
     # -- sampling ------------------------------------------------------------
 
-    def sample_path(self, n: int, seed: int, replicate: int = 0) -> Sequence[State]:
-        """One trajectory (Y_0, ..., Y_n); same (seed, replicate) gives the same path."""
-        if self.sampler is not None:
-            return CountPath(self.sampler.sample_path_counts(n, seed, replicate))
-        rng = replicate_rng(seed, replicate)
-        path = [self.root]
-        x = self.root
-        for _ in range(n):
-            row = self.successors(x)
-            u = rng.random()
-            acc = 0.0
-            x = row[-1][0]
-            for y, q in row:
-                acc += float(q)
-                if u < acc:
-                    x = y
-                    break
-            path.append(x)
-        return path
-
-    def sample_final(self, n: int, seed: int, replicates: int) -> list[State]:
-        """Y_n for replicate indices 0..replicates-1, one stream per replicate."""
-        if self.sampler is not None:
-            counts = self.sampler.sample_final_counts(n, seed, 0, replicates)
-            return [State(n, tuple(row)) for row in counts.tolist()]
-        return [self.sample_path(n, seed, r)[-1] for r in range(replicates)]
+    def sample_path(self, n: int, seed: int, replicate: int = 0) -> CountPath:
+        """One trajectory (Y_0, ..., Y_n) read from the sampler's path array;
+        same (seed, replicate) gives the same path."""
+        if self.sampler is None:
+            raise ValueError(f"{self.name} has no sampler")
+        return CountPath(self.sampler.sample_path_counts(n, seed, replicate))
 
     # -- on-demand structural checks -----------------------------------------
 

@@ -261,6 +261,9 @@ def parse_config(text: str, overrides: Optional[dict] = None) -> RunConfig:
         for p in points:
             if not 0 <= p < 1:
                 raise ConfigError(f"lift points must lie in [0, 1), got {format_prob(p)}")
+    horizon = _require_int(doc, "horizon", 1000, minimum=1)
+    if horizon >= 2**63:  # numpy draws sizes and counts as int64
+        raise ConfigError(f"horizon must be at most 2**63 - 1, got {horizon}")
     return RunConfig(
         command=command,
         seed=_require_int(doc, "seed", 0),
@@ -270,7 +273,7 @@ def parse_config(text: str, overrides: Optional[dict] = None) -> RunConfig:
         budget=_require_int(doc, "budget", 6, minimum=1),
         alpha=alpha,
         source=source,
-        horizon=_require_int(doc, "horizon", 1000, minimum=1),
+        horizon=horizon,
         replicates=_require_int(doc, "replicates", 100, minimum=1),
         points=points,
         depth=_require_int(doc, "depth", 8, minimum=1),

@@ -340,9 +340,8 @@ def counting_chain(source, horizon: int) -> GradedChain:
         mass = sum(joint)
         if mass == 0:
             raise UnreachableStateError(f"{y} has zero probability under {source.name}")
-        # the law's one denominator cancels, so an exact row is one Fraction per entry
-        share = operator.truediv if law.den is None else Fraction
-        return sorted((z, share(p, mass)) for z, p in zip(steps, joint) if p != 0)
+        # the law's one denominator cancels, so a row is one Fraction per entry
+        return sorted((z, Fraction(p, mass)) for z, p in zip(steps, joint) if p != 0)
 
     return GradedChain(State(0, root), family, successors, horizon, f"counting[{source.name}]")
 
@@ -468,6 +467,10 @@ class DirectingEstimate:
         return means, seconds
 
 
+#: replicates per task of ``estimate_directing_measure``; its rows do not depend on it
+BLOCK_SIZE = 256
+
+
 def _sample_block(args) -> np.ndarray:
     source, horizon, seed, lo, hi = args
     return source.sample_final_counts(horizon, seed, lo, hi)
@@ -479,17 +482,16 @@ def estimate_directing_measure(
     replicates: int,
     seed: int,
     workers: int = 1,
-    block_size: int = 256,
 ) -> DirectingEstimate:
     """Sample the counting process to the horizon and return Y_n / n per replicate.
 
     Replicate r always uses the stream (seed, r), so the result is independent
-    of the block partition and of the worker count.  Multi-worker runs fan
-    the blocks out to separate processes (per-replicate sampling holds the GIL).
+    of the ``BLOCK_SIZE`` partition and of the worker count.  Multi-worker runs
+    fan the blocks out to separate processes (per-replicate sampling holds the GIL).
     """
     tasks = [
-        (source, horizon, seed, lo, min(lo + block_size, replicates))
-        for lo in range(0, replicates, block_size)
+        (source, horizon, seed, lo, min(lo + BLOCK_SIZE, replicates))
+        for lo in range(0, replicates, BLOCK_SIZE)
     ]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -129,7 +129,6 @@ class HTransformChain(GradedChain):
             level_budget=base.level_budget,
             name=f"h-transform[{h.name}]({base.name})",
         )
-        self.base = base
         self.h = h
 
 
@@ -249,24 +248,25 @@ def representation_check_mc(
     n: int,
     replicates: int,
     seed: int,
-    transformed: Optional[GradedChain] = None,
+    transformed: GradedChain,
     kernel: Optional[Callable[[State, State], Prob]] = None,
 ) -> MonteCarloResult:
     """Monte Carlo form of the representation identity at large horizons.
 
-    Samples Y_n under the transformed chain and averages K(x, Y_n).  Pass
-    ``kernel`` to evaluate K in closed form when n exceeds the enumeration
-    budget, and ``transformed`` to substitute an equivalent chain with a
-    faster sampler (equivalence should be established separately).
+    Averages K(x, Y_n) over replicates 0..replicates-1 of Y_n drawn by the
+    ``CountSampler`` of ``transformed``, a chain equivalent to the h-transform
+    (such as ``alpha_walk`` for a boundary h; establish that separately).  A
+    chain without a sampler raises ``ValueError``.  Pass ``kernel`` to
+    evaluate K in closed form when n exceeds the enumeration budget.
     """
     if not h.supports(x):
         raise UnreachableStateError(f"{x} lies outside the support of {h.name}")
-    if transformed is None:
-        transformed = h_transform(base, h)
+    if transformed.sampler is None:
+        raise ValueError(f"{transformed.name} has no sampler to draw Y_n from")
     if kernel is None:
         kernel = base.martin_kernel
-    finals = transformed.sample_final(n, seed, replicates)
-    values = np.array([float(kernel(x, y)) for y in finals])
+    counts = transformed.sampler.sample_final_counts(n, seed, 0, replicates)
+    values = np.array([float(kernel(x, State(n, tuple(row)))) for row in counts.tolist()])
     estimate = float(values.mean())
     spread = float(values.std(ddof=1)) if replicates > 1 else 0.0
     return MonteCarloResult(

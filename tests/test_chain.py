@@ -17,6 +17,7 @@ from martinwalk import (
     BudgetExceededError,
     CylinderLaw,
     GradedChain,
+    MixtureSource,
     NonStochasticError,
     State,
     UnreachableStateError,
@@ -277,9 +278,8 @@ class TestOracleEquivalence:
         [
             alpha_walk(MIXED, level_budget=5),
             h_transform(uniform_walk(3, level_budget=5), boundary_harmonic(MIXED)),
-            alpha_walk((0.2, 0.3, 0.5), level_budget=5),
         ],
-        ids=["mixed-denominators", "h-transform", "float-alpha"],
+        ids=["mixed-denominators", "h-transform"],
     )
     def test_dp_matches_enumeration_on_other_rows(self, chain):
         report = oracle_equivalence_report(chain, 5)
@@ -287,8 +287,8 @@ class TestOracleEquivalence:
 
 
 class TestIntegerLaws:
-    """Exact laws are int numerators over one reduced denominator per table;
-    a float step probability switches a chain to float laws."""
+    """Laws are int numerators over one reduced denominator per table; a
+    float step probability is refused wherever a law is built."""
 
     @pytest.mark.parametrize(
         "chain",
@@ -310,12 +310,17 @@ class TestIntegerLaws:
                     assert math.gcd(table.den, *table.nums.values()) == 1
                     assert table.total() == 1
 
-    def test_float_steps_give_float_laws(self):
-        chain = alpha_walk((0.2, 0.3, 0.5), level_budget=4)
-        assert chain.forward_law(0).den == 1
-        table = chain.forward_law(4)
-        assert table.den is None
-        assert table.prob(comp_state((1, 1, 2))) == pytest.approx(12 * 0.2 * 0.3 * 0.25)
+    def test_float_steps_raise(self):
+        walk = alpha_walk((0.2, 0.3, 0.5), level_budget=4)
+        assert walk.step(walk.root, comp_state((1, 0, 0))) == 0.2  # float rows still build
+        with pytest.raises(ValueError, match=r"float step probability 0\.2 at \(0, 0, 0\)@0 -> "):
+            walk.forward_law(1)
+        mixture = MixtureSource(atoms=((0.2, 0.8), (0.6, 0.4)), weights=(0.5, 0.5))
+        chain = counting_chain(mixture, 4)
+        with pytest.raises(ValueError, match="float step probability"):
+            chain.forward_law(2)
+        with pytest.raises(ValueError, match="float step probability"):
+            chain.conditional_law(chain.root, 3)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_kernel_row_matches_pairs_and_closed_form(self, d):
@@ -402,21 +407,6 @@ class TestSampling:
         mean = float(np.mean(finals))
         se = 1.0 / math.sqrt(4 * n * replicates)
         assert abs(mean - 0.5) <= 3 * se
-
-    def test_generic_sampler_matches_contract(self):
-        # a chain without a vectorized sampler falls back to the step loop
-        root = State(0, 0)
-        chain = GradedChain(
-            root=root,
-            family=lambda n: (State(n, 0), State(n, 1)) if n else (root,),
-            successors=lambda x: (
-                (State(x.level + 1, 0), Fraction(1, 3)),
-                (State(x.level + 1, 1), Fraction(2, 3)),
-            ),
-            level_budget=5,
-        )
-        assert chain.sample_path(8, seed=1) == chain.sample_path(8, seed=1)
-        assert len(chain.sample_path(8, seed=1)) == 9
 
 
 class TestStructuralChecks:

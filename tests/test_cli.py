@@ -34,6 +34,13 @@ def config_text(**kwargs):
     return json.dumps(kwargs)
 
 
+#: the keys besides ``horizon`` of a small config for each sampling command
+HORIZON_KEYS = {
+    "estimate": {"source": {"kind": "polya", "initial": [1, 2]}, "replicates": 3},
+    "simulate": {"d": 2, "replicates": 1},
+}
+
+
 class TestParseConfig:
     def test_minimal_verify(self):
         cfg = parse_config(config_text(command="verify", d=2, budget=6, seed=0))
@@ -607,6 +614,23 @@ class TestRegressions:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         assert len(json.loads(outputs[0])["rows"]) == doc["replicates"]
+
+    @pytest.mark.parametrize("command", ["estimate", "simulate"])
+    def test_horizon_past_int64_is_a_config_error(self, tmp_path, capsys, command):
+        # numpy draws int64 sizes: 2**63 used to end in OverflowError or ValueError
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(command=command, horizon=2**63, **HORIZON_KEYS[command]))
+        assert main([command, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: horizon must be at most 2**63 - 1") and "Traceback" not in err
+
+    def test_largest_horizon_estimates(self, tmp_path):
+        # the urn draws Y_n in O(d) per replicate, whatever the horizon
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "r.json"
+        doc = dict(HORIZON_KEYS["estimate"], command="estimate", horizon=2**63 - 1)
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert len(json.loads(out.read_bytes())["rows"]) == 3
 
     def test_pair_counts(self):
         assert kernel_pair_count(3, 8) == 16_071

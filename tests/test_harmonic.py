@@ -3,6 +3,7 @@ identities, recovery, and the finite-horizon representation identity."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from martinwalk import (
@@ -11,6 +12,7 @@ from martinwalk import (
     MarkovSource,
     NotHarmonicError,
     PolyaUrnSource,
+    State,
     alpha_walk,
     boundary_harmonic,
     closed_form_kernel,
@@ -243,6 +245,17 @@ class TestRepresentation:
             kernel=closed_form_kernel,
         )
         assert result.within(3.0), str(result)
+
+    def test_monte_carlo_mode_averages_the_sampled_rows(self, base, h_alpha):
+        walk = alpha_walk(ALPHA, level_budget=10)
+        x = comp_state((1, 1))
+        result = representation_check_mc(
+            base, h_alpha, x, n=50, replicates=300, seed=8, transformed=walk,
+            kernel=closed_form_kernel,
+        )
+        rows = walk.sampler.sample_final_counts(50, 8, 0, 300).tolist()
+        values = [float(closed_form_kernel(x, State(50, tuple(row)))) for row in rows]
+        assert result.estimate == np.mean(values)
 
     def test_outside_support_raises(self, base):
         h = boundary_harmonic((Fraction(1), Fraction(0)))

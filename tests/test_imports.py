@@ -1,6 +1,6 @@
-"""No module under src/martinwalk imports a name it never uses, or defines a
-private module-level name it never reads, and the package exports nothing
-that no one reads.
+"""No module under src/martinwalk imports a name it never uses, defines a
+private module-level name it never reads or sets an attribute that no one
+reads, and the package exports nothing that no one reads.
 
 No linter is a test dependency, so these are small ``ast`` checks: every
 name an import binds, and every ``_name`` function, class or constant a
@@ -8,6 +8,8 @@ module defines at its top level, must be read somewhere in the module,
 counting names inside string annotations.  ``__init__.py`` is exempt, since
 its imports are the package's re-exports; each of those must be read by
 another module, by the acceptance tests or by the README library example.
+Every ``self.attr`` a module assigns must be read as ``.attr`` somewhere in
+the package, the tests or the README library example.
 """
 
 import ast
@@ -20,6 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "martinwalk"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 README = ROOT / "README.md"
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
 
@@ -126,3 +129,27 @@ def test_every_export_is_read():
 
 def test_readme_example_runs():
     exec(compile(_readme_example(), str(README), "exec"), {})
+
+
+def _attributes(tree: ast.AST, ctx: type) -> dict[str, int]:
+    """Attribute name -> line of every ``.attr`` in the given context; for
+    ``ast.Store``, only the ``self.attr`` targets."""
+    return {
+        node.attr: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ctx)
+        and (ctx is ast.Load or isinstance(node.value, ast.Name) and node.value.id == "self")
+    }
+
+
+def test_every_attribute_is_read():
+    readers = [p.read_text() for p in (*SRC.glob("*.py"), *TESTS)] + [_readme_example()]
+    reads = set().union(*(_attributes(ast.parse(text), ast.Load) for text in readers))
+    unread = {
+        f"{path.name}:{line}": attr
+        for path in MODULES
+        for attr, line in _attributes(ast.parse(path.read_text()), ast.Store).items()
+        if attr not in reads
+    }
+    assert not unread, f"attributes set and never read: {unread}"

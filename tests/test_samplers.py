@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import martinwalk.definetti as definetti
 from martinwalk import (
     GradedChain,
     MarkovSource,
@@ -15,9 +16,12 @@ from martinwalk import (
     PolyaUrnSource,
     State,
     alpha_walk,
+    boundary_harmonic,
     compositions,
     counting_chain_law,
     estimate_directing_measure,
+    h_transform,
+    representation_check_mc,
     uniform_walk,
 )
 
@@ -167,11 +171,10 @@ class TestArrayContract:
         assert np.array_equal(whole, np.vstack(parts))
 
     @pytest.mark.parametrize("source", SOURCES)
-    def test_estimate_ignores_blocks_and_workers(self, source):
+    def test_estimate_ignores_blocks_and_workers(self, source, monkeypatch):
         a = estimate_directing_measure(source, horizon=300, replicates=50, seed=2, workers=1)
-        b = estimate_directing_measure(
-            source, horizon=300, replicates=50, seed=2, workers=3, block_size=7
-        )
+        monkeypatch.setattr(definetti, "BLOCK_SIZE", 7)
+        b = estimate_directing_measure(source, horizon=300, replicates=50, seed=2, workers=3)
         assert np.array_equal(a.samples, b.samples)
 
     def test_walk_paths_are_unit_steps(self):
@@ -188,11 +191,6 @@ class TestArrayContract:
         counts = walk.sampler.sample_path_counts(25, 6, 4)
         path = walk.sample_path(25, seed=6, replicate=4)
         assert path == [State(k, tuple(int(c) for c in row)) for k, row in enumerate(counts)]
-        finals = walk.sample_final(25, seed=6, replicates=5)
-        assert finals == [
-            State(25, tuple(int(c) for c in row))
-            for row in walk.sampler.sample_final_counts(25, 6, 0, 5)
-        ]
 
     def test_path_view_reads_like_its_list(self):
         path = uniform_walk(2).sample_path(30, seed=1, replicate=2)
@@ -205,13 +203,12 @@ class TestArrayContract:
         with pytest.raises(IndexError):
             path[31]
 
-    def test_chain_without_sampler_steps_through_rows(self):
-        root = State(0, 0)
-        chain = GradedChain(
-            root=root,
-            family=lambda n: (State(n, 0), State(n, 1)) if n else (root,),
-            successors=lambda x: ((State(x.level + 1, 0), 1), (State(x.level + 1, 1), 0)),
-            level_budget=5,
-        )
+    def test_chain_without_sampler_cannot_be_sampled(self):
+        base = uniform_walk(2)
+        h = boundary_harmonic((Fraction(7, 10), Fraction(3, 10)))
+        chain = h_transform(base, h)
         assert chain.sampler is None
-        assert chain.sample_final(7, seed=0, replicates=2) == [State(7, 0)] * 2
+        with pytest.raises(ValueError, match="has no sampler"):
+            chain.sample_path(7, seed=0)
+        with pytest.raises(ValueError, match="has no sampler"):
+            representation_check_mc(base, h, base.root, 7, replicates=2, seed=0, transformed=chain)
