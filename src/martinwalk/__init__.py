@@ -2,7 +2,6 @@
 verification toolkit built on exact rational arithmetic."""
 
 from .chain import (
-    CylinderLaw,
     DistributionTable,
     GradedChain,
     State,
@@ -32,7 +31,6 @@ from .definetti import (
     definetti_identity_check,
     dirichlet_moment,
     estimate_directing_measure,
-    exchangeability_report,
     ks_distance_uniform,
     lift_point_masses,
     lift_source_law,

@@ -116,25 +116,25 @@ class CountPath(Sequence[State]):
 
 @dataclass(frozen=True)
 class DistributionTable:
-    """Law of Y_n on its positive-probability states.
+    """An exact law: positive int numerators over one denominator ``den``.
 
-    The table holds positive int numerators over one denominator ``den``, in
-    lowest terms across the table: gcd(den, *nums) == 1.  It stores no zero,
-    so its keys are its support.  ``prob`` and ``probs`` build the
-    ``Fraction`` of an entry.
+    Keys are the states of Y_n for a level law, or the tuples (Y_1, ..., Y_n)
+    of a path law and (X_1, ..., X_n) of a word law, with ``level`` = n.  The
+    table is in lowest terms, gcd(den, *nums) == 1, and stores no zero, so
+    its keys are its support.  ``prob`` and ``atoms`` build ``Fraction``s.
     """
 
     level: int
-    nums: dict[State, int]
+    nums: dict[Any, int]
     den: int = 1
 
-    def prob(self, state: State) -> Prob:
-        num = self.nums.get(state, 0) if state.level == self.level else 0
+    def prob(self, key) -> Prob:
+        num = self.nums.get(key, 0)
         return Fraction(num, self.den) if num else 0
 
-    def __contains__(self, state: State) -> bool:
-        """Whether the state has positive mass."""
-        return state in self.nums
+    def __contains__(self, key) -> bool:
+        """Whether the key has positive mass."""
+        return key in self.nums
 
     def ratio(
         self, other: DistributionTable, state: State, other_state: Optional[State] = None
@@ -147,63 +147,31 @@ class DistributionTable:
         )
 
     @property
-    def probs(self) -> dict[State, Prob]:
-        return {s: self.prob(s) for s in self.nums}
+    def atoms(self) -> dict[Any, Prob]:
+        """Each key's probability as a ``Fraction``."""
+        return {key: Fraction(num, self.den) for key, num in self.nums.items()}
 
     def items(self):
-        return self.probs.items()
+        return self.atoms.items()
 
     def total(self) -> Fraction:
         return Fraction(sum(self.nums.values()), self.den)
 
+    def push(self, f: Callable[[Any], Any]) -> DistributionTable:
+        """The image law under the key map f, in lowest terms: each image key
+        carries the mass of its preimage."""
+        nums: dict[Any, int] = defaultdict(int)
+        for key, num in self.nums.items():
+            nums[f(key)] += num
+        g = math.gcd(self.den, *nums.values())
+        return DistributionTable(self.level, {k: v // g for k, v in nums.items()}, self.den // g)
+
     @property
-    def support(self) -> tuple[State, ...]:
+    def support(self) -> tuple:
         return tuple(self.nums)
 
     def __len__(self) -> int:
         return len(self.nums)
-
-
-@dataclass(frozen=True)
-class CylinderLaw:
-    """Exact law of the root-anchored path (Y_1, ..., Y_n).
-
-    Atoms are keyed by the path tuple; the root (level 0) is implicit.  The
-    same container doubles as the joint law of a symbol sequence, in which
-    case the keys are tuples of symbols rather than of states.
-    """
-
-    horizon: int
-    atoms: dict[tuple, Prob]
-
-    def total(self) -> Prob:
-        return sum(self.atoms.values())
-
-    def marginal(self, k: int) -> dict:
-        """Distribution of the k-th path entry, 1-indexed (k=0 gives the root mass)."""
-        if not 0 <= k <= self.horizon:
-            raise ValueError(f"marginal index {k} outside horizon {self.horizon}")
-        out: dict[Any, Prob] = defaultdict(int)
-        for path, p in self.atoms.items():
-            key = path[k - 1] if k >= 1 else None
-            out[key] += p
-        return dict(out)
-
-    def pair_marginal(self, k: int) -> dict[tuple, Prob]:
-        """Joint law of entries k and k+1 (1-indexed)."""
-        if not 1 <= k < self.horizon:
-            raise ValueError(f"pair index {k} outside horizon {self.horizon}")
-        out: dict[tuple, Prob] = defaultdict(int)
-        for path, p in self.atoms.items():
-            out[(path[k - 1], path[k])] += p
-        return dict(out)
-
-    def prefix_masses(self, k: int) -> dict[tuple, Prob]:
-        """Total mass of each length-k prefix."""
-        out: dict[tuple, Prob] = defaultdict(int)
-        for path, p in self.atoms.items():
-            out[path[:k]] += p
-        return dict(out)
 
 
 class GradedChain:
@@ -388,12 +356,6 @@ class GradedChain:
         per_state = self._cond.setdefault(x, {x.level: DistributionTable(x.level, {x: 1})})
         return per_state[n] if n in per_state else self._propagate(per_state, n)
 
-    def conditional_forward(self, x: State, y: State) -> Prob:
-        """P(Y_n = y | Y_m = x); 1 when x == y, 0 when y is below x."""
-        if y.level < x.level:
-            return 0
-        return self.conditional_law(x, y.level).prob(y)
-
     # -- kernel and cotransitions -----------------------------------------
 
     def martin_kernel(self, x: State, y: State) -> Prob:
@@ -461,38 +423,40 @@ class GradedChain:
 
     # -- path space ---------------------------------------------------------
 
-    def cylinder_law(self, n: int) -> CylinderLaw:
-        """Exact probability of every root-anchored path (Y_1, ..., Y_n).
+    def cylinder_law(self, n: int) -> DistributionTable:
+        """Exact probability of every root-anchored path (Y_1, ..., Y_n), keyed
+        by the path tuple (the root is implicit) in sorted order.
 
-        Exponential by design; this is the brute-force oracle that the
-        dynamic-programming routes are tested against.  Raises
-        ``BudgetExceededError`` before building any path when there are more
-        than ``DEFAULT_ATOM_BUDGET`` paths, counted level by level.
+        Exponential by design: the brute-force oracle that the dynamic-programming
+        routes are tested against.  Paths grow level by level by the int rows of
+        ``_exact_row``.  Raises ``BudgetExceededError`` before building any path
+        when there are more than ``DEFAULT_ATOM_BUDGET`` paths, counted level by level.
         """
         counts: dict[State, int] = {self.root: 1}
         for _ in range(n):
             nxt: dict[State, int] = defaultdict(int)
             for z, c in counts.items():
-                for y, q in self.successors(z):
-                    if q != 0:
-                        nxt[y] += c
+                for y, _ in self._exact_row(z)[1]:
+                    nxt[y] += c
             counts = nxt
         if sum(counts.values()) > DEFAULT_ATOM_BUDGET:
             raise BudgetExceededError(
                 f"cylinder law at horizon {n} exceeds atom budget {DEFAULT_ATOM_BUDGET}"
             )
-        atoms: dict[tuple, Prob] = {}
-        stack: list[tuple[tuple, Prob]] = [((self.root,), 1)]
-        while stack:
-            path, p = stack.pop()
-            if len(path) == n + 1:
-                atoms[path[1:]] = p
-                continue
-            for y, q in self.successors(path[-1]):
-                if q != 0:
-                    stack.append((path + (y,), p * q))
-        ordered = dict(sorted(atoms.items()))
-        return CylinderLaw(n, ordered)
+        paths: dict[tuple[State, ...], int] = {(self.root,): 1}
+        den = 1
+        for _ in range(n):
+            rows = {path[-1]: self._exact_row(path[-1]) for path in paths}
+            scale = math.lcm(*(row_den for row_den, _ in rows.values()))
+            nxt_paths: dict[tuple[State, ...], int] = {}
+            for path, num in paths.items():
+                row_den, row = rows[path[-1]]
+                num *= scale // row_den
+                for y, q in row:
+                    nxt_paths[path + (y,)] = num * q
+            paths, den = nxt_paths, den * scale
+        g = math.gcd(den, *paths.values())
+        return DistributionTable(n, {p[1:]: v // g for p, v in sorted(paths.items())}, den // g)
 
     # -- sampling ------------------------------------------------------------
 
@@ -537,29 +501,30 @@ def kernel_rows(
                     yield x, n, chain.kernel_row(x, n)
 
 
-def markov_property_check(law: CylinderLaw) -> CheckReport:
+def markov_property_check(law: DistributionTable) -> CheckReport:
     """Compare next-step conditionals given the full history and given the state.
 
-    Lists every triple (history, x_k, x_{k+1}) where the two conditionals
-    disagree; an empty report is equivalent to the Markov property for the
-    given horizon.
+    ``law`` is a path law.  Lists every triple (history, x_k, x_{k+1}) where
+    the two conditionals disagree; an empty report is equivalent to the Markov
+    property for the given horizon.  Each conditional is a ratio of two ``push``
+    tables, each in its own lowest terms, so the check compares cross-products.
     """
-    if law.horizon < 2:
-        raise ValueError(f"need horizon >= 2 to test the Markov property, got {law.horizon}")
+    if law.level < 2:
+        raise ValueError(f"need horizon >= 2 to test the Markov property, got {law.level}")
+    if sum(law.nums.values()) != law.den:
+        raise NonStochasticError(f"cylinder atoms sum to {format_prob(law.total())}")
     report = CheckReport("markov-property")
-    total = law.total()
-    if not probs_equal(total, 1):
-        raise NonStochasticError(f"cylinder atoms sum to {format_prob(total)}")
-    for k in range(1, law.horizon):
-        prefix_mass = law.prefix_masses(k)
-        extended_mass = law.prefix_masses(k + 1)
-        state_mass = law.marginal(k)
-        pair_mass = law.pair_marginal(k)
-        for ext, pm in sorted(extended_mass.items()):
-            if pm == 0:
-                continue
+    prefix = law.push(lambda path: path[:1])
+    for k in range(1, law.level):
+        extended = law.push(lambda path: path[: k + 1])
+        state = law.push(lambda path: path[k - 1])
+        pair = law.push(lambda path: path[k - 1 : k + 1])
+        for ext, num in sorted(extended.nums.items()):
             history, nxt = ext[:k], ext[k]
-            cond_history = pm / prefix_mass[history]
-            cond_state = pair_mass[(history[-1], nxt)] / state_mass[history[-1]]
-            report.record(lambda: f"history={history} -> {nxt}", cond_state, cond_history)
+            report.record_ratio(
+                lambda: f"history={history} -> {nxt}",
+                (pair.nums[ext[k - 1 :]] * state.den, pair.den * state.nums[ext[k - 1]]),
+                (num * prefix.den, extended.den * prefix.nums[history]),
+            )
+        prefix = extended
     return report

@@ -9,7 +9,7 @@ Configs are strict JSON: unknown keys are rejected, rationals travel as
 canonical (sorted keys, no timestamps) so a fixed config and seed yield
 byte-identical reports, regardless of worker count.  Exit status: 0 all
 checks pass, 1 check failure, 2 bad config or an ``--out`` path that cannot
-be written, 3 budget exceeded (level or kernel-pair count).
+be written, 3 budget exceeded (level, kernel-pair count or path-array size).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence
 
-from .chain import kernel_rows
+from .chain import DEFAULT_ATOM_BUDGET, kernel_rows
 from .compositions import alpha_walk, boundary_kernel, uniform_walk
 from .definetti import (
     MarkovSource,
@@ -348,6 +348,12 @@ def _run_kernel(config: RunConfig, report: Report) -> None:
 
 
 def _run_simulate(config: RunConfig, report: Report) -> None:
+    cells = (config.horizon + 1) * config.d
+    if cells > DEFAULT_ATOM_BUDGET:
+        raise BudgetExceededError(
+            f"horizon {config.horizon} needs a path array of {cells} counts, "
+            f"more than the atom budget {DEFAULT_ATOM_BUDGET}"
+        )
     if config.alpha is not None:
         walk = alpha_walk(config.alpha, level_budget=config.budget)
     else:

@@ -16,6 +16,7 @@ facts to sequences with values in [0, 1).
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
@@ -27,7 +28,7 @@ import numpy as np
 
 from .chain import (
     DEFAULT_ATOM_BUDGET,
-    CylinderLaw,
+    DistributionTable,
     GradedChain,
     State,
     markov_property_check,
@@ -36,7 +37,7 @@ from .chain import (
 from .compositions import product_moment, uniform_walk
 from .errors import BudgetExceededError, MartinWalkError, NonStochasticError, UnreachableStateError
 from .harmonic import HarmonicFn, cotransition_equality_check, h_transform, is_harmonic, recover_h
-from .prob import Prob, format_prob, probs_equal, validate_simplex
+from .prob import Prob, format_prob, is_exact, probs_equal, validate_simplex
 from .reports import CheckReport
 
 #: Markov sampling draws at most this many step-map entries (steps x d) at once
@@ -274,37 +275,46 @@ def _words(d: int, n: int) -> Iterator[tuple[int, ...]]:
     return itertools.product(range(1, d + 1), repeat=n)
 
 
-def source_cylinder_law(source, n: int) -> CylinderLaw:
-    """Exact joint law of (X_1, ..., X_n) as a cylinder table over words."""
-    atoms: dict[tuple, Prob] = {}
+def source_cylinder_law(source, n: int) -> DistributionTable:
+    """Exact joint law of (X_1, ..., X_n), keyed by word in lexicographic
+    order, over the lcm of the word probabilities' denominators (which leaves
+    it in lowest terms); a float word probability raises ``ValueError``."""
+    probs = {}
     for word in _words(source.d, n):
         p = source.word_probability(word)
-        if p != 0:
-            atoms[word] = p
-    law = CylinderLaw(n, atoms)
-    if not probs_equal(law.total(), 1):
+        if not is_exact(p):
+            raise ValueError(f"float word probability {p!r} of {word}: laws are exact")
+        if p:
+            probs[word] = p
+    den = math.lcm(*(p.denominator for p in probs.values()))
+    nums = {word: p.numerator * (den // p.denominator) for word, p in probs.items()}
+    law = DistributionTable(n, nums, den)
+    if sum(law.nums.values()) != den:
         raise NonStochasticError(
             f"word probabilities of {source.name} sum to {format_prob(law.total())}"
         )
     return law
 
 
-def counting_chain_law(source, n: int) -> CylinderLaw:
-    """Push-forward of the sequence law onto composition paths: a word maps to
-    its occurrence counts Y_k = (#{i <= k : X_i = j})_j for k = 1..n.
+def _count_paths(words: DistributionTable, d: int) -> DistributionTable:
+    """Push a word law onto composition paths, a word going to its occurrence
+    counts Y_k = (#{i <= k : X_i = j})_j, k = 1..n: a bijective re-keying,
+    since each step of the count path increments one coordinate."""
 
-    The count path reveals the word (each step increments one coordinate),
-    so this is a bijective re-keying of the word law.
-    """
-    atoms = {}
-    for word, p in source_cylinder_law(source, n).atoms.items():
-        counts = [0] * source.d
+    def count_path(word: tuple[int, ...]) -> tuple[State, ...]:
+        counts = [0] * d
         path = []
         for k, s in enumerate(word, 1):
             counts[s - 1] += 1
             path.append(State(k, tuple(counts)))
-        atoms[tuple(path)] = p
-    return CylinderLaw(n, dict(sorted(atoms.items())))
+        return tuple(path)
+
+    return words.push(count_path)
+
+
+def counting_chain_law(source, n: int) -> DistributionTable:
+    """Exact law of the count path (Y_1, ..., Y_n), pushed from the word law."""
+    return _count_paths(source_cylinder_law(source, n), source.d)
 
 
 def dead_symbols(source) -> tuple[int, ...]:
@@ -349,7 +359,7 @@ def counting_chain(source, horizon: int) -> GradedChain:
 # -- exchangeability and the two decisive counting-chain facts ----------------
 
 
-def cylinder_exchangeability_report(law: CylinderLaw) -> CheckReport:
+def cylinder_exchangeability_report(law: DistributionTable) -> CheckReport:
     """Permutation invariance of a sequence law, checked class by class.
 
     Within each multiset of symbols all orderings must carry equal mass
@@ -357,22 +367,20 @@ def cylinder_exchangeability_report(law: CylinderLaw) -> CheckReport:
     """
     report = CheckReport("exchangeability")
     seen: set[tuple] = set()
-    for word in sorted(law.atoms):
+    for word in sorted(law.nums):
         key = tuple(sorted(word))
         if key in seen:
             continue
         seen.add(key)
         orderings = sorted(set(itertools.permutations(key)))
-        reference = law.atoms.get(orderings[0], 0)
+        reference = (law.nums.get(orderings[0], 0), law.den)
         for other in orderings[1:]:
-            report.record(
-                lambda: f"permutation@{other} vs {orderings[0]}", reference, law.atoms.get(other, 0)
+            report.record_ratio(
+                lambda: f"permutation@{other} vs {orderings[0]}",
+                reference,
+                (law.nums.get(other, 0), law.den),
             )
     return report
-
-
-def exchangeability_report(source, n: int) -> CheckReport:
-    return cylinder_exchangeability_report(source_cylinder_law(source, n))
 
 
 def _counting_report(report: CheckReport, identity: str, source, n: int) -> CheckReport:
@@ -384,10 +392,11 @@ def _counting_report(report: CheckReport, identity: str, source, n: int) -> Chec
     return report
 
 
-def verify_counting_markov(source, n: int) -> CheckReport:
-    """Markov property of the counting process, from the exact path law."""
-    report = markov_property_check(counting_chain_law(source, n))
-    return _counting_report(report, "markov", source, n)
+def verify_counting_markov(source, words: DistributionTable) -> CheckReport:
+    """Markov property of the counting process, from the exact path law that
+    ``words``, the source's ``source_cylinder_law``, pushes onto count paths."""
+    report = markov_property_check(_count_paths(words, source.d))
+    return _counting_report(report, "markov", source, words.level)
 
 
 def verify_counting_cotransitions(source, n: int) -> CheckReport:
@@ -594,16 +603,12 @@ def lift_point_masses(masses: Mapping, depth: int) -> dict[tuple[int, ...], Prob
     return dict(sorted(out.items()))
 
 
-def lift_source_law(source, points: Sequence, depth: int, n: int) -> CylinderLaw:
+def lift_source_law(source, points: Sequence, depth: int, n: int) -> DistributionTable:
     """Law of the digit-truncated sequence when symbol s stands for points[s-1]."""
     if len(points) != source.d:
         raise ValueError("need one point per symbol")
     digit_of = {s: binary_digits(points[s - 1], depth) for s in range(1, source.d + 1)}
-    word_law = source_cylinder_law(source, n)
-    atoms: dict[tuple, Prob] = defaultdict(int)
-    for word, p in word_law.atoms.items():
-        atoms[tuple(digit_of[s] for s in word)] += p
-    return CylinderLaw(n, dict(sorted(atoms.items())))
+    return source_cylinder_law(source, n).push(lambda word: tuple(digit_of[s] for s in word))
 
 
 def projection_consistency_check(law_deeper: Mapping, law_shallower: Mapping) -> CheckReport:

@@ -138,16 +138,20 @@ def h_transform(chain: GradedChain, h: HarmonicFn) -> HTransformChain:
 
 
 def density_ratio_check(base: GradedChain, transformed: HTransformChain, n: int) -> CheckReport:
-    """Check P_h(path) = h(x_n) P(path) for every positive base path of length n."""
+    """Check P_h(path) = h(x_n) P(path) for every positive base path of length n
+    by cross-products of the two path laws' numerators, h read once per end state."""
     h = transformed.h
     base_law = base.cylinder_law(n)
     transformed_law = transformed.cylinder_law(n)
     report = CheckReport(f"density-ratio[{transformed.name}]@{n}")
-    for path, p in base_law.atoms.items():
-        if p == 0:
-            continue
-        lifted = transformed_law.atoms.get(path, 0)
-        report.record(lambda: f"path={path}", h(path[-1]) * p, lifted)
+    h_end = {x: h(x) for x in {path[-1] for path in base_law.nums}}
+    for path, p in base_law.nums.items():
+        hx = h_end[path[-1]]
+        report.record_ratio(
+            lambda: f"path={path}",
+            (hx.numerator * p, hx.denominator * base_law.den),
+            (transformed_law.nums.get(path, 0), transformed_law.den),
+        )
     return report
 
 

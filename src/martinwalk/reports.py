@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Union
 
 from .prob import Prob, format_prob, probs_equal, residual
@@ -58,6 +59,16 @@ class CheckReport:
     def record(self, site: Site, expected: Prob, actual: Prob) -> None:
         """Compare one identity instance under the one equality rule."""
         self.require(site, probs_equal(expected, actual), expected, actual)
+
+    def record_ratio(self, site: Site, expected: tuple[int, int], actual: tuple[int, int]) -> None:
+        """``record`` for expected a / b and actual c / d, given as int pairs
+        with b, d > 0: the check is a * d == c * b, and only a failure builds
+        the ``Fraction``s it keeps."""
+        (a, b), (c, d) = expected, actual
+        if a * d == c * b:
+            self.checked += 1
+        else:
+            self.record(site, Fraction(a, b), Fraction(c, d))
 
     def absorb(self, sub: CheckReport) -> None:
         """Merge another report's checks and violations into this one."""

@@ -31,11 +31,11 @@ from .definetti import (
     cylinder_exchangeability_report,
     definetti_identity_check,
     dirichlet_moment,
-    exchangeability_report,
     lift_point_masses,
     lift_source_law,
     projection_consistency_check,
     reconstruct_real,
+    source_cylinder_law,
     verify_counting_cotransitions,
     verify_counting_markov,
 )
@@ -152,7 +152,7 @@ def expectation_identity_report(d: int, max_level: int) -> CheckReport:
     """sum_y K(x, y) P(Y_n = y) = 1 for every x and horizon."""
     chain = uniform_walk(d, level_budget=max_level)
     report = CheckReport(f"kernel-expectation[d={d}]<= {max_level}")
-    laws = [chain.forward_law(n).probs for n in range(max_level + 1)]
+    laws = [chain.forward_law(n).atoms for n in range(max_level + 1)]
     for x, n, row in kernel_rows(chain, max_level):
         total = sum(k * laws[n][y] for y, k in row.items() if k)
         report.record(lambda: f"expectation@({x}; n={n})", 1, total)
@@ -160,12 +160,14 @@ def expectation_identity_report(d: int, max_level: int) -> CheckReport:
 
 
 def oracle_equivalence_report(chain: GradedChain, horizon: int) -> CheckReport:
-    """Forward, conditional and backward laws against brute-force path enumeration."""
+    """Forward, conditional and backward laws against brute-force path
+    enumeration: path masses are summed as numerators over the path law's
+    one denominator, and each check compares cross-products."""
     law = chain.cylinder_law(horizon)
     report = CheckReport(f"oracle-equivalence[{chain.name}]@{horizon}")
-    joint: dict[tuple[State, State], Prob] = {}
-    marginal: dict[State, Prob] = {chain.root: 1}
-    for path, p in law.atoms.items():
+    joint: dict[tuple[State, State], int] = {}
+    marginal: dict[State, int] = {chain.root: law.den}
+    for path, p in law.nums.items():
         states = (chain.root,) + path
         for i, x in enumerate(states):
             if i:
@@ -176,19 +178,18 @@ def oracle_equivalence_report(chain: GradedChain, horizon: int) -> CheckReport:
     for k in range(horizon + 1):
         table = chain.forward_law(k)
         for x in chain.enumerate_level(k):
-            report.record(lambda: f"forward@{x}", table.prob(x), marginal.get(x, 0))
+            expected = (table.nums.get(x, 0), table.den)
+            report.record_ratio(lambda: f"forward@{x}", expected, (marginal.get(x, 0), law.den))
     for (x, y), mass in sorted(joint.items()):
-        base = 1 if x == chain.root else marginal.get(x, 0)
-        report.record(
-            lambda: f"conditional@({x} -> {y})",
-            chain.conditional_forward(x, y),
-            mass / base,
-        )
+        cond = chain.conditional_law(x, y.level)
+        expected = (cond.nums.get(y, 0), cond.den)
+        report.record_ratio(lambda: f"conditional@({x} -> {y})", expected, (mass, marginal[x]))
         if y.level == x.level + 1:
-            report.record(
+            back = chain.cotransition(y, x)
+            report.record_ratio(
                 lambda: f"cotransition@({y} -> {x})",
-                chain.cotransition(y, x),
-                mass / marginal[y],
+                (back.numerator, back.denominator),
+                (mass, marginal[y]),
             )
     return report
 
@@ -280,11 +281,11 @@ def transform_identity_reports(
         out.append(cotransition_equality_check(base, walk, max_level))
         walk_law = walk.cylinder_law(max_level)
         transformed_law = transformed.cylinder_law(max_level)
-        for path in sorted(set(walk_law.atoms) | set(transformed_law.atoms)):
-            equivalence.record(
+        for path in sorted(set(walk_law.nums) | set(transformed_law.nums)):
+            equivalence.record_ratio(
                 lambda: f"path@{path}",
-                walk_law.atoms.get(path, 0),
-                transformed_law.atoms.get(path, 0),
+                (walk_law.nums.get(path, 0), walk_law.den),
+                (transformed_law.nums.get(path, 0), transformed_law.den),
             )
         recovered = recover_h(base, walk, max_level)
         for n in range(max_level + 1):
@@ -313,21 +314,16 @@ def representation_report(d: int, horizon: int, alphas: Sequence[tuple[Prob, ...
 
 
 def lemma_reports(d: int, horizon: int) -> list[CheckReport]:
-    """Markov property and universal cotransitions for the standard exchangeable
-    sources, plus the non-exchangeable negative control (which must fail both)."""
-    mixture = standard_mixture(d)
-    urn = PolyaUrnSource((1,) * d)
-    out = [
-        exchangeability_report(mixture, min(horizon, 6)),
-        exchangeability_report(urn, min(horizon, 6)),
-        verify_counting_markov(mixture, horizon),
-        verify_counting_cotransitions(mixture, horizon),
-        verify_counting_markov(urn, horizon),
-        verify_counting_cotransitions(urn, horizon),
-    ]
+    """Exchangeability, Markov property and universal cotransitions of the standard
+    sources, one word law each, plus the negative control (which must fail the last two)."""
+    sources = (standard_mixture(d), PolyaUrnSource((1,) * d))
+    words = [source_cylinder_law(source, horizon) for source in sources]
+    out = [cylinder_exchangeability_report(law) for law in words]
+    for source, law in zip(sources, words):
+        out += [verify_counting_markov(source, law), verify_counting_cotransitions(source, horizon)]
     control = standard_negative_control()
     negative = CheckReport("negative-control-detected")
-    markov_rep = verify_counting_markov(control, min(horizon, 6))
+    markov_rep = verify_counting_markov(control, source_cylinder_law(control, min(horizon, 6)))
     cotrans_rep = verify_counting_cotransitions(control, min(horizon, 6))
     # expected: at least one violation each; record the violation counts
     negative.require("markov-check-should-fail", not markov_rep.ok, 1, len(markov_rep.violations))

@@ -15,7 +15,7 @@ import pytest
 import martinwalk.chain
 from martinwalk import (
     BudgetExceededError,
-    CylinderLaw,
+    DistributionTable,
     GradedChain,
     MixtureSource,
     NonStochasticError,
@@ -29,6 +29,7 @@ from martinwalk import (
     h_transform,
     kernel_rows,
     markov_property_check,
+    source_cylinder_law,
     uniform_walk,
 )
 from martinwalk.suites import full_verification, oracle_equivalence_report, standard_mixture
@@ -141,15 +142,16 @@ class TestKernelRows:
 class TestConditionalForward:
     def test_same_state(self, walk2):
         x = comp_state((1, 1))
-        assert walk2.conditional_forward(x, x) == 1
+        assert walk2.conditional_law(x, x.level).prob(x) == 1
 
     def test_two_steps(self, walk2):
         # from (1,0) two of four continuations reach (2,1)
-        assert walk2.conditional_forward(comp_state((1, 0)), comp_state((2, 1))) == Fraction(1, 2)
+        law = walk2.conditional_law(comp_state((1, 0)), 3)
+        assert law.prob(comp_state((2, 1))) == Fraction(1, 2)
 
     def test_impossible_target(self, walk2):
         # a coordinate can never decrease
-        assert walk2.conditional_forward(comp_state((0, 1)), comp_state((3, 0))) == 0
+        assert walk2.conditional_law(comp_state((0, 1)), 3).prob(comp_state((3, 0))) == 0
 
     def test_unreachable_conditioning(self):
         # only the single path (k, 0) is reachable under the degenerate walk
@@ -225,11 +227,24 @@ class TestCylinderLaw:
         path = (comp_state((1, 0)), comp_state((2, 0)))
         assert law.atoms[path] == Fraction(1, 4)
 
-    def test_marginal_matches_forward_law(self, walk2):
-        law = walk2.cylinder_law(3)
-        marginal = law.marginal(3)
-        table = walk2.forward_law(3)
-        assert marginal == dict(table.items())
+    @pytest.mark.parametrize(
+        "chain",
+        [
+            uniform_walk(2, level_budget=4),
+            alpha_walk(MIXED, level_budget=4),
+            h_transform(uniform_walk(3, level_budget=4), boundary_harmonic(MIXED)),
+        ],
+        ids=["uniform", "mixed-denominators", "h-transform"],
+    )
+    def test_marginal_matches_forward_law(self, chain):
+        law = chain.cylinder_law(4)
+        for k in range(1, 5):
+            marginal = law.push(lambda path: path[k - 1])
+            assert marginal.nums == chain.forward_law(k).nums
+            assert marginal.den == chain.forward_law(k).den
+        for table in (law, *(law.push(lambda path: path[:k]) for k in range(4))):
+            assert math.gcd(table.den, *table.nums.values()) == 1
+            assert sum(table.nums.values()) == table.den
 
     def test_atom_budget(self, walk2, monkeypatch):
         monkeypatch.setattr(martinwalk.chain, "DEFAULT_ATOM_BUDGET", 10)
@@ -321,6 +336,10 @@ class TestIntegerLaws:
             chain.forward_law(2)
         with pytest.raises(ValueError, match="float step probability"):
             chain.conditional_law(chain.root, 3)
+        with pytest.raises(ValueError, match=r"float step probability 0\.2 at \(0, 0, 0\)@0 -> "):
+            walk.cylinder_law(2)
+        with pytest.raises(ValueError, match=r"float word probability 0\.2\d* of \(1, 1\)"):
+            source_cylinder_law(mixture, 2)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_kernel_row_matches_pairs_and_closed_form(self, d):
@@ -355,7 +374,7 @@ class TestMarkovPropertyCheck:
     def test_two_atom_violation(self):
         a = (comp_state((1, 0)), comp_state((1, 1)), comp_state((2, 1)))
         b = (comp_state((0, 1)), comp_state((1, 1)), comp_state((1, 2)))
-        law = CylinderLaw(3, {a: Fraction(1, 2), b: Fraction(1, 2)})
+        law = DistributionTable(3, {a: 1, b: 1}, 2)
         report = markov_property_check(law)
         assert not report.ok
         # conditioned on the full history the next step is certain, on the
@@ -364,7 +383,7 @@ class TestMarkovPropertyCheck:
         assert Fraction(1, 2) in residuals
 
     def test_malformed_law(self):
-        law = CylinderLaw(2, {(comp_state((1, 0)), comp_state((2, 0))): Fraction(1, 2)})
+        law = DistributionTable(2, {(comp_state((1, 0)), comp_state((2, 0))): 1}, 2)
         with pytest.raises(NonStochasticError):
             markov_property_check(law)
 

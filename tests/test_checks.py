@@ -17,10 +17,16 @@ import pytest
 
 from martinwalk import suites
 from martinwalk.chain import GradedChain, State
-from martinwalk.compositions import uniform_walk
-from martinwalk.harmonic import HarmonicFn, is_harmonic
+from martinwalk.compositions import alpha_walk, boundary_harmonic, uniform_walk
+from martinwalk.definetti import (
+    cylinder_exchangeability_report,
+    source_cylinder_law,
+    verify_counting_markov,
+)
+from martinwalk.harmonic import HarmonicFn, density_ratio_check, h_transform, is_harmonic
 from martinwalk.prob import format_prob
 from martinwalk.reports import CheckReport, Violation
+from martinwalk.suites import standard_negative_control
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "martinwalk"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "reports.py")
@@ -150,6 +156,49 @@ def _zero_reconstruction(monkeypatch):
     return suites.digit_roundtrip_report(points=4, depth=3)
 
 
+_THIRDS = (Fraction(1, 3), Fraction(2, 3))
+_HALVES = (Fraction(1, 2), Fraction(1, 2))
+
+
+def _swapped_h():
+    """An h-transform whose ``h`` is replaced by the constant boundary h of (1/2, 1/2)."""
+    base = uniform_walk(2, level_budget=2)
+    transformed = h_transform(base, boundary_harmonic(_THIRDS))
+    transformed.h = boundary_harmonic(_HALVES)
+    return density_ratio_check(base, transformed, 2)
+
+
+def _base_paths_oracle():
+    """The oracle reads the base walk's path law for the h-transform's DP laws."""
+    base = uniform_walk(2, level_budget=2)
+    transformed = h_transform(base, boundary_harmonic(_THIRDS))
+    transformed.cylinder_law = base.cylinder_law
+    return suites.oracle_equivalence_report(transformed, 2)
+
+
+def _uniform_alpha_walk(monkeypatch):
+    """Every alpha walk is the uniform one, so its paths miss the h-transform's."""
+    monkeypatch.setattr(
+        suites, "alpha_walk", lambda alpha, level_budget: alpha_walk(_HALVES, level_budget)
+    )
+    return suites.transform_identity_reports(2, 2, [_THIRDS])[-2]
+
+
+#: the violation sites of the control's counting path law at horizon 3
+_CONTROL_HISTORIES = (
+    "history=(State(level=1, payload=(0, 1)), State(level=2, payload=(1, 1)))",
+    "history=(State(level=1, payload=(1, 0)), State(level=2, payload=(1, 1)))",
+)
+
+#: the four paths of the d=2 walk at horizon 2, as the density and path sites print them
+_PATHS = (
+    "(State(level=1, payload=(0, 1)), State(level=2, payload=(0, 2)))",
+    "(State(level=1, payload=(0, 1)), State(level=2, payload=(1, 1)))",
+    "(State(level=1, payload=(1, 0)), State(level=2, payload=(1, 1)))",
+    "(State(level=1, payload=(1, 0)), State(level=2, payload=(2, 0)))",
+)
+_THIRDS_PATH_LAW = ("4/9", "2/9", "2/9", "1/9")
+
 FAILURES = {
     "weak-irreducibility": (
         lambda mp: _skip_b_chain().check_weak_irreducibility(1),
@@ -235,6 +284,65 @@ FAILURES = {
             ("markov-check-should-fail", "1/1", "0/1"),
             ("cotransition-check-should-fail", "1/1", "0/1"),
         ],
+    ),
+    "control-counting-markov": (
+        lambda mp: verify_counting_markov(
+            standard_negative_control(), source_cylinder_law(standard_negative_control(), 3)
+        ),
+        "counting-markov[markov[d=2]]@3",
+        12,
+        [
+            (f"{_CONTROL_HISTORIES[0]} -> (1, 2)@3", "2/3", "1/3"),
+            (f"{_CONTROL_HISTORIES[0]} -> (2, 1)@3", "1/3", "2/3"),
+            (f"{_CONTROL_HISTORIES[1]} -> (1, 2)@3", "2/3", "5/6"),
+            (f"{_CONTROL_HISTORIES[1]} -> (2, 1)@3", "1/3", "1/6"),
+        ],
+    ),
+    "control-exchangeability": (
+        lambda mp: cylinder_exchangeability_report(
+            source_cylinder_law(standard_negative_control(), 3)
+        ),
+        "exchangeability",
+        4,
+        [
+            ("permutation@(1, 2, 1) vs (1, 1, 2)", "1/9", "1/36"),
+            ("permutation@(2, 1, 1) vs (1, 1, 2)", "1/9", "1/18"),
+            ("permutation@(2, 1, 2) vs (1, 2, 2)", "5/36", "1/36"),
+            ("permutation@(2, 2, 1) vs (1, 2, 2)", "5/36", "5/72"),
+        ],
+    ),
+    "density-ratio-swapped-h": (
+        lambda mp: _swapped_h(),
+        "density-ratio[h-transform[K(.,('1/3', '2/3'))](uniform-walk(d=2))]@2",
+        4,
+        [(f"path={path}", "1/4", p) for path, p in zip(_PATHS, _THIRDS_PATH_LAW)],
+    ),
+    "oracle-base-paths": (
+        lambda mp: _base_paths_oracle(),
+        "oracle-equivalence[h-transform[K(.,('1/3', '2/3'))](uniform-walk(d=2))]@2",
+        21,
+        [
+            ("forward@(0, 1)@1", "2/3", "1/2"),
+            ("forward@(1, 0)@1", "1/3", "1/2"),
+            ("forward@(0, 2)@2", "4/9", "1/4"),
+            ("forward@(1, 1)@2", "4/9", "1/2"),
+            ("forward@(2, 0)@2", "1/9", "1/4"),
+            ("conditional@((0, 0)@0 -> (0, 1)@1)", "2/3", "1/2"),
+            ("conditional@((0, 0)@0 -> (1, 0)@1)", "1/3", "1/2"),
+            ("conditional@((0, 0)@0 -> (0, 2)@2)", "4/9", "1/4"),
+            ("conditional@((0, 0)@0 -> (1, 1)@2)", "4/9", "1/2"),
+            ("conditional@((0, 0)@0 -> (2, 0)@2)", "1/9", "1/4"),
+            ("conditional@((0, 1)@1 -> (0, 2)@2)", "2/3", "1/2"),
+            ("conditional@((0, 1)@1 -> (1, 1)@2)", "1/3", "1/2"),
+            ("conditional@((1, 0)@1 -> (1, 1)@2)", "2/3", "1/2"),
+            ("conditional@((1, 0)@1 -> (2, 0)@2)", "1/3", "1/2"),
+        ],
+    ),
+    "alpha-walk-uniform": (
+        _uniform_alpha_walk,
+        "alpha-walk-equivalence[d=2]@2",
+        4,
+        [(f"path@{path}", "1/4", p) for path, p in zip(_PATHS, _THIRDS_PATH_LAW)],
     ),
     "digit-roundtrip-zero": (
         _zero_reconstruction,

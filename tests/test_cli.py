@@ -624,6 +624,17 @@ class TestRegressions:
         err = capsys.readouterr().err
         assert err.startswith("error: horizon must be at most 2**63 - 1") and "Traceback" not in err
 
+    def test_unallocatable_simulate_horizon_exits_3(self, tmp_path, capsys):
+        # one path array of (2**62 + 1) x 2 counts used to end in numpy's ValueError
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "r.json"
+        doc = dict(HORIZON_KEYS["simulate"], command="simulate", horizon=2**62)
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: horizon 4611686018427387904 needs a path array")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out.exists()  # rejected before a byte of the report is written
+
     def test_largest_horizon_estimates(self, tmp_path):
         # the urn draws Y_n in O(d) per replicate, whatever the horizon
         cfg_path, out = tmp_path / "cfg.json", tmp_path / "r.json"

@@ -26,7 +26,6 @@ from martinwalk import (
     definetti_identity_check,
     dirichlet_moment,
     estimate_directing_measure,
-    exchangeability_report,
     ks_distance_uniform,
     lift_point_masses,
     lift_source_law,
@@ -75,15 +74,13 @@ class TestSourceCylinderLaw:
         [
             lambda: source_cylinder_law(MIX, 30),
             lambda: counting_chain_law(MIX, 30),
-            lambda: exchangeability_report(MIX, 30),
-            lambda: verify_counting_markov(MIX, 30),
+            lambda: verify_counting_markov(MIX, source_cylinder_law(MIX, 30)),
             lambda: definetti_identity_check(MIX, 30),
             lambda: lift_source_law(MIX, (Fraction(5, 8), Fraction(1, 4)), 2, 30),
         ],
         ids=[
             "source_cylinder_law",
             "counting_chain_law",
-            "exchangeability_report",
             "verify_counting_markov",
             "definetti_identity_check",
             "lift_source_law",
@@ -105,7 +102,7 @@ class TestExchangeability:
     def test_sources_are_exchangeable(self):
         for src in (MIX, POLYA):
             for n in (3, 5, 6):
-                report = exchangeability_report(src, n)
+                report = cylinder_exchangeability_report(source_cylinder_law(src, n))
                 assert report.ok, str(report)
 
     def test_explicit_permutations(self):
@@ -116,7 +113,7 @@ class TestExchangeability:
                 assert law.atoms.get(word, 0) == law.atoms.get(permuted, 0)
 
     def test_markov_control_not_exchangeable(self):
-        assert not exchangeability_report(CONTROL, 3).ok
+        assert not cylinder_exchangeability_report(source_cylinder_law(CONTROL, 3)).ok
 
 
 class TestCountingPath:
@@ -144,7 +141,7 @@ class TestCountingChainLaw:
 
     def test_polya_level_two(self):
         law = counting_chain_law(POLYA, 2)
-        mass = law.marginal(2)
+        mass = law.push(lambda path: path[1]).atoms
         assert mass[comp_state((1, 1))] == Fraction(1, 3)
 
     def test_two_delta_mixture(self):
@@ -153,16 +150,16 @@ class TestCountingChainLaw:
             weights=(Fraction(1, 2), Fraction(1, 2)),
         )
         law = counting_chain_law(src, 2)
-        assert law.marginal(2)[comp_state((2, 0))] == Fraction(1, 2)
+        assert law.push(lambda path: path[1]).prob(comp_state((2, 0))) == Fraction(1, 2)
 
 
 class TestLemma:
     def test_mixture_counting_is_markov(self):
-        report = verify_counting_markov(MIX, 6)
+        report = verify_counting_markov(MIX, source_cylinder_law(MIX, 6))
         assert report.ok, str(report)
 
     def test_polya_counting_is_markov_with_urn_transitions(self):
-        assert verify_counting_markov(POLYA, 6).ok
+        assert verify_counting_markov(POLYA, source_cylinder_law(POLYA, 6)).ok
         chain = counting_chain(POLYA, 6)
         for k in range(5):
             for y in chain.enumerate_level(k):
@@ -177,17 +174,16 @@ class TestLemma:
 
     def test_polya_specific_cotransition(self):
         law = counting_chain_law(POLYA, 2)
-        pair = law.pair_marginal(1)
-        joint = pair[(comp_state((1, 0)), comp_state((1, 1)))]
-        assert joint / law.marginal(2)[comp_state((1, 1))] == Fraction(1, 2)
+        joint = law.prob((comp_state((1, 0)), comp_state((1, 1))))
+        assert joint / law.push(lambda path: path[1]).prob(comp_state((1, 1))) == Fraction(1, 2)
 
     def test_negative_control_fails_both(self):
-        assert not verify_counting_markov(CONTROL, 6).ok
+        assert not verify_counting_markov(CONTROL, source_cylinder_law(CONTROL, 6)).ok
         assert not verify_counting_cotransitions(CONTROL, 6).ok
 
     def test_dead_symbol_note(self):
         src = MixtureSource(atoms=((Fraction(1), Fraction(0)),), weights=(Fraction(1),))
-        report = verify_counting_markov(src, 4)
+        report = verify_counting_markov(src, source_cylinder_law(src, 4))
         assert report.ok
         assert any("never occur" in note for note in report.notes)
 
@@ -212,11 +208,12 @@ def extracted_rows(source, n):
     """Level families and rows of the counting chain read off the d^n path law."""
     law = counting_chain_law(source, n)
     root = State(0, (0,) * source.d)
-    masses = [{root: Fraction(1)}] + [law.marginal(k) for k in range(1, n + 1)]
+    masses = [{root: Fraction(1)}]
+    masses += [law.push(lambda path: path[k - 1]).atoms for k in range(1, n + 1)]
     families = [tuple(sorted(x for x, p in mass.items() if p != 0)) for mass in masses]
     rows = {root: {y: p for y, p in masses[1].items() if p != 0}}
     for k in range(1, n):
-        for (x, y), p in law.pair_marginal(k).items():
+        for (x, y), p in law.push(lambda path: path[k - 1 : k + 1]).items():
             if p != 0:
                 rows.setdefault(x, {})[y] = p / masses[k][x]
     return families, rows

@@ -68,7 +68,8 @@ def dirichlet_multinomial_pmf(initial, counts) -> Fraction:
 
 
 def exact_final_law(source, n: int) -> dict[tuple, Fraction]:
-    return {s.payload: p for s, p in counting_chain_law(source, n).marginal(n).items()}
+    final = counting_chain_law(source, n).push(lambda path: path[-1])
+    return {s.payload: p for s, p in final.items()}
 
 
 def walk_final_law(walk: GradedChain, n: int) -> dict[tuple, Fraction]:
@@ -101,7 +102,7 @@ class TestDirichletMultinomialLaw:
     def test_pmf_equals_counting_chain_marginals(self, initial):
         law = counting_chain_law(PolyaUrnSource(initial), 8)
         for n in range(1, 9):
-            marginal = {s.payload: p for s, p in law.marginal(n).items()}
+            marginal = {s.payload: p for s, p in law.push(lambda path: path[n - 1]).items()}
             assert set(marginal) == set(compositions(len(initial), n))
             residuals = [p - dirichlet_multinomial_pmf(initial, y) for y, p in marginal.items()]
             assert all(r == 0 for r in residuals)

@@ -6,6 +6,8 @@ import inspect
 import types
 from pathlib import Path
 
+from martinwalk import PolyaUrnSource, source_cylinder_law, uniform_walk
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -31,3 +33,20 @@ def test_every_target_resolves_on_the_package():
         if count == "replicates":
             # the count reads (start, stop) from the positional arguments
             assert list(inspect.signature(target).parameters)[3:5] == ["start", "stop"]
+
+
+#: attr of each target counted as "atoms" -> a real law it returns, and its path or word count
+ATOM_LAWS = {
+    "GradedChain.cylinder_law": (lambda: uniform_walk(2, level_budget=3).cylinder_law(3), 8),
+    "source_cylinder_law": (lambda: source_cylinder_law(PolyaUrnSource((1, 1, 1)), 3), 27),
+}
+
+
+def test_atom_count_reads_real_laws():
+    """A renamed ``atoms`` fails here, not in a traced run."""
+    tracer = load_tracer()
+    counted = [attr for _, attr, _, count in tracer.TARGETS if count == "atoms"]
+    assert sorted(counted) == sorted(ATOM_LAWS)
+    for attr in counted:
+        build, size = ATOM_LAWS[attr]
+        assert tracer.COUNTS["atoms"]((), build()) == size
