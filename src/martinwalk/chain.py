@@ -183,15 +183,12 @@ class GradedChain:
         The unique level-0 state.
     family:
         Maps a level n to the complete enumeration of F_n, in a fixed
-        deterministic (lexicographic) order.  Only consulted for levels
-        up to ``level_budget``.
+        deterministic (lexicographic) order.  Any level may be asked for:
+        what a level costs is for the caller to admit.
     successors:
         Maps a state at level n to its (state, probability) row at level
         n+1.  Every law built here needs exact rows: a float step
         probability raises ``ValueError`` there.
-    level_budget:
-        Maximum level for exact enumeration (family calls, forward laws,
-        kernels).
     sampler:
         Optional ``CountSampler`` for chains whose payloads are count
         vectors; ``sample_path`` reads its path arrays as states, and a
@@ -212,12 +209,10 @@ class GradedChain:
         root: State,
         family: Callable[[int], Sequence[State]],
         successors: Callable[[State], Successors],
-        level_budget: int,
         name: str = "chain",
         sampler: Optional[CountSampler] = None,
     ):
         self.root = root
-        self.level_budget = level_budget
         self.name = name
         self._family = family
         self._successors = successors
@@ -233,7 +228,7 @@ class GradedChain:
         self._cotransitions: dict[tuple[State, State], Prob] = {}
 
     def __repr__(self) -> str:
-        return f"GradedChain({self.name!r}, budget={self.level_budget})"
+        return f"GradedChain({self.name!r})"
 
     # -- enumeration and one-step law ------------------------------------
 
@@ -241,10 +236,6 @@ class GradedChain:
         """The complete enumeration of F_n in deterministic order."""
         if n < 0:
             raise ValueError(f"negative level {n}")
-        if n > self.level_budget:
-            raise BudgetExceededError(
-                f"level {n} exceeds enumeration budget {self.level_budget} for {self.name}"
-            )
         if n not in self._levels:
             states = tuple(self._family(n))
             for s in states:
@@ -269,8 +260,7 @@ class GradedChain:
                 raise NonStochasticError(f"negative step probability at {x} -> {y}")
             if y.level != x.level + 1:
                 raise ValueError(f"successor {y} of {x} is not one level up")
-        if x.level < self.level_budget:
-            self._rows[x] = row
+        self._rows[x] = row
         return row
 
     def _exact_row(self, x: State) -> tuple[int, tuple[tuple[State, int], ...]]:
@@ -336,19 +326,11 @@ class GradedChain:
 
     def forward_law(self, n: int) -> DistributionTable:
         """P(Y_n = .) by level-by-level dynamic programming from the root."""
-        if n > self.level_budget:
-            raise BudgetExceededError(
-                f"forward law at level {n} exceeds budget {self.level_budget}"
-            )
         memo = self._cond[self.root]
         return memo[n] if n in memo else self._propagate(memo, n)
 
     def conditional_law(self, x: State, n: int) -> DistributionTable:
         """P(Y_n = . | Y_m = x) for x at level m <= n."""
-        if n > self.level_budget:
-            raise BudgetExceededError(
-                f"conditional law at level {n} exceeds budget {self.level_budget}"
-            )
         if x.level > n:
             raise ValueError(f"conditional horizon {n} below level of {x}")
         if x not in self.forward_law(x.level):

@@ -51,6 +51,9 @@ MAX_EXACT_BUDGET = 12
 #: at budget 10 (592,878 pairs) is not.
 MAX_KERNEL_PAIRS = 150_000
 
+#: deepest ``lift``: from depth 14,284 Python refuses to print its 2**-depth residual
+MAX_LIFT_DEPTH = 10_000
+
 _COMMON_KEYS = {"command", "seed", "workers", "out", "format", "mode"}
 _COMMAND_KEYS = {
     "verify": {"d", "budget"},
@@ -90,19 +93,19 @@ _JSON_CELL = {str: encode_basestring_ascii, int: int.__repr__}
 @dataclass(frozen=True)
 class RunConfig:
     command: str
-    seed: int = 0
-    workers: int = 1
-    mode: str = "exact"
-    d: int = 2
-    budget: int = 6
-    alpha: Optional[tuple[Prob, ...]] = None
-    source: Optional[object] = None
-    horizon: int = 1000
-    replicates: int = 100
-    points: tuple[Prob, ...] = ()
-    depth: int = 8
-    out: Optional[str] = None
-    format: str = "json"
+    seed: int
+    workers: int
+    mode: str
+    d: int
+    budget: int
+    alpha: Optional[tuple[Prob, ...]]
+    source: Optional[object]
+    horizon: int
+    replicates: int
+    points: tuple[Prob, ...]
+    depth: int
+    out: Optional[str]
+    format: str
 
     def echo(self) -> dict:
         """Resolved semantic parameters, seed always explicit.
@@ -264,19 +267,22 @@ def parse_config(text: str, overrides: Optional[dict] = None) -> RunConfig:
     horizon = _require_int(doc, "horizon", 1000, minimum=1)
     if horizon >= 2**63:  # numpy draws sizes and counts as int64
         raise ConfigError(f"horizon must be at most 2**63 - 1, got {horizon}")
+    depth = _require_int(doc, "depth", 8, minimum=1)
+    if depth > MAX_LIFT_DEPTH:
+        raise ConfigError(f"depth must be at most {MAX_LIFT_DEPTH}, got {depth}")
     return RunConfig(
         command=command,
         seed=_require_int(doc, "seed", 0),
         workers=_require_int(doc, "workers", 1, minimum=1),
         mode=mode,
         d=d_value,
-        budget=_require_int(doc, "budget", 6, minimum=1),
+        budget=_require_int(doc, "budget", 6, minimum=2 if command == "verify" else 1),
         alpha=alpha,
         source=source,
         horizon=horizon,
         replicates=_require_int(doc, "replicates", 100, minimum=1),
         points=points,
-        depth=_require_int(doc, "depth", 8, minimum=1),
+        depth=depth,
         out=out,
         format=fmt,
     )
@@ -331,7 +337,7 @@ def _run_verify(config: RunConfig, report: Report) -> None:
 
 def _run_kernel(config: RunConfig, report: Report) -> None:
     _check_budget(config)
-    chain = uniform_walk(config.d, level_budget=config.budget)
+    chain = uniform_walk(config.d)
     report.fields = ("kind", "x", "m", "y", "n", "value")
 
     def rows() -> Iterator[tuple]:
@@ -354,10 +360,7 @@ def _run_simulate(config: RunConfig, report: Report) -> None:
             f"horizon {config.horizon} needs a path array of {cells} counts, "
             f"more than the atom budget {DEFAULT_ATOM_BUDGET}"
         )
-    if config.alpha is not None:
-        walk = alpha_walk(config.alpha, level_budget=config.budget)
-    else:
-        walk = uniform_walk(config.d, level_budget=config.budget)
+    walk = uniform_walk(config.d) if config.alpha is None else alpha_walk(config.alpha)
     report.fields = ("replicate", "step", *(f"part_{i + 1}" for i in range(config.d)))
 
     def rows() -> Iterator[tuple]:

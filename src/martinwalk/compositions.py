@@ -84,7 +84,7 @@ class StepSampler:
         )
 
 
-def _walk(alpha: tuple[Prob, ...], level_budget: int, name: str) -> GradedChain:
+def _walk(alpha: tuple[Prob, ...], name: str) -> GradedChain:
     d = len(alpha)
     live = tuple(j for j in range(d) if alpha[j] != 0)
     dead = tuple(j for j in range(d) if alpha[j] == 0)
@@ -110,24 +110,23 @@ def _walk(alpha: tuple[Prob, ...], level_budget: int, name: str) -> GradedChain:
         root=State(0, (0,) * d),
         family=family,
         successors=successors,
-        level_budget=level_budget,
         name=name,
         sampler=StepSampler(tuple(float(a) for a in alpha)),
     )
 
 
-def uniform_walk(d: int, level_budget: int = 12) -> GradedChain:
+def uniform_walk(d: int) -> GradedChain:
     """The walk with uniformly distributed unit-vector steps."""
     if d < 1:
         raise ValueError("need at least one part")
     alpha = (Fraction(1, d),) * d
-    return _walk(alpha, level_budget, name=f"uniform-walk(d={d})")
+    return _walk(alpha, name=f"uniform-walk(d={d})")
 
 
-def alpha_walk(alpha: Sequence[Prob], level_budget: int = 12) -> GradedChain:
+def alpha_walk(alpha: Sequence[Prob]) -> GradedChain:
     """The walk with step distribution alpha; zero-probability parts are pruned."""
     pt = validate_simplex(alpha)
-    return _walk(pt, level_budget, name=f"alpha-walk{tuple(map(str, pt))}")
+    return _walk(pt, name=f"alpha-walk{tuple(map(str, pt))}")
 
 
 def _extend_log_falling(terms: list[float], top: int, count: int, sign: float) -> None:

@@ -327,24 +327,24 @@ def _add_symbol(counts: Sequence[int], j: int) -> tuple[int, ...]:
     return tuple(c + (i == j) for i, c in enumerate(counts))
 
 
-def counting_chain(source, horizon: int) -> GradedChain:
-    """The counting process as a graded chain, lumped by counts (Kemeny & Snell)
-    from the chain on (Y_n, X_n) that ``source.next_symbol_law`` drives: the
-    lifted mass at (y + e_j, j) is P(Y_n = y, X_{n+1} = j), so the row out of
-    y is that mass over its sum, and no word is enumerated."""
+def counting_chain(source) -> GradedChain:
+    """The counting process as a graded chain, lumped by counts (Kemeny & Snell) from the
+    chain on (Y_n, X_n) that ``source.next_symbol_law`` drives: the lifted mass at
+    (y + e_j, j) is P(Y_n = y, X_{n+1} = j), so the row out of y is that mass over its
+    sum.  No word is enumerated, and the rows of a level are built on first demand."""
     root = (0,) * source.d
 
     def lifted_successors(x: State):
         law = enumerate(source.next_symbol_law(*x.payload))
         return [(State(x.level + 1, (_add_symbol(x.payload[0], j), j + 1)), p) for j, p in law]
 
-    lifted = GradedChain(State(0, (root, None)), None, lifted_successors, horizon, "lifted")
+    lifted = GradedChain(State(0, (root, None)), None, lifted_successors, "lifted")
 
     def family(n: int) -> tuple[State, ...]:
         return tuple(sorted({State(n, x.payload[0]) for x in lifted.forward_law(n).support}))
 
     def successors(y: State):
-        law = lifted.forward_law(y.level + 1)  # past the horizon this raises BudgetExceededError
+        law = lifted.forward_law(y.level + 1)
         steps = [State(y.level + 1, _add_symbol(y.payload, j)) for j in range(source.d)]
         joint = [law.nums.get(State(z.level, (z.payload, j)), 0) for j, z in enumerate(steps, 1)]
         mass = sum(joint)
@@ -353,7 +353,7 @@ def counting_chain(source, horizon: int) -> GradedChain:
         # the law's one denominator cancels, so a row is one Fraction per entry
         return sorted((z, Fraction(p, mass)) for z, p in zip(steps, joint) if p != 0)
 
-    return GradedChain(State(0, root), family, successors, horizon, f"counting[{source.name}]")
+    return GradedChain(State(0, root), family, successors, f"counting[{source.name}]")
 
 
 # -- exchangeability and the two decisive counting-chain facts ----------------
@@ -405,8 +405,7 @@ def verify_counting_cotransitions(source, n: int) -> CheckReport:
     This is the decisive identity: together with the Markov property it
     exhibits the counting chain as an h-transform of the uniform walk.
     """
-    walk = uniform_walk(source.d, level_budget=n)
-    report = cotransition_equality_check(walk, counting_chain(source, n), n)
+    report = cotransition_equality_check(uniform_walk(source.d), counting_chain(source), n)
     return _counting_report(report, "cotransitions", source, n)
 
 
@@ -414,8 +413,8 @@ def counting_h_recovery(source, n: int) -> HarmonicFn:
     """Recover the harmonic function for which the counting chain is the
     h-transform of the uniform walk, and verify the identification exactly:
     equal rows at every reachable state below n, hence equal path laws."""
-    observed = counting_chain(source, n)
-    base = uniform_walk(source.d, level_budget=n)
+    observed = counting_chain(source)
+    base = uniform_walk(source.d)
     h = recover_h(base, observed, max_level=n)
     harmonicity = is_harmonic(base, h, n)
     if not harmonicity.ok:
@@ -449,8 +448,6 @@ class DirectingEstimate:
     """Per-replicate boundary points Y_n / n approximating the directing measure."""
 
     samples: np.ndarray
-    horizon: int
-    seed: int
 
     @property
     def replicates(self) -> int:
@@ -508,7 +505,7 @@ def estimate_directing_measure(
     else:
         parts = [_sample_block(t) for t in tasks]
     counts = np.vstack(parts) if parts else np.zeros((0, source.d), dtype=np.int64)
-    return DirectingEstimate(counts.astype(np.float64) / horizon, horizon, seed)
+    return DirectingEstimate(counts.astype(np.float64) / horizon)
 
 
 def dirichlet_moment(initial: Sequence[int], counts: Sequence[int]) -> Fraction:

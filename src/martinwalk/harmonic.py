@@ -126,7 +126,6 @@ class HTransformChain(GradedChain):
             root=base.root,
             family=family,
             successors=successors,
-            level_budget=base.level_budget,
             name=f"h-transform[{h.name}]({base.name})",
         )
         self.h = h
@@ -194,7 +193,8 @@ def recover_h(base: GradedChain, observed: GradedChain, max_level: int) -> Harmo
     Requires matching cotransitions up to max_level and a weakly
     irreducible base; returns the marginal-ratio function
     h(x) = P_observed(Y_n = x) / P_base(Y_n = x), which the caller can
-    verify with ``is_harmonic`` and ``h_transform``.
+    verify with ``is_harmonic`` and ``h_transform``.  Checked only up to
+    max_level, h raises ``BudgetExceededError`` at any level above it.
     """
     equality = cotransition_equality_check(base, observed, max_level)
     if not equality.ok:
@@ -204,12 +204,11 @@ def recover_h(base: GradedChain, observed: GradedChain, max_level: int) -> Harmo
         raise UnreachableStateError(
             f"base chain {base.name} is not weakly irreducible up to level {max_level}"
         )
-    eval_budget = min(base.level_budget, observed.level_budget)
 
     def value(state: State) -> Prob:
-        if state.level > eval_budget:
+        if state.level > max_level:
             raise BudgetExceededError(
-                f"recovered h evaluated at level {state.level}, budget {eval_budget}"
+                f"recovered h evaluated at level {state.level}, checked up to {max_level}"
             )
         base_law = base.forward_law(state.level)
         if state not in base_law:
@@ -261,7 +260,7 @@ def representation_check_mc(
     ``CountSampler`` of ``transformed``, a chain equivalent to the h-transform
     (such as ``alpha_walk`` for a boundary h; establish that separately).  A
     chain without a sampler raises ``ValueError``.  Pass ``kernel`` to
-    evaluate K in closed form when n exceeds the enumeration budget.
+    evaluate K in closed form when n is too large for the exact DP.
     """
     if not h.supports(x):
         raise UnreachableStateError(f"{x} lies outside the support of {h.name}")

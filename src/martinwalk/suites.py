@@ -102,7 +102,7 @@ def standard_negative_control() -> MarkovSource:
 
 def kernel_agreement_report(d: int, max_level: int) -> CheckReport:
     """Closed-form kernel equals the dynamic-programming kernel, all pairs."""
-    chain = uniform_walk(d, level_budget=max_level)
+    chain = uniform_walk(d)
     report = CheckReport(f"kernel-agreement[d={d}]<= {max_level}")
     for x, n, row in kernel_rows(chain, max_level):
         for y in chain.enumerate_level(n):
@@ -112,7 +112,7 @@ def kernel_agreement_report(d: int, max_level: int) -> CheckReport:
 
 def kernel_symmetry_report(d: int, max_level: int) -> CheckReport:
     """Both kernel expressions agree; K(x, y) <= 1/P(x); K(root, y) = 1."""
-    chain = uniform_walk(d, level_budget=max_level)
+    chain = uniform_walk(d)
     report = CheckReport(f"kernel-symmetry[d={d}]<= {max_level}")
     for m in range(max_level + 1):
         level_m = chain.enumerate_level(m)
@@ -133,7 +133,7 @@ def kernel_symmetry_report(d: int, max_level: int) -> CheckReport:
 def martingale_identity_report(d: int, max_level: int) -> CheckReport:
     """One-step backwards-martingale identity:
     sum_x' K(x, x') P(Y_n = x' | Y_{n+1} = y) = K(x, y)."""
-    chain = uniform_walk(d, level_budget=max_level)
+    chain = uniform_walk(d)
     report = CheckReport(f"backwards-martingale[d={d}]<= {max_level}")
     for x, n, above in kernel_rows(chain, max_level):
         if n > x.level:
@@ -150,7 +150,7 @@ def martingale_identity_report(d: int, max_level: int) -> CheckReport:
 
 def expectation_identity_report(d: int, max_level: int) -> CheckReport:
     """sum_y K(x, y) P(Y_n = y) = 1 for every x and horizon."""
-    chain = uniform_walk(d, level_budget=max_level)
+    chain = uniform_walk(d)
     report = CheckReport(f"kernel-expectation[d={d}]<= {max_level}")
     laws = [chain.forward_law(n).atoms for n in range(max_level + 1)]
     for x, n, row in kernel_rows(chain, max_level):
@@ -207,7 +207,7 @@ def boundary_harmonicity_report(
     d: int, max_level: int, alphas: Sequence[tuple[Prob, ...]]
 ) -> CheckReport:
     """Every correctly normalized boundary kernel is harmonic with h(root) = 1."""
-    chain = uniform_walk(d, level_budget=max_level)
+    chain = uniform_walk(d)
     report = CheckReport(f"boundary-harmonicity[d={d}]<= {max_level}")
     for alpha in alphas:
         report.absorb(is_harmonic(chain, boundary_harmonic(alpha), max_level))
@@ -219,7 +219,7 @@ def unnormalized_rejection_report(
 ) -> CheckReport:
     """Regression guard: the plain product form (without the d^m factor) must
     fail harmonicity at every state for every non-uniform alpha."""
-    chain = uniform_walk(d, level_budget=max_level)
+    chain = uniform_walk(d)
     report = CheckReport(f"unnormalized-kernel-rejected[d={d}]")
     for alpha in alphas:
         plain = HarmonicFn(lambda state: product_moment(alpha, state.payload), name="plain-product")
@@ -267,7 +267,7 @@ def transform_identity_reports(
 ) -> list[CheckReport]:
     """Density ratio, kernel transform, walk equivalence, cotransition
     invariance, and recovery roundtrip for each conditioned walk."""
-    base = uniform_walk(d, level_budget=max_level)
+    base = uniform_walk(d)
     equivalence = CheckReport(f"alpha-walk-equivalence[d={d}]@{max_level}")
     roundtrip = CheckReport(f"recovery-roundtrip[d={d}]<= {max_level}")
     out: list[CheckReport] = []
@@ -277,7 +277,7 @@ def transform_identity_reports(
         out.append(density_ratio_check(base, transformed, max_level))
         out.append(kernel_transform_check(base, transformed, max_level))
         out.append(cotransition_equality_check(base, transformed, max_level))
-        walk = alpha_walk(alpha, level_budget=max_level)
+        walk = alpha_walk(alpha)
         out.append(cotransition_equality_check(base, walk, max_level))
         walk_law = walk.cylinder_law(max_level)
         transformed_law = transformed.cylinder_law(max_level)
@@ -299,7 +299,7 @@ def transform_identity_reports(
 def representation_report(d: int, horizon: int, alphas: Sequence[tuple[Prob, ...]]) -> CheckReport:
     """Exact finite-horizon representation identity for the conditioned walks,
     at every probe state up to level 2."""
-    base = uniform_walk(d, level_budget=horizon)
+    base = uniform_walk(d)
     report = CheckReport(f"representation[d={d}]@{horizon}")
     for alpha in alphas:
         h = boundary_harmonic(alpha)
@@ -341,7 +341,7 @@ def recovery_identity_report(d: int, horizon: int) -> CheckReport:
     h(x) = d^{|x|} times the Dirichlet moment of the directing law.
     """
     report = CheckReport(f"h-recovery-identity[d={d}]@{horizon}")
-    chain = uniform_walk(d, level_budget=horizon)
+    chain = uniform_walk(d)
 
     mixture = standard_mixture(d)
     h_mix = counting_h_recovery(mixture, horizon)
@@ -425,14 +425,14 @@ def identity_reports(d: int, horizon: int) -> list[CheckReport]:
 
 def full_verification(d: int, budget: int) -> list[CheckReport]:
     """The exact invariant suites of all modules at the given budgets."""
-    chain = uniform_walk(d, level_budget=budget)
+    chain = uniform_walk(d)
     small_level = min(budget, 6)
     alphas = rational_alphas(d, 4)
     reports = [
         chain.check_row_stochastic(budget),
         chain.check_weak_irreducibility(budget),
-        oracle_equivalence_report(uniform_walk(d, level_budget=small_level), small_level),
-        cylinder_markov_report(uniform_walk(d, level_budget=small_level), small_level),
+        oracle_equivalence_report(chain, small_level),
+        cylinder_markov_report(chain, small_level),
         kernel_agreement_report(d, budget),
         kernel_symmetry_report(d, budget),
         martingale_identity_report(d, small_level),

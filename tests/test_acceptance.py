@@ -120,10 +120,10 @@ def test_criterion_07_finite_horizon_representation():
             report = representation_report(d, 6, rational_alphas(d, 3))
             assert report.ok, str(report)
         # Monte Carlo mode at n = 200 with 10^4 replicates
-        base = uniform_walk(2, level_budget=8)
+        base = uniform_walk(2)
         alpha = (Fraction(7, 10), Fraction(3, 10))
         h = boundary_harmonic(alpha)
-        walk = alpha_walk(alpha, level_budget=8)
+        walk = alpha_walk(alpha)
         for seed, x in ((3, comp_state((1, 0))), (4, comp_state((1, 1)))):
             result = representation_check_mc(
                 base, h, x, n=200, replicates=10_000, seed=seed,
@@ -155,7 +155,7 @@ def test_criterion_09_constructive_definetti():
             weights=(Fraction(1, 2), Fraction(1, 2)),
         )
         h = counting_h_recovery(mixture, 6)
-        base = uniform_walk(2, level_budget=6)
+        base = uniform_walk(2)
         assert h_transform(base, h).cylinder_law(6).atoms == counting_chain_law(mixture, 6).atoms
         for n in range(7):
             for x in base.enumerate_level(n):

@@ -40,12 +40,12 @@ MIXED = (Fraction(1, 5), Fraction(1, 3), Fraction(7, 15))
 
 @pytest.fixture(scope="module")
 def walk2():
-    return uniform_walk(2, level_budget=10)
+    return uniform_walk(2)
 
 
 @pytest.fixture(scope="module")
 def walk3():
-    return uniform_walk(3, level_budget=8)
+    return uniform_walk(3)
 
 
 class TestEnumeration:
@@ -58,11 +58,6 @@ class TestEnumeration:
     def test_level_count_d3(self, walk3):
         # weak compositions of 2 into 3 parts: C(4, 2)
         assert len(walk3.enumerate_level(2)) == 6
-
-    def test_budget_exceeded(self):
-        w = uniform_walk(2, level_budget=3)
-        with pytest.raises(BudgetExceededError):
-            w.enumerate_level(4)
 
 
 class TestForwardLaw:
@@ -88,7 +83,6 @@ class TestForwardLaw:
             root=root,
             family=lambda n: (State(n, 0),),
             successors=lambda x: ((State(x.level + 1, 0), Fraction(1, 2)),),
-            level_budget=4,
         )
         with pytest.raises(NonStochasticError):
             chain.forward_law(2)
@@ -96,7 +90,7 @@ class TestForwardLaw:
 
 class TestSharedForwardMemo:
     def test_forward_law_is_conditional_law_from_root(self):
-        w = uniform_walk(2, level_budget=5)
+        w = uniform_walk(2)
         for n in (3, 0, 5, 1):
             assert w.forward_law(n) is w.conditional_law(w.root, n)
         assert w.conditional_law(w.root, 4) is w.forward_law(4)
@@ -109,14 +103,13 @@ def _skip_b_chain() -> GradedChain:
         State(0, ()),
         lambda n: (a, b, c) if n == 1 else (),
         lambda x: [(a, Fraction(1, 2)), (c, Fraction(1, 2))],
-        1,
         name="skip-b",
     )
 
 
 class TestKernelRows:
     def test_order_matches_nested_levels(self):
-        w = uniform_walk(2, level_budget=3)
+        w = uniform_walk(2)
         expected = [
             (x, y)
             for m in range(4)
@@ -157,7 +150,7 @@ class TestConditionalForward:
         # only the single path (k, 0) is reachable under the degenerate walk
         from martinwalk import alpha_walk
 
-        w = alpha_walk((Fraction(1), Fraction(0)), level_budget=6)
+        w = alpha_walk((Fraction(1), Fraction(0)))
         with pytest.raises(UnreachableStateError):
             w.conditional_law(State(1, (0, 1)), 3)
 
@@ -193,7 +186,7 @@ class TestMartinKernel:
     def test_unreachable_target_raises(self):
         from martinwalk import alpha_walk
 
-        w = alpha_walk((Fraction(1), Fraction(0)), level_budget=6)
+        w = alpha_walk((Fraction(1), Fraction(0)))
         with pytest.raises(UnreachableStateError):
             w.martin_kernel(State(1, (1, 0)), State(2, (1, 1)))
 
@@ -230,9 +223,9 @@ class TestCylinderLaw:
     @pytest.mark.parametrize(
         "chain",
         [
-            uniform_walk(2, level_budget=4),
-            alpha_walk(MIXED, level_budget=4),
-            h_transform(uniform_walk(3, level_budget=4), boundary_harmonic(MIXED)),
+            uniform_walk(2),
+            alpha_walk(MIXED),
+            h_transform(uniform_walk(3), boundary_harmonic(MIXED)),
         ],
         ids=["uniform", "mixed-denominators", "h-transform"],
     )
@@ -255,7 +248,7 @@ class TestCylinderLaw:
         # 2^24 = 16,777,216 paths: counted level by level, none built
         start = time.perf_counter()
         with pytest.raises(BudgetExceededError, match="cylinder law at horizon 24 exceeds"):
-            uniform_walk(2, level_budget=24).cylinder_law(24)
+            uniform_walk(2).cylinder_law(24)
         assert time.perf_counter() - start < 1.0
 
     def test_backwards_martingale_identity(self, walk2):
@@ -285,14 +278,14 @@ class TestCylinderLaw:
 class TestOracleEquivalence:
     @pytest.mark.parametrize("d,horizon", [(2, 8), (3, 8)])
     def test_dp_matches_enumeration(self, d, horizon):
-        report = oracle_equivalence_report(uniform_walk(d, level_budget=horizon), horizon)
+        report = oracle_equivalence_report(uniform_walk(d), horizon)
         assert report.ok, str(report)
 
     @pytest.mark.parametrize(
         "chain",
         [
-            alpha_walk(MIXED, level_budget=5),
-            h_transform(uniform_walk(3, level_budget=5), boundary_harmonic(MIXED)),
+            alpha_walk(MIXED),
+            h_transform(uniform_walk(3), boundary_harmonic(MIXED)),
         ],
         ids=["mixed-denominators", "h-transform"],
     )
@@ -308,10 +301,10 @@ class TestIntegerLaws:
     @pytest.mark.parametrize(
         "chain",
         [
-            uniform_walk(3, level_budget=5),
-            alpha_walk(MIXED, level_budget=5),
-            h_transform(uniform_walk(3, level_budget=5), boundary_harmonic(MIXED)),
-            counting_chain(standard_mixture(2), 5),
+            uniform_walk(3),
+            alpha_walk(MIXED),
+            h_transform(uniform_walk(3), boundary_harmonic(MIXED)),
+            counting_chain(standard_mixture(2)),
         ],
         ids=["uniform", "mixed-denominators", "h-transform", "counting"],
     )
@@ -326,12 +319,12 @@ class TestIntegerLaws:
                     assert table.total() == 1
 
     def test_float_steps_raise(self):
-        walk = alpha_walk((0.2, 0.3, 0.5), level_budget=4)
+        walk = alpha_walk((0.2, 0.3, 0.5))
         assert walk.step(walk.root, comp_state((1, 0, 0))) == 0.2  # float rows still build
         with pytest.raises(ValueError, match=r"float step probability 0\.2 at \(0, 0, 0\)@0 -> "):
             walk.forward_law(1)
         mixture = MixtureSource(atoms=((0.2, 0.8), (0.6, 0.4)), weights=(0.5, 0.5))
-        chain = counting_chain(mixture, 4)
+        chain = counting_chain(mixture)
         with pytest.raises(ValueError, match="float step probability"):
             chain.forward_law(2)
         with pytest.raises(ValueError, match="float step probability"):
@@ -343,7 +336,7 @@ class TestIntegerLaws:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_kernel_row_matches_pairs_and_closed_form(self, d):
-        chain = uniform_walk(d, level_budget=5)
+        chain = uniform_walk(d)
         for m in range(6):
             for x in chain.enumerate_level(m):
                 for n in range(m, 6):
@@ -412,7 +405,7 @@ class TestSampling:
     def test_degenerate_walk_single_path(self):
         from martinwalk import alpha_walk
 
-        w = alpha_walk((Fraction(1), Fraction(0)), level_budget=6)
+        w = alpha_walk((Fraction(1), Fraction(0)))
         path = w.sample_path(5, seed=0)
         assert [s.payload for s in path] == [(k, 0) for k in range(6)]
 
@@ -438,5 +431,5 @@ class TestStructuralChecks:
     def test_shrunken_walk_still_weakly_irreducible_on_its_family(self):
         from martinwalk import alpha_walk
 
-        w = alpha_walk((Fraction(1), Fraction(0)), level_budget=6)
+        w = alpha_walk((Fraction(1), Fraction(0)))
         assert w.check_weak_irreducibility(5).ok

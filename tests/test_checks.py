@@ -130,7 +130,6 @@ def _skip_b_chain() -> GradedChain:
         State(0, ()),
         lambda n: (a, b, c) if n == 1 else (),
         lambda x: [(a, Fraction(1, 2)), (c, Fraction(1, 2))],
-        1,
         name="skip-b",
     )
 
@@ -162,7 +161,7 @@ _HALVES = (Fraction(1, 2), Fraction(1, 2))
 
 def _swapped_h():
     """An h-transform whose ``h`` is replaced by the constant boundary h of (1/2, 1/2)."""
-    base = uniform_walk(2, level_budget=2)
+    base = uniform_walk(2)
     transformed = h_transform(base, boundary_harmonic(_THIRDS))
     transformed.h = boundary_harmonic(_HALVES)
     return density_ratio_check(base, transformed, 2)
@@ -170,7 +169,7 @@ def _swapped_h():
 
 def _base_paths_oracle():
     """The oracle reads the base walk's path law for the h-transform's DP laws."""
-    base = uniform_walk(2, level_budget=2)
+    base = uniform_walk(2)
     transformed = h_transform(base, boundary_harmonic(_THIRDS))
     transformed.cylinder_law = base.cylinder_law
     return suites.oracle_equivalence_report(transformed, 2)
@@ -178,9 +177,7 @@ def _base_paths_oracle():
 
 def _uniform_alpha_walk(monkeypatch):
     """Every alpha walk is the uniform one, so its paths miss the h-transform's."""
-    monkeypatch.setattr(
-        suites, "alpha_walk", lambda alpha, level_budget: alpha_walk(_HALVES, level_budget)
-    )
+    monkeypatch.setattr(suites, "alpha_walk", lambda alpha: alpha_walk(_HALVES))
     return suites.transform_identity_reports(2, 2, [_THIRDS])[-2]
 
 
@@ -208,7 +205,7 @@ FAILURES = {
     ),
     "negative-h": (
         lambda mp: is_harmonic(
-            uniform_walk(2, level_budget=2),
+            uniform_walk(2),
             HarmonicFn(lambda s: 1 - 2 * s.payload[0] if s.level else 1, name="neg"),
             2,
         ),

@@ -21,6 +21,7 @@ from martinwalk.cli import (
     _RUNNERS,
     COMMANDS,
     MAX_KERNEL_PAIRS,
+    MAX_LIFT_DEPTH,
     Report,
     emit,
     kernel_pair_count,
@@ -643,6 +644,27 @@ class TestRegressions:
         assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert len(json.loads(out.read_bytes())["rows"]) == 3
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_verify_budget_one_is_a_config_error(self, tmp_path, capsys, d):
+        # the Markov-property check needs two-step paths: budget 1 used to end in ValueError
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(command="verify", d=d, budget=1))
+        assert main(["verify", "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: budget must be an integer >= 2, got 1")
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_lift_depth_limit(self, tmp_path, capsys):
+        # a 2**-depth residual of more than 4,300 digits used to end in ValueError
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "r.json"
+        for depth, status in ((MAX_LIFT_DEPTH, 0), (MAX_LIFT_DEPTH + 1, 2)):
+            cfg_path.write_text(config_text(command="lift", points=["5/8", "1/3"], depth=depth))
+            assert main(["lift", "--config", str(cfg_path), "--out", str(out)]) == status
+        assert json.loads(out.read_bytes())["summary"]["status"] == "pass"
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: depth must be at most {MAX_LIFT_DEPTH}, got 10001")
+        assert "Traceback" not in err
+
     def test_pair_counts(self):
         assert kernel_pair_count(3, 8) == 16_071
         assert kernel_pair_count(4, 10) == 592_878
@@ -654,7 +676,7 @@ class TestRegressions:
         assert len(json.loads(emit(report))["rows"]) == kernel_pair_count(3, 3)
         # the admission's closed form counts the entries of the walk it admits
         for d in range(1, 5):
-            walk = uniform_walk(d, level_budget=6)
+            walk = uniform_walk(d)
             for budget in range(7):
                 walked = sum(len(row) for _, _, row in kernel_rows(walk, budget))
                 assert walked == kernel_pair_count(d, budget), (d, budget)

@@ -39,7 +39,7 @@ class TestCompositions:
 
 class TestUniformWalk:
     def test_single_part_deterministic(self):
-        w = uniform_walk(1, level_budget=5)
+        w = uniform_walk(1)
         assert w.forward_law(4).prob(comp_state((4,))) == 1
 
     def test_step_probability(self):
@@ -50,6 +50,12 @@ class TestUniformWalk:
         w = uniform_walk(3)
         assert w.forward_law(2).prob(comp_state((2, 0, 0))) == Fraction(1, 9)
         assert w.forward_law(2).prob(comp_state((1, 1, 0))) == Fraction(2, 9)
+
+    def test_forward_law_at_any_level(self):
+        # a walk has no level cap: level 16 is Binomial(16, 1/2), exactly
+        law = uniform_walk(2).forward_law(16)
+        expected = {comp_state((k, 16 - k)): Fraction(math.comb(16, k), 2**16) for k in range(17)}
+        assert law.atoms == expected
 
 
 class TestClosedFormKernel:
@@ -69,7 +75,7 @@ class TestClosedFormKernel:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_matches_dp_kernel(self, d):
-        w = uniform_walk(d, level_budget=5)
+        w = uniform_walk(d)
         for m in range(5):
             for x in w.enumerate_level(m):
                 for n in range(m, 6):
@@ -133,7 +139,7 @@ class TestBoundaryKernel:
         assert errors[0] >= errors[1] >= errors[2]
 
     def test_harmonic_for_rational_alpha(self):
-        w = uniform_walk(2, level_budget=8)
+        w = uniform_walk(2)
         for alpha in [(Fraction(1, 2), Fraction(1, 2)), (Fraction(2, 7), Fraction(5, 7))]:
             report = is_harmonic(w, boundary_harmonic(alpha), 8)
             assert report.ok, str(report)
@@ -141,7 +147,7 @@ class TestBoundaryKernel:
     def test_unnormalized_form_fails(self):
         from martinwalk.harmonic import HarmonicFn
 
-        w = uniform_walk(2, level_budget=5)
+        w = uniform_walk(2)
         alpha = (Fraction(7, 10), Fraction(3, 10))
         plain = HarmonicFn(
             lambda s: alpha[0] ** s.payload[0] * alpha[1] ** s.payload[1],
@@ -201,20 +207,20 @@ class TestProductMoment:
 
 class TestAlphaWalk:
     def test_uniform_alpha_equals_uniform_walk(self):
-        w = uniform_walk(3, level_budget=5)
-        a = alpha_walk((Fraction(1, 3),) * 3, level_budget=5)
+        w = uniform_walk(3)
+        a = alpha_walk((Fraction(1, 3),) * 3)
         assert w.cylinder_law(4).atoms == a.cylinder_law(4).atoms
 
     def test_degenerate_single_path(self):
-        a = alpha_walk((Fraction(1), Fraction(0), Fraction(0)), level_budget=8)
+        a = alpha_walk((Fraction(1), Fraction(0), Fraction(0)))
         law = a.forward_law(6)
         assert law.prob(comp_state((6, 0, 0))) == 1
         assert len(law) == 1
 
     def test_matches_h_transform_exactly(self):
         alpha = (Fraction(7, 10), Fraction(3, 10))
-        base = uniform_walk(2, level_budget=6)
-        walk = alpha_walk(alpha, level_budget=6)
+        base = uniform_walk(2)
+        walk = alpha_walk(alpha)
         lifted = h_transform(base, boundary_harmonic(alpha))
         assert walk.cylinder_law(6).atoms == lifted.cylinder_law(6).atoms
 
@@ -227,7 +233,7 @@ class TestPolyaCotransition:
         assert polya_cotransition((3, 1), 1) == Fraction(4, 5)
 
     def test_cross_check_with_dp(self):
-        for chain in (uniform_walk(2, level_budget=6), alpha_walk((Fraction(2, 5), Fraction(3, 5)), level_budget=6)):
+        for chain in (uniform_walk(2), alpha_walk((Fraction(2, 5), Fraction(3, 5)))):
             for n in range(5):
                 for x in chain.enumerate_level(n):
                     for y, _ in chain.successors(x):

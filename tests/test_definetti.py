@@ -160,7 +160,7 @@ class TestLemma:
 
     def test_polya_counting_is_markov_with_urn_transitions(self):
         assert verify_counting_markov(POLYA, source_cylinder_law(POLYA, 6)).ok
-        chain = counting_chain(POLYA, 6)
+        chain = counting_chain(POLYA)
         for k in range(5):
             for y in chain.enumerate_level(k):
                 for target, p in chain.successors(y):
@@ -235,13 +235,18 @@ class TestLumpedCountingChain:
     @pytest.mark.parametrize("source", DP_SOURCES, ids=lambda s: s.name)
     @pytest.mark.parametrize("n", (2, 4, 6))
     def test_rows_and_families_equal_extracted(self, source, n):
-        chain = counting_chain(source, n)
+        chain = counting_chain(source)
         families, rows = extracted_rows(source, n)
         for k in range(n + 1):
             assert chain.enumerate_level(k) == families[k]
         for k in range(n):
             for x in families[k]:
                 assert dict(chain.successors(x)) == rows[x]
+
+    def test_urn_law_at_any_level(self):
+        # a counting chain has no horizon; the urn (1, 1) makes Y_15 uniform on 16 states
+        law = counting_chain(PolyaUrnSource((1, 1))).forward_law(15)
+        assert law.atoms == {comp_state((k, 15 - k)): Fraction(1, 16) for k in range(16)}
 
     @pytest.mark.parametrize("source", (MIX, standard_mixture(3), POLYA, PolyaUrnSource((2, 1)), CONTROL))
     def test_next_symbol_law_is_word_ratio(self, source):
@@ -260,7 +265,7 @@ class TestLumpedCountingChain:
         wrapped = NoWords(source)
         with pytest.raises(AssertionError):
             source_cylinder_law(wrapped, 1)
-        chain = counting_chain(wrapped, 8)
+        chain = counting_chain(wrapped)
         assert chain.forward_law(8).total() == 1
         assert dead_symbols(wrapped) == dead_symbols(source)
         report = verify_counting_cotransitions(wrapped, 8)
@@ -274,7 +279,7 @@ class TestLumpedCountingChain:
         urn = PolyaUrnSource((1,) * d)
         h_mix = counting_h_recovery(mixture, n)
         h_urn = counting_h_recovery(urn, n)
-        walk = uniform_walk(d, level_budget=n)
+        walk = uniform_walk(d)
         for k in range(n + 1):
             for x in walk.enumerate_level(k):
                 assert h_mix(x) == sum(w * boundary_kernel(x, a) for w, a in mixture.directing_atoms())

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from martinwalk import (
+    BudgetExceededError,
     CotransitionMismatchError,
     HarmonicFn,
     MarkovSource,
@@ -34,7 +35,7 @@ ALPHA = (Fraction(7, 10), Fraction(3, 10))
 
 @pytest.fixture(scope="module")
 def base():
-    return uniform_walk(2, level_budget=10)
+    return uniform_walk(2)
 
 
 @pytest.fixture(scope="module")
@@ -149,14 +150,14 @@ class TestCotransitionEquality:
         assert cotransition_equality_check(base, base, 5).ok
 
     def test_transform_preserves_cotransitions_d3(self):
-        w = uniform_walk(3, level_budget=6)
+        w = uniform_walk(3)
         alpha = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
         t = h_transform(w, boundary_harmonic(alpha))
         report = cotransition_equality_check(w, t, 6)
         assert report.ok, str(report)
 
     def test_direct_alpha_walk_matches_base(self, base):
-        walk = alpha_walk(ALPHA, level_budget=10)
+        walk = alpha_walk(ALPHA)
         report = cotransition_equality_check(base, walk, 6)
         assert report.ok, str(report)
 
@@ -165,7 +166,7 @@ class TestCotransitionEquality:
             initial=(Fraction(1, 2), Fraction(1, 2)),
             rows=((Fraction(2, 3), Fraction(1, 3)), (Fraction(1, 6), Fraction(5, 6))),
         )
-        observed = counting_chain(control, 4)
+        observed = counting_chain(control)
         report = cotransition_equality_check(base, observed, 4)
         assert not report.ok
 
@@ -178,15 +179,25 @@ class TestRecoverH:
                 assert h(x) == 1
 
     def test_alpha_walk_recovery(self, base, h_alpha):
-        walk = alpha_walk(ALPHA, level_budget=10)
+        walk = alpha_walk(ALPHA)
         h = recover_h(base, walk, 6)
         assert h(comp_state((1, 0))) == Fraction(7, 5)
         for n in range(6):
             for x in walk.enumerate_level(n):
                 assert h(x) == h_alpha(x)
 
+    def test_evaluation_stops_at_max_level(self, base, h_alpha):
+        # both chains reach level 5, but the identification was checked up to 4 only
+        walk = alpha_walk(ALPHA)
+        h = recover_h(base, walk, 4)
+        for x in walk.enumerate_level(4):
+            assert h(x) == h_alpha(x)
+        assert walk.forward_law(5).total() == base.forward_law(5).total() == 1
+        with pytest.raises(BudgetExceededError, match="level 5, checked up to 4"):
+            h(comp_state((3, 2)))
+
     def test_polya_counting_recovery_values(self, base):
-        observed = counting_chain(PolyaUrnSource((1, 1)), 6)
+        observed = counting_chain(PolyaUrnSource((1, 1)))
         h = recover_h(base, observed, 6)
         assert h(comp_state((1, 0))) == 1
         assert h(comp_state((2, 0))) == Fraction(4, 3)
@@ -203,7 +214,7 @@ class TestRecoverH:
             initial=(Fraction(1, 2), Fraction(1, 2)),
             rows=((Fraction(2, 3), Fraction(1, 3)), (Fraction(1, 6), Fraction(5, 6))),
         )
-        observed = counting_chain(control, 4)
+        observed = counting_chain(control)
         with pytest.raises(CotransitionMismatchError):
             recover_h(base, observed, 4)
 
@@ -233,7 +244,7 @@ class TestRepresentation:
                 ).ok
 
     def test_monte_carlo_mode(self, base, h_alpha):
-        walk = alpha_walk(ALPHA, level_budget=10)
+        walk = alpha_walk(ALPHA)
         result = representation_check_mc(
             base,
             h_alpha,
@@ -247,7 +258,7 @@ class TestRepresentation:
         assert result.within(3.0), str(result)
 
     def test_monte_carlo_mode_averages_the_sampled_rows(self, base, h_alpha):
-        walk = alpha_walk(ALPHA, level_budget=10)
+        walk = alpha_walk(ALPHA)
         x = comp_state((1, 1))
         result = representation_check_mc(
             base, h_alpha, x, n=50, replicates=300, seed=8, transformed=walk,

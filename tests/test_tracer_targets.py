@@ -37,7 +37,7 @@ def test_every_target_resolves_on_the_package():
 
 #: attr of each target counted as "atoms" -> a real law it returns, and its path or word count
 ATOM_LAWS = {
-    "GradedChain.cylinder_law": (lambda: uniform_walk(2, level_budget=3).cylinder_law(3), 8),
+    "GradedChain.cylinder_law": (lambda: uniform_walk(2).cylinder_law(3), 8),
     "source_cylinder_law": (lambda: source_cylinder_law(PolyaUrnSource((1, 1, 1)), 3), 27),
 }
 
