@@ -32,7 +32,6 @@ from .definetti import (
     dirichlet_moment,
     estimate_directing_measure,
     ks_distance_uniform,
-    lift_point_masses,
     lift_source_law,
     projection_consistency_check,
     reconstruct_real,

@@ -88,32 +88,6 @@ class CountSampler(Protocol):
         """Payloads of Y_n for replicates start..stop-1, int64 of shape (stop - start, d)."""
 
 
-class CountPath(Sequence[State]):
-    """A sampled path Y_0, ..., Y_n read as states from its (n + 1, d) count
-    array: a state is built only when it is read, so ``path[-1]`` costs one."""
-
-    def __init__(self, counts: np.ndarray):
-        self._counts = counts
-
-    def __len__(self) -> int:
-        return len(self._counts)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[k] for k in range(*index.indices(len(self)))]
-        k = range(len(self))[index]
-        return State(k, tuple(self._counts[k].tolist()))
-
-    def __iter__(self) -> Iterator[State]:
-        return map(State, range(len(self)), map(tuple, self._counts.tolist()))
-
-    def __eq__(self, other) -> bool:
-        """Equal to a path with the same counts, or to a list of the same states."""
-        if isinstance(other, CountPath):
-            return np.array_equal(self._counts, other._counts)
-        return list(self) == other
-
-
 @dataclass(frozen=True)
 class DistributionTable:
     """An exact law: positive int numerators over one denominator ``den``.
@@ -166,10 +140,6 @@ class DistributionTable:
         g = math.gcd(self.den, *nums.values())
         return DistributionTable(self.level, {k: v // g for k, v in nums.items()}, self.den // g)
 
-    @property
-    def support(self) -> tuple:
-        return tuple(self.nums)
-
     def __len__(self) -> int:
         return len(self.nums)
 
@@ -191,8 +161,7 @@ class GradedChain:
         probability raises ``ValueError`` there.
     sampler:
         Optional ``CountSampler`` for chains whose payloads are count
-        vectors; ``sample_path`` reads its path arrays as states, and a
-        chain without one cannot be sampled.
+        vectors; a chain without one cannot be sampled.
 
     Forward and conditional laws share one memo: ``_cond[x]`` maps levels
     to the law of Y_n given Y_m = x, and the forward law is the entry of
@@ -442,12 +411,12 @@ class GradedChain:
 
     # -- sampling ------------------------------------------------------------
 
-    def sample_path(self, n: int, seed: int, replicate: int = 0) -> CountPath:
-        """One trajectory (Y_0, ..., Y_n) read from the sampler's path array;
-        same (seed, replicate) gives the same path."""
+    def sample_path(self, n: int, seed: int, replicate: int = 0) -> np.ndarray:
+        """One trajectory (Y_0, ..., Y_n) as the sampler's (n + 1, d) int64
+        count array; same (seed, replicate) gives the same path."""
         if self.sampler is None:
             raise ValueError(f"{self.name} has no sampler")
-        return CountPath(self.sampler.sample_path_counts(n, seed, replicate))
+        return self.sampler.sample_path_counts(n, seed, replicate)
 
     # -- on-demand structural checks -----------------------------------------
 

@@ -9,7 +9,8 @@ Configs are strict JSON: unknown keys are rejected, rationals travel as
 canonical (sorted keys, no timestamps) so a fixed config and seed yield
 byte-identical reports, regardless of worker count.  Exit status: 0 all
 checks pass, 1 check failure, 2 bad config or an ``--out`` path that cannot
-be written, 3 budget exceeded (level, kernel-pair count or path-array size).
+be written, 3 budget exceeded (level, kernel-pair count, or the size of a
+path or sample array).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence
 
-from .chain import DEFAULT_ATOM_BUDGET, kernel_rows
+from .chain import DEFAULT_ATOM_BUDGET, DistributionTable, kernel_rows
 from .compositions import alpha_walk, boundary_kernel, uniform_walk
 from .definetti import (
     MarkovSource,
@@ -33,7 +34,6 @@ from .definetti import (
     PolyaUrnSource,
     binary_digits,
     estimate_directing_measure,
-    lift_point_masses,
     projection_consistency_check,
     reconstruct_real,
 )
@@ -353,25 +353,31 @@ def _run_kernel(config: RunConfig, report: Report) -> None:
     report.rows = LazyRows(rows)
 
 
-def _run_simulate(config: RunConfig, report: Report) -> None:
-    cells = (config.horizon + 1) * config.d
+def _admit_counts(need: str, cells: int) -> None:
+    """Refuse, before any work, an array of more counts than the atom budget."""
     if cells > DEFAULT_ATOM_BUDGET:
         raise BudgetExceededError(
-            f"horizon {config.horizon} needs a path array of {cells} counts, "
-            f"more than the atom budget {DEFAULT_ATOM_BUDGET}"
+            f"{need} of {cells} counts, more than the atom budget {DEFAULT_ATOM_BUDGET}"
         )
+
+
+def _run_simulate(config: RunConfig, report: Report) -> None:
+    _admit_counts(f"horizon {config.horizon} needs a path array", (config.horizon + 1) * config.d)
     walk = uniform_walk(config.d) if config.alpha is None else alpha_walk(config.alpha)
     report.fields = ("replicate", "step", *(f"part_{i + 1}" for i in range(config.d)))
 
     def rows() -> Iterator[tuple]:
         for r in range(config.replicates):
-            counts = walk.sampler.sample_path_counts(config.horizon, config.seed, r)
+            counts = walk.sample_path(config.horizon, config.seed, r)
             yield from ((r, k, *row) for k, row in enumerate(counts.tolist()))
 
     report.rows = LazyRows(rows)
 
 
 def _run_estimate(config: RunConfig, report: Report) -> None:
+    _admit_counts(
+        f"{config.replicates} replicates need a sample array", config.replicates * config.source.d
+    )
     estimate = estimate_directing_measure(
         config.source,
         horizon=config.horizon,
@@ -415,13 +421,12 @@ def _run_lift(config: RunConfig, report: Report) -> None:
             }
         )
     if config.depth >= 2:
-        weight = Fraction(1, len(config.points))
-        masses: dict = {}
-        for p in config.points:
-            masses[p] = masses.get(p, 0) + weight
+        # the points' empirical law: mass 1/n per index, so a point listed twice weighs 2/n
+        n = len(config.points)
+        law = DistributionTable(1, dict.fromkeys(range(n), 1), n).push(config.points.__getitem__)
         consistency = projection_consistency_check(
-            lift_point_masses(masses, config.depth),
-            lift_point_masses(masses, config.depth - 1),
+            law.push(lambda p: binary_digits(p, config.depth)),
+            law.push(lambda p: binary_digits(p, config.depth - 1)),
         )
         report.records.append(_exact_record(consistency))
 

@@ -33,9 +33,6 @@ from .prob import Prob, is_exact, validate_simplex
 #: below this level sum, the kernel is evaluated in exact rational arithmetic
 EXACT_KERNEL_LIMIT = 64
 
-#: falling factorials with up to this many terms use a direct compensated log sum
-_DIRECT_LOG_TERMS = 512
-
 
 Composition = tuple[int, ...]
 
@@ -131,20 +128,15 @@ def alpha_walk(alpha: Sequence[Prob]) -> GradedChain:
 
 def _extend_log_falling(terms: list[float], top: int, count: int, sign: float) -> None:
     # log of top * (top-1) * ... * (top-count+1); all factors >= 1 here
-    if count == 0:
-        return
-    if count <= _DIRECT_LOG_TERMS:
-        terms.extend(sign * math.log(top - t) for t in range(count))
-    else:
-        terms.append(sign * (math.lgamma(top + 1) - math.lgamma(top - count + 1)))
+    terms.extend(sign * math.log(top - t) for t in range(count))
 
 
 def closed_form_kernel(x, y) -> Prob:
     """Martin kernel of the uniform walk between compositions x and y.
 
     Exact rational below ``EXACT_KERNEL_LIMIT``; above it, evaluated through
-    compensated sums of log factorial ratios (relative error well under 1e-9
-    for levels up to 10^6).  Returns 0 whenever y does not dominate x.
+    a compensated sum of the logs of its falling-factorial factors (relative
+    error well under 1e-9 for levels up to 10^6).  Returns 0 whenever y does not dominate x.
     """
     cx, cy = _payload(x), _payload(y)
     if len(cx) != len(cy):

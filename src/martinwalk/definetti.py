@@ -18,11 +18,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Protocol, Sequence
+from typing import Iterator, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -341,7 +340,7 @@ def counting_chain(source) -> GradedChain:
     lifted = GradedChain(State(0, (root, None)), None, lifted_successors, "lifted")
 
     def family(n: int) -> tuple[State, ...]:
-        return tuple(sorted({State(n, x.payload[0]) for x in lifted.forward_law(n).support}))
+        return tuple(sorted({State(n, x.payload[0]) for x in lifted.forward_law(n).nums}))
 
     def successors(y: State):
         law = lifted.forward_law(y.level + 1)
@@ -421,7 +420,7 @@ def counting_h_recovery(source, n: int) -> HarmonicFn:
         raise MartinWalkError(f"recovered function is not harmonic:\n{harmonicity}")
     transformed = h_transform(base, h)
     for m in range(n):
-        for x in observed.forward_law(m).support:
+        for x in observed.forward_law(m).nums:
             expected, reproduced = dict(observed.successors(x)), dict(transformed.successors(x))
             if expected.keys() != reproduced.keys() or not all(
                 probs_equal(p, expected[y]) for y, p in reproduced.items()
@@ -592,14 +591,6 @@ def reconstruct_real(digits: Sequence[int]) -> Fraction:
     return Fraction(total, 1 << len(digits))
 
 
-def lift_point_masses(masses: Mapping, depth: int) -> dict[tuple[int, ...], Prob]:
-    """Push a finitely supported law on [0, 1) forward to depth-k digit tuples."""
-    out: dict[tuple[int, ...], Prob] = defaultdict(int)
-    for point, weight in masses.items():
-        out[binary_digits(point, depth)] += weight
-    return dict(sorted(out.items()))
-
-
 def lift_source_law(source, points: Sequence, depth: int, n: int) -> DistributionTable:
     """Law of the digit-truncated sequence when symbol s stands for points[s-1]."""
     if len(points) != source.d:
@@ -608,21 +599,25 @@ def lift_source_law(source, points: Sequence, depth: int, n: int) -> Distributio
     return source_cylinder_law(source, n).push(lambda word: tuple(digit_of[s] for s in word))
 
 
-def projection_consistency_check(law_deeper: Mapping, law_shallower: Mapping) -> CheckReport:
-    """Dropping the last digit must push the deeper law onto the shallower one."""
-    for label, law in (("deeper", law_deeper), ("shallower", law_shallower)):
-        total = sum(law.values())
-        if not probs_equal(total, 1):
-            raise NonStochasticError(f"{label} law sums to {format_prob(total)}")
-    depths = {len(k) for k in law_deeper} | {len(k) + 1 for k in law_shallower}
+def projection_consistency_check(
+    deeper: DistributionTable, shallower: DistributionTable
+) -> CheckReport:
+    """Dropping the last digit must push the deeper digit law onto the shallower
+    one, compared key by key over the sorted union of their keys."""
+    for label, law in (("deeper", deeper), ("shallower", shallower)):
+        if sum(law.nums.values()) != law.den:
+            raise NonStochasticError(f"{label} law sums to {format_prob(law.total())}")
+    depths = {len(k) for k in deeper.nums} | {len(k) + 1 for k in shallower.nums}
     if len(depths) != 1:
         raise ValueError("expected digit depths k+1 and k")
-    pushed: dict[tuple, Prob] = defaultdict(int)
-    for digits, weight in law_deeper.items():
-        pushed[digits[:-1]] += weight
+    pushed = deeper.push(lambda digits: digits[:-1])
     report = CheckReport("projection-consistency")
-    for key in sorted(set(pushed) | set(law_shallower)):
-        report.record(lambda: f"digits={key}", law_shallower.get(key, 0), pushed.get(key, 0))
+    for key in sorted(pushed.nums.keys() | shallower.nums.keys()):
+        report.record_ratio(
+            lambda: f"digits={key}",
+            (shallower.nums.get(key, 0), shallower.den),
+            (pushed.nums.get(key, 0), pushed.den),
+        )
     return report
 
 

@@ -16,7 +16,6 @@ the marginal ratio h(x) = P_observed(Y_n = x) / P_base(Y_n = x).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -50,10 +49,6 @@ class HarmonicFn:
 
     def __repr__(self) -> str:
         return f"HarmonicFn({self.name!r})"
-
-    @classmethod
-    def one(cls) -> "HarmonicFn":
-        return cls(lambda _s: Fraction(1), name="1")
 
     @classmethod
     def mixture(cls, weighted: Sequence[tuple[Prob, "HarmonicFn"]], name: str = "mixture") -> "HarmonicFn":
@@ -177,7 +172,7 @@ def cotransition_equality_check(a: GradedChain, b: GradedChain, max_level: int) 
     for n in range(1, max_level + 1):
         law_a = a.forward_law(n)
         law_b = b.forward_law(n)
-        shared = sorted(set(law_a.support) & set(law_b.support))
+        shared = sorted(law_a.nums.keys() & law_b.nums.keys())
         for y in shared:
             candidates = {x for x, _ in a.predecessors(y)} | {x for x, _ in b.predecessors(y)}
             for x in sorted(candidates):

@@ -78,11 +78,6 @@ class CheckReport:
     def note(self, message: str) -> None:
         self.notes.append(message)
 
-    def max_residual(self) -> float:
-        if not self.violations:
-            return 0.0
-        return max(abs(float(v.residual)) for v in self.violations)
-
     def summary(self) -> str:
         status = "ok" if self.ok else f"{len(self.violations)} violation(s)"
         return f"{self.name}: {self.checked} checked, {status}"

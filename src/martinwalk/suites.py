@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .chain import GradedChain, State, kernel_rows, markov_property_check
+from .chain import DistributionTable, GradedChain, State, kernel_rows, markov_property_check
 from .compositions import (
     alpha_walk,
     boundary_harmonic,
@@ -31,7 +31,6 @@ from .definetti import (
     cylinder_exchangeability_report,
     definetti_identity_check,
     dirichlet_moment,
-    lift_point_masses,
     lift_source_law,
     projection_consistency_check,
     reconstruct_real,
@@ -380,13 +379,14 @@ def projection_report(depth: int = 3) -> CheckReport:
     """Projection consistency for dyadic point-mass directing measures."""
     report = CheckReport(f"lift-projection[depth {depth}]")
     laws = [
-        {Fraction(5, 8): Fraction(1)},
-        {Fraction(5, 8): Fraction(1, 2), Fraction(1, 4): Fraction(1, 2)},
-        {Fraction(0): Fraction(1, 3), Fraction(3, 4): Fraction(2, 3)},
+        DistributionTable(1, {Fraction(5, 8): 1}),
+        DistributionTable(1, {Fraction(5, 8): 1, Fraction(1, 4): 1}, 2),
+        DistributionTable(1, {Fraction(0): 1, Fraction(3, 4): 2}, 3),
     ]
-    for masses in laws:
+    for law in laws:
         for k in range(1, depth):
-            deeper, shallower = lift_point_masses(masses, k + 1), lift_point_masses(masses, k)
+            deeper = law.push(lambda point: binary_digits(point, k + 1))
+            shallower = law.push(lambda point: binary_digits(point, k))
             report.absorb(projection_consistency_check(deeper, shallower))
     return report
 

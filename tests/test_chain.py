@@ -310,7 +310,7 @@ class TestIntegerLaws:
     )
     def test_every_table_is_in_lowest_terms(self, chain):
         for m in range(6):
-            for x in chain.forward_law(m).support:
+            for x in chain.forward_law(m).nums:
                 for n in range(m, 6):
                     table = chain.conditional_law(x, n)
                     assert isinstance(table.den, int)
@@ -389,31 +389,31 @@ class TestSampling:
     def test_determinism(self, walk2):
         p1 = walk2.sample_path(20, seed=42)
         p2 = walk2.sample_path(20, seed=42)
-        assert p1 == p2
+        assert np.array_equal(p1, p2)
+        assert np.array_equal(p1, walk2.sampler.sample_path_counts(20, 42, 0))
 
     def test_replicates_differ(self, walk2):
         p1 = walk2.sample_path(20, seed=42, replicate=0)
         p2 = walk2.sample_path(20, seed=42, replicate=1)
-        assert p1 != p2
+        assert not np.array_equal(p1, p2)
 
     def test_levels_and_steps(self, walk2):
         path = walk2.sample_path(15, seed=3)
-        assert [s.level for s in path] == list(range(16))
-        for a, b in zip(path, path[1:]):
-            assert sum(b.payload) - sum(a.payload) == 1
+        assert path.shape == (16, 2)
+        assert path.sum(axis=1).tolist() == list(range(16))
 
     def test_degenerate_walk_single_path(self):
         from martinwalk import alpha_walk
 
         w = alpha_walk((Fraction(1), Fraction(0)))
         path = w.sample_path(5, seed=0)
-        assert [s.payload for s in path] == [(k, 0) for k in range(6)]
+        assert np.array_equal(path, [(k, 0) for k in range(6)])
 
     def test_law_of_large_numbers(self, walk2):
         # mean of Y_{n,1}/n over replicates within 3 standard errors of 1/2
         n, replicates = 10_000, 1_000
         finals = [
-            walk2.sample_path(n, seed=2024, replicate=r)[-1].payload[0] / n
+            walk2.sample_path(n, seed=2024, replicate=r)[-1, 0] / n
             for r in range(replicates)
         ]
         mean = float(np.mean(finals))

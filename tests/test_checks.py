@@ -84,7 +84,6 @@ class TestRequire:
         assert report.checked == 2
         assert report.violations == [Violation("b", Fraction(1, 3), Fraction(1, 2))]
         assert report.violations[0].residual == Fraction(1, 6)
-        assert report.max_residual() == pytest.approx(1 / 6)
 
     def test_passing_check_never_calls_its_site(self):
         def site() -> str:

@@ -313,8 +313,9 @@ class TestGoldenBytes:
     were merged, the next two before rows became tuples under one header, the
     d=3 ``verify`` and float-mode ones before the float tolerance and the atom
     budget became constants, d=3 ``verify`` at budget 8 before the exact
-    laws became int numerators, and d=3 ``kernel`` before its row loop moved
-    onto ``kernel_rows``; any change to ``verify``/``kernel``/``lift`` bytes
+    laws became int numerators, d=3 ``kernel`` before its row loop moved
+    onto ``kernel_rows``, and a repeated ``lift`` point before the lift's
+    laws became tables; any change to ``verify``/``kernel``/``lift`` bytes
     must be deliberate."""
 
     @pytest.mark.parametrize(
@@ -380,6 +381,16 @@ class TestGoldenBytes:
                 "csv",
                 "49ca6e30d2ebc437678bfa4425dac6347595241c2363a0a12490b6b9cf50b2ae",
             ),
+            (
+                {"command": "lift", "points": ["1/4", "1/4", "5/8"], "depth": 4},
+                "json",
+                "189c6e7d723b41f9b28c226b898a4f89a6115c1d203dd64963a57c992abbbc62",
+            ),
+            (
+                {"command": "lift", "points": ["1/4", "1/4", "5/8"], "depth": 4},
+                "csv",
+                "cc247a8f8598e7e6f1e701194ddc84bd7a30762586136b1200756214b2401fa1",
+            ),
         ],
         ids=[
             "verify",
@@ -394,6 +405,8 @@ class TestGoldenBytes:
             "verify-d3-budget8",
             "kernel-d3",
             "kernel-d3-csv",
+            "lift-repeated-point",
+            "lift-repeated-point-csv",
         ],
     )
     def test_report_digest(self, doc, fmt, digest):
@@ -635,6 +648,21 @@ class TestRegressions:
         assert captured.err.startswith("error: horizon 4611686018427387904 needs a path array")
         assert "Traceback" not in captured.err and captured.out == ""
         assert not out.exists()  # rejected before a byte of the report is written
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_estimate_over_the_atom_budget_exits_3(self, tmp_path, capsys, workers):
+        # 10**10 replicates used to build a task list of 4e7 tuples, then a MemoryError
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "r.json"
+        doc = dict(HORIZON_KEYS["estimate"], command="estimate", horizon=100, replicates=10**10)
+        cfg_path.write_text(json.dumps(doc))
+        argv = ["estimate", "--config", str(cfg_path), "--out", str(out), "--workers", workers]
+        start = time.perf_counter()
+        assert main(argv) == 3
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: 10000000000 replicates need a sample array")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out.exists()
 
     def test_largest_horizon_estimates(self, tmp_path):
         # the urn draws Y_n in O(d) per replicate, whatever the horizon

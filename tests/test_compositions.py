@@ -58,6 +58,19 @@ class TestUniformWalk:
         assert law.atoms == expected
 
 
+def exact_kernel(x, y):
+    """Independent integer oracle: d^m * prod falling factorials."""
+    d, m, n = len(x), sum(x), sum(y)
+    num = d**m
+    for xi, yi in zip(x, y):
+        for t in range(xi):
+            num *= yi - t
+    den = 1
+    for t in range(m):
+        den *= n - t
+    return Fraction(num, den)
+
+
 class TestClosedFormKernel:
     def test_unit_vector_special_case(self):
         # K(e_1, (3,2)) = d * y_1 / n = 2 * 3 / 5
@@ -90,24 +103,21 @@ class TestClosedFormKernel:
         assert sum((30, 32)) < EXACT_KERNEL_LIMIT <= sum((32, 33))
 
     def test_float_path_relative_error(self):
-        # independent integer oracle: d^m * prod falling factorials
-        def exact(x, y):
-            d, m, n = len(x), sum(x), sum(y)
-            num = d**m
-            for xi, yi in zip(x, y):
-                for t in range(xi):
-                    num *= yi - t
-            den = 1
-            for t in range(m):
-                den *= n - t
-            return Fraction(num, den)
-
         for n in (10**3, 10**5, 10**6):
             y = rounded_ray_point(n, (0.3, 0.7))
             for x in ((1, 0), (2, 1), (0, 3)):
                 approx = closed_form_kernel(x, y)
-                truth = exact(x, y)
+                truth = exact_kernel(x, y)
                 assert abs(approx - truth) <= 1e-9 * truth
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [((300, 400), (30_000, 70_000)), ((1000, 1), (10**6, 5)), ((600, 0), (6000, 4000))],
+    )
+    def test_long_falling_factorials_stay_accurate(self, x, y):
+        # falling factorials of hundreds of factors, each summed log by log
+        truth = exact_kernel(x, y)
+        assert abs(Fraction(closed_form_kernel(x, y)) - truth) <= Fraction(1, 10**12) * truth
 
 
 class TestBoundaryKernel:

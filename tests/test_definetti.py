@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from martinwalk import (
     BudgetExceededError,
+    DistributionTable,
     HarmonicFn,
     MartinWalkError,
     MarkovSource,
@@ -27,7 +28,6 @@ from martinwalk import (
     dirichlet_moment,
     estimate_directing_measure,
     ks_distance_uniform,
-    lift_point_masses,
     lift_source_law,
     projection_consistency_check,
     reconstruct_real,
@@ -446,25 +446,21 @@ class TestBinaryDigits:
 
 class TestLift:
     def test_point_mass_projection(self):
-        deep = lift_point_masses({Fraction(5, 8): Fraction(1)}, 3)
-        shallow = lift_point_masses({Fraction(5, 8): Fraction(1)}, 2)
-        assert deep == {(1, 0, 1): Fraction(1)}
-        assert shallow == {(1, 0): Fraction(1)}
+        point = DistributionTable(1, {Fraction(5, 8): 1})
+        deep = point.push(lambda p: binary_digits(p, 3))
+        shallow = point.push(lambda p: binary_digits(p, 2))
+        assert deep.atoms == {(1, 0, 1): Fraction(1)}
+        assert shallow.atoms == {(1, 0): Fraction(1)}
         assert projection_consistency_check(deep, shallow).ok
 
     def test_uniform_projection(self):
-        deep = {digits: Fraction(1, 8) for digits in itertools.product((0, 1), repeat=3)}
-        shallow = {digits: Fraction(1, 4) for digits in itertools.product((0, 1), repeat=2)}
+        deep = DistributionTable(3, dict.fromkeys(itertools.product((0, 1), repeat=3), 1), 8)
+        shallow = DistributionTable(2, dict.fromkeys(itertools.product((0, 1), repeat=2), 1), 4)
         assert projection_consistency_check(deep, shallow).ok
 
     def test_perturbed_projection_fails(self):
-        deep = {digits: Fraction(1, 8) for digits in itertools.product((0, 1), repeat=3)}
-        shallow = {
-            (0, 0): Fraction(3, 8),
-            (0, 1): Fraction(1, 8),
-            (1, 0): Fraction(1, 4),
-            (1, 1): Fraction(1, 4),
-        }
+        deep = DistributionTable(3, dict.fromkeys(itertools.product((0, 1), repeat=3), 1), 8)
+        shallow = DistributionTable(2, {(0, 0): 3, (0, 1): 1, (1, 0): 2, (1, 1): 2}, 8)
         report = projection_consistency_check(deep, shallow)
         assert not report.ok
 
@@ -472,7 +468,9 @@ class TestLift:
         from martinwalk import NonStochasticError
 
         with pytest.raises(NonStochasticError):
-            projection_consistency_check({(0, 0): Fraction(1, 2)}, {(0,): Fraction(1)})
+            projection_consistency_check(
+                DistributionTable(2, {(0, 0): 1}, 2), DistributionTable(1, {(0,): 1})
+            )
 
     def test_lifted_law_is_exchangeable(self):
         points = (Fraction(5, 8), Fraction(1, 4))

@@ -50,7 +50,7 @@ def transformed(base, h_alpha):
 
 class TestIsHarmonic:
     def test_constant_function(self, base):
-        assert is_harmonic(base, HarmonicFn.one(), 6).ok
+        assert is_harmonic(base, HarmonicFn(lambda _s: 1, name="1"), 6).ok
 
     def test_boundary_kernel_is_harmonic(self, base, h_alpha):
         report = is_harmonic(base, h_alpha, 6)
@@ -69,7 +69,7 @@ class TestIsHarmonic:
 
 class TestHTransform:
     def test_identity_transform(self, base):
-        t = h_transform(base, HarmonicFn.one())
+        t = h_transform(base, HarmonicFn(lambda _s: 1, name="1"))
         for n in range(4):
             for x in base.enumerate_level(n):
                 assert t.successors(x) == base.successors(x)
@@ -101,7 +101,7 @@ class TestHTransform:
 
 class TestDensityRatio:
     def test_constant_h(self, base):
-        t = h_transform(base, HarmonicFn.one())
+        t = h_transform(base, HarmonicFn(lambda _s: 1, name="1"))
         assert density_ratio_check(base, t, 4).ok
 
     def test_alpha_path_value(self, base, transformed, h_alpha):
@@ -140,7 +140,7 @@ class TestKernelTransform:
         assert report.ok, str(report)
 
     def test_constant_h_is_noop(self, base):
-        t = h_transform(base, HarmonicFn.one())
+        t = h_transform(base, HarmonicFn(lambda _s: 1, name="1"))
         report = kernel_transform_check(base, t, 4)
         assert report.ok
 
@@ -221,7 +221,8 @@ class TestRecoverH:
 
 class TestRepresentation:
     def test_constant_h(self, base):
-        report = representation_check(base, HarmonicFn.one(), comp_state((1, 1)), 6)
+        one = HarmonicFn(lambda _s: 1, name="1")
+        report = representation_check(base, one, comp_state((1, 1)), 6)
         assert report.ok
 
     def test_alpha_exact_value(self, base, h_alpha, transformed):

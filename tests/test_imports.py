@@ -8,6 +8,9 @@ module defines at its top level, must be read somewhere in the module,
 counting names inside string annotations.  ``__init__.py`` is exempt, since
 its imports are the package's re-exports; each of those must be read by
 another module, by the acceptance tests or by the README library example.
+Every public top-level function or class and every public method must be
+read by the package, the acceptance tests, the README library example or
+the benchmark tracer's targets, bar the few names in ``UNREAD_PUBLIC``.
 Every ``self.attr`` a module assigns must be read as ``.attr`` somewhere in
 the package, the tests or the README library example.
 """
@@ -17,6 +20,7 @@ import re
 from pathlib import Path
 
 import pytest
+from test_tracer_targets import load_tracer
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "martinwalk"
@@ -125,6 +129,46 @@ def test_every_export_is_read():
     reads = set().union(*(_reads(ast.parse(text)) for text in readers))
     unread = sorted(exports - reads)
     assert not unread, f"package exports read nowhere: {unread}"
+
+
+#: public names that nothing reads, each with the reason it stays
+UNREAD_PUBLIC = {
+    "polya_cotransition": (
+        "the composition graph's universal cotransition in closed form, kept as the "
+        "reference for the Kingman-graph extension on the ROADMAP"
+    ),
+}
+
+
+def _public_definitions(tree: ast.Module) -> dict[str, str]:
+    """Qualified name -> name of every public top-level function or class and
+    of every public method of a top-level class."""
+    out = {}
+    for top in tree.body:
+        if not isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        out[top.name] = top.name
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    out[f"{top.name}.{node.name}"] = node.name
+    return {qualified: name for qualified, name in out.items() if not name.startswith("_")}
+
+
+def test_every_public_definition_is_read():
+    """Only unit tests calling a name does not keep it: the package, the
+    acceptance tests, the README library example or a benchmark trace target
+    must read it."""
+    readers = [p.read_text() for p in (*MODULES, ACCEPTANCE)] + [_readme_example()]
+    reads = set().union(*(_reads(ast.parse(text)) for text in readers))
+    reads |= {part for _, attr, _, _ in load_tracer().TARGETS for part in attr.split(".")}
+    unread = sorted(
+        f"{path.name}:{qualified}"
+        for path in MODULES
+        for qualified, name in _public_definitions(ast.parse(path.read_text())).items()
+        if name not in reads and name not in UNREAD_PUBLIC
+    )
+    assert not unread, f"public names read only by unit tests, or by nothing: {unread}"
 
 
 def test_readme_example_runs():

@@ -14,7 +14,6 @@ from martinwalk import (
     MarkovSource,
     MixtureSource,
     PolyaUrnSource,
-    State,
     alpha_walk,
     boundary_harmonic,
     compositions,
@@ -190,19 +189,7 @@ class TestArrayContract:
     def test_states_wrap_the_arrays(self):
         walk = uniform_walk(3)
         counts = walk.sampler.sample_path_counts(25, 6, 4)
-        path = walk.sample_path(25, seed=6, replicate=4)
-        assert path == [State(k, tuple(int(c) for c in row)) for k, row in enumerate(counts)]
-
-    def test_path_view_reads_like_its_list(self):
-        path = uniform_walk(2).sample_path(30, seed=1, replicate=2)
-        states = list(path)
-        assert len(path) == len(states) == 31
-        assert [path[k] for k in range(-31, 31)] == states + states
-        assert path[3:9] == states[3:9] and path[::-2] == states[::-2]
-        assert path == states and path != states[:-1]
-        assert all(type(c) is int for c in path[-1].payload)
-        with pytest.raises(IndexError):
-            path[31]
+        assert np.array_equal(walk.sample_path(25, seed=6, replicate=4), counts)
 
     def test_chain_without_sampler_cannot_be_sampled(self):
         base = uniform_walk(2)
