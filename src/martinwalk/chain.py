@@ -13,7 +13,8 @@ The Martin kernel is
 
 with K(x, y) = 0 when levels are incompatible.  ``backward_conditional``
 computes the equivalent form P(Y_m = x | Y_n = y) / P(Y_m = x) through
-chained cotransitions, which gives an independent route for testing.
+chained cotransitions, which gives an independent route for testing.  Both
+directions are the same DP step over int laws (``DistributionTable``).
 """
 
 from __future__ import annotations
@@ -95,30 +96,27 @@ class DistributionTable:
     Keys are the states of Y_n for a level law, or the tuples (Y_1, ..., Y_n)
     of a path law and (X_1, ..., X_n) of a word law, with ``level`` = n.  The
     table is in lowest terms, gcd(den, *nums) == 1, and stores no zero, so
-    its keys are its support.  ``prob`` and ``atoms`` build ``Fraction``s.
+    its keys are its support.  ``ratio`` and ``atoms`` build ``Fraction``s.
     """
 
     level: int
     nums: dict[Any, int]
     den: int = 1
 
-    def prob(self, key) -> Prob:
-        num = self.nums.get(key, 0)
-        return Fraction(num, self.den) if num else 0
+    @classmethod
+    def reduced(cls, level: int, nums: dict[Any, int], den: int) -> DistributionTable:
+        """The law nums / den in lowest terms; nums holds no zero."""
+        g = math.gcd(den, *nums.values())
+        return cls(level, {key: num // g for key, num in nums.items()}, den // g)
 
     def __contains__(self, key) -> bool:
         """Whether the key has positive mass."""
         return key in self.nums
 
-    def ratio(
-        self, other: DistributionTable, state: State, other_state: Optional[State] = None
-    ) -> Prob:
-        """self.prob(state) / other.prob(other_state), other_state defaulting to
-        state: a single ``Fraction`` of numerators and denominators."""
-        other_state = state if other_state is None else other_state
-        return Fraction(
-            self.nums.get(state, 0) * other.den, self.den * other.nums.get(other_state, 0)
-        )
+    def ratio(self, other: DistributionTable, state: State) -> Prob:
+        """The mass of state here over its mass in other: a single
+        ``Fraction`` of numerators and denominators."""
+        return Fraction(self.nums.get(state, 0) * other.den, self.den * other.nums.get(state, 0))
 
     @property
     def atoms(self) -> dict[Any, Prob]:
@@ -137,8 +135,7 @@ class DistributionTable:
         nums: dict[Any, int] = defaultdict(int)
         for key, num in self.nums.items():
             nums[f(key)] += num
-        g = math.gcd(self.den, *nums.values())
-        return DistributionTable(self.level, {k: v // g for k, v in nums.items()}, self.den // g)
+        return DistributionTable.reduced(self.level, nums, self.den)
 
     def __len__(self) -> int:
         return len(self.nums)
@@ -167,7 +164,9 @@ class GradedChain:
     to the law of Y_n given Y_m = x, and the forward law is the entry of
     the root, so ``conditional_law(root, n)`` is ``forward_law(n)``.  These
     laws are int numerators over one denominator per table (see
-    ``DistributionTable``).
+    ``DistributionTable``).  Backward laws are tables too, in one memo:
+    ``_back[y]`` maps levels m to the law of Y_m given Y_n = y, and its entry
+    one level below y is the cotransition.
 
     Instances are immutable apart from internal memo tables; sharing across
     threads is safe (a lost cache write just means recomputation).
@@ -188,13 +187,11 @@ class GradedChain:
         self.sampler = sampler
         self._levels: dict[int, tuple[State, ...]] = {0: (root,)}
         self._rows: dict[State, tuple[tuple[State, Prob], ...]] = {}
-        self._exact_rows: dict[State, tuple[int, tuple[tuple[State, int], ...]]] = {}
-        self._preds: dict[int, dict[State, tuple[tuple[State, Prob], ...]]] = {}
+        self._exact_rows: dict[State, DistributionTable] = {}
         self._cond: dict[State, dict[int, DistributionTable]] = {
             root: {0: DistributionTable(0, {root: 1})}
         }
-        self._back: dict[State, dict[int, dict[State, Prob]]] = {}
-        self._cotransitions: dict[tuple[State, State], Prob] = {}
+        self._back: dict[State, dict[int, DistributionTable]] = {}
 
     def __repr__(self) -> str:
         return f"GradedChain({self.name!r})"
@@ -232,66 +229,48 @@ class GradedChain:
         self._rows[x] = row
         return row
 
-    def _exact_row(self, x: State) -> tuple[int, tuple[tuple[State, int], ...]]:
-        """The row out of x as (den, ((y, num), ...)), its positive step
-        probabilities num / den over the lcm of their denominators; a float
-        step probability raises ``ValueError``."""
+    def _exact_row(self, x: State) -> DistributionTable:
+        """The row out of x as a law on level(x) + 1: its positive step
+        probabilities over the lcm of their denominators, which leaves it in
+        lowest terms; a float step probability raises ``ValueError``."""
         if x not in self._exact_rows:
             row = [(y, q) for y, q in self.successors(x) if q != 0]
             for y, q in row:
                 if not is_exact(q):
                     raise ValueError(f"float step probability {q!r} at {x} -> {y}: laws are exact")
             den = math.lcm(*(q.denominator for _, q in row))
-            exact = den, tuple((y, q.numerator * (den // q.denominator)) for y, q in row)
-            self._exact_rows[x] = exact
+            nums = {y: q.numerator * (den // q.denominator) for y, q in row}
+            self._exact_rows[x] = DistributionTable(x.level + 1, nums, den)
         return self._exact_rows[x]
 
-    def step(self, x: State, y: State) -> Prob:
-        """One-step transition probability, 0 unless level(y) = level(x) + 1."""
-        if y.level != x.level + 1:
-            return 0
-        for z, p in self.successors(x):
-            if z == y:
-                return p
-        return 0
-
-    def predecessors(self, y: State) -> tuple[tuple[State, Prob], ...]:
-        """Enumerated states one level below y with a positive step into y."""
-        if y.level == 0:
-            return ()
-        table = self._preds.get(y.level)
-        if table is None:
-            grouped: dict[State, list[tuple[State, Prob]]] = defaultdict(list)
-            for w in self.enumerate_level(y.level - 1):
-                for z, q in self.successors(w):
-                    if q != 0:
-                        grouped[z].append((w, q))
-            table = {z: tuple(rows) for z, rows in grouped.items()}
-            self._preds[y.level] = table
-        return table.get(y, ())
-
     # -- forward laws ------------------------------------------------------
+
+    @staticmethod
+    def _advance(
+        table: DistributionTable, row_of: Callable[[State], DistributionTable], level: int
+    ) -> DistributionTable:
+        """The one DP step: the law on ``level`` of the state that each key z
+        of ``table`` moves to by the law ``row_of(z)``, in lowest terms.
+
+        Forward rows step up a level and cotransitions step down one."""
+        rows = [row_of(z) for z in table.nums]
+        scale = math.lcm(*(row.den for row in rows))
+        nxt: dict[State, int] = defaultdict(int)
+        for p, row in zip(table.nums.values(), rows):
+            p *= scale // row.den
+            for y, q in row.nums.items():
+                nxt[y] += p * q
+        return DistributionTable.reduced(level, nxt, table.den * scale)
 
     def _propagate(self, memo: dict[int, DistributionTable], n: int) -> DistributionTable:
         """Extend a {level: law} memo, which lacks level n, level by level up to n.
 
         The one forward DP: forward and conditional laws both come from here.
-        Each level has one int denominator, reduced by the gcd.
         """
         table = memo[max(k for k in memo if k <= n)]
         for k in range(table.level, n):
-            rows = [self._exact_row(z) for z in table.nums]
-            scale = math.lcm(*(row_den for row_den, _ in rows))
-            nxt: dict[State, int] = defaultdict(int)
-            for p, (row_den, row) in zip(table.nums.values(), rows):
-                p *= scale // row_den
-                for y, q in row:
-                    nxt[y] += p * q
-            den = table.den * scale
-            g = math.gcd(den, *nxt.values())
-            table = DistributionTable(k + 1, {y: v // g for y, v in nxt.items()}, den // g)
-            memo[k + 1] = table
-        return memo[n]
+            table = memo[k + 1] = self._advance(table, self._exact_row, k + 1)
+        return table
 
     def forward_law(self, n: int) -> DistributionTable:
         """P(Y_n = .) by level-by-level dynamic programming from the root."""
@@ -332,45 +311,53 @@ class GradedChain:
             row[y] = Fraction(num * law.den, cond.den * law.nums[y])
         return row
 
-    def cotransition(self, y: State, x: State) -> Prob:
-        """P(Y_n = x | Y_{n+1} = y), the backward one-step law; one memo entry per edge."""
-        value = self._cotransitions.get((y, x))
-        if value is not None:
-            return value
-        if x.level != y.level - 1:
-            raise ValueError(f"{x} is not one level below {y}")
-        law_y, law_x = self.forward_law(y.level), self.forward_law(x.level)
-        if y not in law_y:
-            raise UnreachableStateError(f"unreachable conditioning state {y}")
-        value = self.step(x, y) * law_x.ratio(law_y, x, y) if x in law_x else 0
-        self._cotransitions[(y, x)] = value
-        return value
+    def _backward_memo(self, y: State) -> dict[int, DistributionTable]:
+        """{m: P(Y_m = . | Y_n = y)} for y at level n, from the point mass at y."""
+        return self._back.setdefault(y, {y.level: DistributionTable(y.level, {y: 1})})
 
-    def backward_conditional(self, y: State, x: State) -> Prob:
-        """P(Y_m = x | Y_n = y) built by chaining cotransitions downward.
+    def cotransition(self, y: State) -> DistributionTable:
+        """P(Y_{n-1} = . | Y_n = y), the backward one-step law: the entry one
+        level below y of its backward memo.
+
+        The first call on level n fills that entry for every reachable state
+        there at once: the joint masses P(Y_{n-1} = x, Y_n = y), as numerators
+        over one denominator, divided by their sum."""
+        if y.level == 0:
+            raise ValueError(f"no level below {y}")
+        if y not in self.forward_law(y.level):
+            raise UnreachableStateError(f"unreachable conditioning state {y}")
+        memo = self._backward_memo(y)
+        if y.level - 1 not in memo:
+            below = self.forward_law(y.level - 1)
+            rows = [self._exact_row(x) for x in below.nums]
+            scale = math.lcm(*(row.den for row in rows))
+            joint: dict[State, dict[State, int]] = defaultdict(dict)
+            for (x, p), row in zip(below.nums.items(), rows):
+                p *= scale // row.den
+                for z, q in row.nums.items():
+                    joint[z][x] = p * q
+            for z, masses in joint.items():
+                back = DistributionTable.reduced(z.level - 1, masses, sum(masses.values()))
+                self._backward_memo(z)[z.level - 1] = back
+        return memo[y.level - 1]
+
+    def backward_conditional(self, y: State, m: int) -> DistributionTable:
+        """P(Y_m = . | Y_n = y) for y at level n >= m: the one DP step run
+        downward over cotransitions.
 
         Deliberately does not reuse the forward conditional law, so the two
         expressions for the Martin kernel can be compared as independent
         computations.
         """
-        if x.level > y.level:
-            return 0
+        if m > y.level:
+            raise ValueError(f"backward horizon {m} above level of {y}")
         if y not in self.forward_law(y.level):
             raise UnreachableStateError(f"unreachable conditioning state {y}")
-        per_state = self._back.setdefault(y, {y.level: {y: 1}})
-        level = min(per_state)
-        while level > x.level:
-            prev: dict[State, Prob] = defaultdict(int)
-            for z, mass in per_state[level].items():
-                if mass == 0:
-                    continue
-                for w, _ in self.predecessors(z):
-                    back = self.cotransition(z, w)
-                    if back != 0:
-                        prev[w] += mass * back
-            level -= 1
-            per_state[level] = dict(prev)
-        return per_state[x.level].get(x, 0)
+        memo = self._backward_memo(y)
+        table = memo[min(k for k in memo if k >= m)]
+        for k in range(table.level, m, -1):
+            table = memo[k - 1] = self._advance(table, self.cotransition, k - 1)
+        return table
 
     # -- path space ---------------------------------------------------------
 
@@ -387,7 +374,7 @@ class GradedChain:
         for _ in range(n):
             nxt: dict[State, int] = defaultdict(int)
             for z, c in counts.items():
-                for y, _ in self._exact_row(z)[1]:
+                for y in self._exact_row(z).nums:
                     nxt[y] += c
             counts = nxt
         if sum(counts.values()) > DEFAULT_ATOM_BUDGET:
@@ -398,12 +385,12 @@ class GradedChain:
         den = 1
         for _ in range(n):
             rows = {path[-1]: self._exact_row(path[-1]) for path in paths}
-            scale = math.lcm(*(row_den for row_den, _ in rows.values()))
+            scale = math.lcm(*(row.den for row in rows.values()))
             nxt_paths: dict[tuple[State, ...], int] = {}
             for path, num in paths.items():
-                row_den, row = rows[path[-1]]
-                num *= scale // row_den
-                for y, q in row:
+                row = rows[path[-1]]
+                num *= scale // row.den
+                for y, q in row.nums.items():
                     nxt_paths[path + (y,)] = num * q
             paths, den = nxt_paths, den * scale
         g = math.gcd(den, *paths.values())

@@ -54,6 +54,9 @@ MAX_KERNEL_PAIRS = 150_000
 #: deepest ``lift``: from depth 14,284 Python refuses to print its 2**-depth residual
 MAX_LIFT_DEPTH = 10_000
 
+#: ``estimate`` rows made from this many sample rows at a time
+_ROW_BLOCK = 256
+
 _COMMON_KEYS = {"command", "seed", "workers", "out", "format", "mode"}
 _COMMAND_KEYS = {
     "verify": {"d", "budget"},
@@ -386,7 +389,13 @@ def _run_estimate(config: RunConfig, report: Report) -> None:
         workers=config.workers,
     )
     report.fields = ("replicate", *(f"coord_{i + 1}" for i in range(config.source.d)))
-    report.rows.extend((r, *row) for r, row in enumerate(estimate.samples.tolist()))
+
+    def rows() -> Iterator[tuple]:
+        for start in range(0, len(estimate.samples), _ROW_BLOCK):
+            block = estimate.samples[start : start + _ROW_BLOCK].tolist()
+            yield from ((r, *row) for r, row in enumerate(block, start))
+
+    report.rows = LazyRows(rows)
     means, seconds = estimate.coordinate_moments()
     report.summary["coordinate_means"] = list(means)
     report.summary["coordinate_second_moments"] = list(seconds)

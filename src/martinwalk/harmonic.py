@@ -165,19 +165,19 @@ def kernel_transform_check(
 def cotransition_equality_check(a: GradedChain, b: GradedChain, max_level: int) -> CheckReport:
     """Compare backward one-step laws of two chains over the same family.
 
-    Only conditioning states reachable in both chains are compared; the
-    predecessor sets are unioned so that missing mass counts as 0.
+    Only conditioning states reachable in both chains are compared, each
+    over the union of the two laws' supports, so that missing mass counts as 0.
     """
     report = CheckReport(f"cotransition-equality[{a.name} vs {b.name}]")
     for n in range(1, max_level + 1):
-        law_a = a.forward_law(n)
-        law_b = b.forward_law(n)
-        shared = sorted(law_a.nums.keys() & law_b.nums.keys())
-        for y in shared:
-            candidates = {x for x, _ in a.predecessors(y)} | {x for x, _ in b.predecessors(y)}
-            for x in sorted(candidates):
-                report.record(
-                    lambda: f"cotransition@({y} -> {x})", a.cotransition(y, x), b.cotransition(y, x)
+        shared = a.forward_law(n).nums.keys() & b.forward_law(n).nums.keys()
+        for y in sorted(shared):
+            back_a, back_b = a.cotransition(y), b.cotransition(y)
+            for x in sorted(back_a.nums.keys() | back_b.nums.keys()):
+                report.record_ratio(
+                    lambda: f"cotransition@({y} -> {x})",
+                    (back_a.nums.get(x, 0), back_a.den),
+                    (back_b.nums.get(x, 0), back_b.den),
                 )
     return report
 

@@ -110,22 +110,30 @@ def kernel_agreement_report(d: int, max_level: int) -> CheckReport:
 
 
 def kernel_symmetry_report(d: int, max_level: int) -> CheckReport:
-    """Both kernel expressions agree; K(x, y) <= 1/P(x); K(root, y) = 1."""
+    """Both kernel expressions agree, conditional laws against chained
+    cotransitions; K(x, y) <= 1/P(x); K(root, y) = 1.  Each check compares
+    int cross-products, and only a failing one builds ``Fraction``s."""
     chain = uniform_walk(d)
     report = CheckReport(f"kernel-symmetry[d={d}]<= {max_level}")
     for m in range(max_level + 1):
-        level_m = chain.enumerate_level(m)
-        bounds = {x: 1 / chain.forward_law(m).prob(x) for x in level_m}
+        level_m, law_m = chain.enumerate_level(m), chain.forward_law(m)
+        bounds = {x: Fraction(law_m.den, law_m.nums[x]) for x in level_m}
         for n in range(m, max_level + 1):
-            rows = {x: chain.kernel_row(x, n) for x in level_m}
-            root_row = chain.kernel_row(chain.root, n)
+            law_n = chain.forward_law(n)
+            conds = [(x, chain.conditional_law(x, n), bounds[x]) for x in level_m]
+            root = chain.conditional_law(chain.root, n)
             for y in chain.enumerate_level(n):
-                for x in level_m:
-                    forward, bound = rows[x][y], bounds[x]
-                    backward = chain.backward_conditional(y, x) * bound
-                    report.record(lambda: f"symmetry@({x}; {y})", forward, backward)
-                    report.require(lambda: f"bound@({x}; {y})", forward <= bound, bound, forward)
-                report.record(lambda: f"root-normalization@{y}", 1, root_row[y])
+                back, py = chain.backward_conditional(y, m), law_n.nums[y]
+                for x, cond, bound in conds:
+                    forward = (cond.nums.get(y, 0) * law_n.den, cond.den * py)
+                    backward = (back.nums.get(x, 0) * bound.numerator, back.den * bound.denominator)
+                    report.record_ratio(lambda: f"symmetry@({x}; {y})", forward, backward)
+                    within = forward[0] * bound.denominator <= bound.numerator * forward[1]
+                    # only a failing bound keeps the kernel, so only it builds one
+                    kernel = bound if within else Fraction(*forward)
+                    report.require(lambda: f"bound@({x}; {y})", within, bound, kernel)
+                root_kernel = (root.nums.get(y, 0) * law_n.den, root.den * py)
+                report.record_ratio(lambda: f"root-normalization@{y}", (1, 1), root_kernel)
     return report
 
 
@@ -137,12 +145,9 @@ def martingale_identity_report(d: int, max_level: int) -> CheckReport:
     for x, n, above in kernel_rows(chain, max_level):
         if n > x.level:
             for y in chain.enumerate_level(n):
-                mean = sum(
-                    below[xp] * chain.cotransition(y, xp)
-                    for xp, _ in chain.predecessors(y)
-                    if below[xp]
-                )
-                report.record(lambda: f"martingale@({x}; {y})", above[y], mean)
+                back = chain.cotransition(y)
+                mean = sum(below[xp] * num for xp, num in back.nums.items() if below[xp])
+                report.record(lambda: f"martingale@({x}; {y})", above[y], Fraction(mean, back.den))
         below = above
     return report
 
@@ -184,12 +189,9 @@ def oracle_equivalence_report(chain: GradedChain, horizon: int) -> CheckReport:
         expected = (cond.nums.get(y, 0), cond.den)
         report.record_ratio(lambda: f"conditional@({x} -> {y})", expected, (mass, marginal[x]))
         if y.level == x.level + 1:
-            back = chain.cotransition(y, x)
-            report.record_ratio(
-                lambda: f"cotransition@({y} -> {x})",
-                (back.numerator, back.denominator),
-                (mass, marginal[y]),
-            )
+            back = chain.cotransition(y)
+            expected = (back.nums.get(x, 0), back.den)
+            report.record_ratio(lambda: f"cotransition@({y} -> {x})", expected, (mass, marginal[y]))
     return report
 
 

@@ -16,11 +16,12 @@ from pathlib import Path
 import pytest
 
 from martinwalk import suites
-from martinwalk.chain import GradedChain, State
+from martinwalk.chain import DistributionTable, GradedChain, State
 from martinwalk.compositions import alpha_walk, boundary_harmonic, uniform_walk
 from martinwalk.definetti import (
     cylinder_exchangeability_report,
     source_cylinder_law,
+    verify_counting_cotransitions,
     verify_counting_markov,
 )
 from martinwalk.harmonic import HarmonicFn, density_ratio_check, h_transform, is_harmonic
@@ -134,13 +135,15 @@ def _skip_b_chain() -> GradedChain:
 
 
 def _four_times_kernel(monkeypatch):
-    """Scale the kernel route the suite reads, its rows, by 4."""
-    row = GradedChain.kernel_row
+    """Scale the forward kernel route the suite reads, the conditional laws'
+    numerators, by 4."""
+    law = GradedChain.conditional_law
 
     def scaled(self, x, n):
-        return {y: 4 * k for y, k in row(self, x, n).items()}
+        table = law(self, x, n)
+        return DistributionTable(n, {y: 4 * v for y, v in table.nums.items()}, table.den)
 
-    monkeypatch.setattr(GradedChain, "kernel_row", scaled)
+    monkeypatch.setattr(GradedChain, "conditional_law", scaled)
     return suites.kernel_symmetry_report(2, 1)
 
 
@@ -292,6 +295,19 @@ FAILURES = {
             (f"{_CONTROL_HISTORIES[0]} -> (2, 1)@3", "1/3", "2/3"),
             (f"{_CONTROL_HISTORIES[1]} -> (1, 2)@3", "2/3", "5/6"),
             (f"{_CONTROL_HISTORIES[1]} -> (2, 1)@3", "1/3", "1/6"),
+        ],
+    ),
+    "control-counting-cotransitions": (
+        lambda mp: verify_counting_cotransitions(standard_negative_control(), 3),
+        "counting-cotransitions[markov[d=2]]@3",
+        12,
+        [
+            ("cotransition@((1, 1)@2 -> (0, 1)@1)", "1/2", "1/3"),
+            ("cotransition@((1, 1)@2 -> (1, 0)@1)", "1/2", "2/3"),
+            ("cotransition@((1, 2)@3 -> (0, 2)@2)", "1/3", "5/17"),
+            ("cotransition@((1, 2)@3 -> (1, 1)@2)", "2/3", "12/17"),
+            ("cotransition@((2, 1)@3 -> (1, 1)@2)", "2/3", "3/7"),
+            ("cotransition@((2, 1)@3 -> (2, 0)@2)", "1/3", "4/7"),
         ],
     ),
     "control-exchangeability": (

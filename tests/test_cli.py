@@ -156,7 +156,7 @@ class TestRun:
         )
         report, status = run(cfg)
         assert status == 0
-        assert len(report.rows) == 40
+        assert len(list(report.rows)) == 40
         assert "clusters" in report.summary
 
     def test_budget_exceeded(self):
@@ -314,8 +314,9 @@ class TestGoldenBytes:
     d=3 ``verify`` and float-mode ones before the float tolerance and the atom
     budget became constants, d=3 ``verify`` at budget 8 before the exact
     laws became int numerators, d=3 ``kernel`` before its row loop moved
-    onto ``kernel_rows``, and a repeated ``lift`` point before the lift's
-    laws became tables; any change to ``verify``/``kernel``/``lift`` bytes
+    onto ``kernel_rows``, a repeated ``lift`` point before the lift's
+    laws became tables, and d=2 ``verify`` at budget 12, the deepest backward
+    chain ``verify`` admits, before backward laws became tables; any change to ``verify``/``kernel``/``lift`` bytes
     must be deliberate."""
 
     @pytest.mark.parametrize(
@@ -391,6 +392,11 @@ class TestGoldenBytes:
                 "csv",
                 "cc247a8f8598e7e6f1e701194ddc84bd7a30762586136b1200756214b2401fa1",
             ),
+            (
+                {"command": "verify", "d": 2, "budget": 12},
+                "json",
+                "5404b3d4c1aa3c1cd64a024d13d85cf08f06ef5a1f5d7232913009040f3303f0",
+            ),
         ],
         ids=[
             "verify",
@@ -407,6 +413,7 @@ class TestGoldenBytes:
             "kernel-d3-csv",
             "lift-repeated-point",
             "lift-repeated-point-csv",
+            "verify-d2-budget12",
         ],
     )
     def test_report_digest(self, doc, fmt, digest):

@@ -150,7 +150,7 @@ class TestCountingChainLaw:
             weights=(Fraction(1, 2), Fraction(1, 2)),
         )
         law = counting_chain_law(src, 2)
-        assert law.push(lambda path: path[1]).prob(comp_state((2, 0))) == Fraction(1, 2)
+        assert law.push(lambda path: path[1]).atoms[comp_state((2, 0))] == Fraction(1, 2)
 
 
 class TestLemma:
@@ -174,8 +174,8 @@ class TestLemma:
 
     def test_polya_specific_cotransition(self):
         law = counting_chain_law(POLYA, 2)
-        joint = law.prob((comp_state((1, 0)), comp_state((1, 1))))
-        assert joint / law.push(lambda path: path[1]).prob(comp_state((1, 1))) == Fraction(1, 2)
+        joint = law.atoms[(comp_state((1, 0)), comp_state((1, 1)))]
+        assert joint / law.push(lambda path: path[1]).atoms[comp_state((1, 1))] == Fraction(1, 2)
 
     def test_negative_control_fails_both(self):
         assert not verify_counting_markov(CONTROL, source_cylinder_law(CONTROL, 6)).ok

@@ -79,7 +79,7 @@ class TestHTransform:
         for n in range(5):
             for x in transformed.enumerate_level(n):
                 up = comp_state((x.payload[0] + 1, x.payload[1]))
-                assert transformed.step(x, up) == Fraction(7, 10)
+                assert dict(transformed.successors(x))[up] == Fraction(7, 10)
 
     def test_support_shrinkage_single_path(self, base):
         t = h_transform(base, boundary_harmonic((Fraction(1), Fraction(0))))

@@ -1,0 +1,118 @@
+"""Random graded chains as the exact engine's differential oracle.
+
+Every other exact test runs on the composition walk and its transforms.  Here
+hypothesis draws small graded chains: at most five levels above the root and
+four states per level, with some edges absent and rows over different
+denominators, pruned to the states the root reaches.  Forward laws,
+cotransitions, backward conditionals and kernel rows are checked against
+pushes of ``cylinder_law``, the brute-force path law, which shares nothing
+with those DP routes but the int rows.  ``derandomize`` keeps the draws fixed.
+"""
+
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from martinwalk import DistributionTable, GradedChain, State
+
+ROOT = State(0, 0)
+
+#: an absent edge (weight 0) one draw in four
+WEIGHTS = st.sampled_from((0, 0, 1, 2, 3, 4, 5, 7))
+
+EXAMPLES = settings(max_examples=40, derandomize=True, deadline=None)
+
+
+@st.composite
+def graded_chains(draw) -> tuple[GradedChain, int]:
+    """A chain on levels 0..top whose level k is State(k, j) for the j reached."""
+    top = draw(st.integers(1, 5))
+    rows: dict[State, tuple[tuple[State, Fraction], ...]] = {}
+    levels = [(ROOT,)]
+    for k in range(top):
+        width = draw(st.integers(1, 4))
+        reached: set[int] = set()
+        for x in levels[k]:
+            weights = draw(st.lists(WEIGHTS, min_size=width, max_size=width).filter(any))
+            total = sum(weights)
+            rows[x] = tuple(
+                (State(k + 1, j), Fraction(w, total)) for j, w in enumerate(weights) if w
+            )
+            reached.update(j for j, w in enumerate(weights) if w)
+        levels.append(tuple(State(k + 1, j) for j in sorted(reached)))
+    chain = GradedChain(ROOT, levels.__getitem__, rows.__getitem__, name="random")
+    return chain, top
+
+
+def _at(path: tuple[State, ...], k: int) -> State:
+    """Y_k of a path (Y_1, ..., Y_top) of the path law."""
+    return path[k - 1] if k else ROOT
+
+
+def _in_lowest_terms(table: DistributionTable) -> bool:
+    return math.gcd(table.den, *table.nums.values()) == 1
+
+
+@given(graded_chains())
+@EXAMPLES
+def test_forward_laws_are_path_marginals(case):
+    chain, top = case
+    paths = chain.cylinder_law(top)
+    for k in range(top + 1):
+        assert chain.forward_law(k).atoms == paths.push(lambda path: _at(path, k)).atoms
+
+
+@given(graded_chains())
+@EXAMPLES
+def test_cotransition_is_the_joint_over_the_marginal(case):
+    """P(Y_{n-1} = x | Y_n = y) = P(x) p(x, y) / P(y), a law summing to 1."""
+    chain, top = case
+    paths = chain.cylinder_law(top)
+    for n in range(1, top + 1):
+        below = paths.push(lambda path: _at(path, n - 1)).atoms
+        here = paths.push(lambda path: _at(path, n)).atoms
+        for y in chain.enumerate_level(n):
+            expected = {}
+            for x in chain.enumerate_level(n - 1):
+                step = dict(chain.successors(x)).get(y, 0)
+                if step:
+                    expected[x] = below[x] * step / here[y]
+            back = chain.cotransition(y)
+            assert back.level == n - 1 and _in_lowest_terms(back)
+            assert back.atoms == expected
+            assert back.total() == 1
+
+
+@given(graded_chains())
+@EXAMPLES
+def test_backward_conditional_is_the_conditioned_path_law(case):
+    """P(Y_m = . | Y_n = y) is the path law given Y_n = y, pushed to Y_m."""
+    chain, top = case
+    paths = chain.cylinder_law(top)
+    for n in range(top + 1):
+        here = paths.push(lambda path: _at(path, n)).atoms
+        for m in range(n + 1):
+            pairs = paths.push(lambda path: (_at(path, n), _at(path, m))).atoms
+            for y in chain.enumerate_level(n):
+                expected = {x: p / here[y] for (z, x), p in pairs.items() if z == y}
+                back = chain.backward_conditional(y, m)
+                assert back.level == m and _in_lowest_terms(back)
+                assert back.atoms == expected
+
+
+@given(graded_chains())
+@EXAMPLES
+def test_kernel_row_is_the_backward_route_over_the_marginal(case):
+    """K(x, y) = P(Y_m = x | Y_n = y) / P(Y_m = x) on every pair of levels m <= n."""
+    chain, top = case
+    paths = chain.cylinder_law(top)
+    for m in range(top + 1):
+        marginal = paths.push(lambda path: _at(path, m)).atoms
+        for x in chain.enumerate_level(m):
+            for n in range(m, top + 1):
+                row = chain.kernel_row(x, n)
+                assert row.keys() == set(chain.enumerate_level(n))
+                for y, k in row.items():
+                    assert k == chain.backward_conditional(y, m).atoms.get(x, 0) / marginal[x]

@@ -139,3 +139,34 @@ class TestPeakMemory:
     def test_peak_does_not_grow_with_rows(self, fmt):
         self.peak(2, fmt)  # lazy one-time set-up is not a cost of the rows
         assert self.peak(20, fmt) < 2 * self.peak(2, fmt)
+
+
+class TestEstimatePeakMemory:
+    """``estimate`` streams its rows from the samples array in blocks."""
+
+    @staticmethod
+    def peak(replicates: int, fmt: str) -> int:
+        doc = {
+            "command": "estimate",
+            "source": {"kind": "polya", "initial": [1, 1]},
+            "horizon": 10,
+            "replicates": replicates,
+        }
+        tracemalloc.start()
+        try:
+            report, _ = run(parse_config(json.dumps(doc)))
+            with open(os.devnull, "wb") as sink:
+                write_report(report, fmt, sink)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_peak_grows_no_faster_than_the_samples(self, fmt):
+        """Per replicate, the peak grows by a few copies of its samples row (the
+        sampler's int blocks, their stack and the float copy), not by a row of
+        Python objects, which alone takes about nine such copies."""
+        self.peak(100, fmt)  # lazy one-time set-up is not a cost of the rows
+        small, large = 300, 3000
+        samples = (large - small) * 2 * 8  # float64, d = 2
+        assert self.peak(large, fmt) - self.peak(small, fmt) < 6 * samples
