@@ -5,6 +5,7 @@ from .chain import (
     DistributionTable,
     GradedChain,
     State,
+    kernel_mean,
     kernel_rows,
     markov_property_check,
     replicate_rng,

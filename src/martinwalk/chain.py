@@ -39,9 +39,6 @@ from .reports import CheckReport
 #: the word laws of ``definetti``
 DEFAULT_ATOM_BUDGET = 10_000_000
 
-#: the kernel value of every pair that no path joins
-_ZERO = Fraction(0)
-
 
 class State(NamedTuple):
     """A state together with its level (its time coordinate)."""
@@ -54,6 +51,9 @@ class State(NamedTuple):
 
 
 Successors = Sequence[tuple[State, Prob]]
+
+#: an exact ratio a / b as the int pair (a, b), b > 0
+IntRatio = tuple[int, int]
 
 
 def replicate_rng(seed: int, replicate: int = 0) -> np.random.Generator:
@@ -122,9 +122,6 @@ class DistributionTable:
     def atoms(self) -> dict[Any, Prob]:
         """Each key's probability as a ``Fraction``."""
         return {key: Fraction(num, self.den) for key, num in self.nums.items()}
-
-    def items(self):
-        return self.atoms.items()
 
     def total(self) -> Fraction:
         return Fraction(sum(self.nums.values()), self.den)
@@ -299,17 +296,14 @@ class GradedChain:
             raise UnreachableStateError(f"unreachable target state {y}")
         return self.conditional_law(x, y.level).ratio(law, y)
 
-    def kernel_row(self, x: State, n: int) -> dict[State, Prob]:
-        """K(x, .) on level n >= level(x): every y with P(Y_n = y) > 0, at 0
-        where y cannot follow x.  Each entry is the ``martin_kernel`` formula,
-        one ``Fraction`` N_cond * D_fwd / (D_cond * N_fwd), built only for the
-        y that x reaches."""
+    def kernel_row(self, x: State, n: int) -> dict[State, IntRatio]:
+        """K(x, .) on level n >= level(x): for every y with P(Y_n = y) > 0, the
+        int pair (N_cond * D_fwd, D_cond * N_fwd) of the ``martin_kernel``
+        ratio, with N_cond = 0 where y cannot follow x.  The one place the
+        kernel formula is written out."""
         law = self.forward_law(n)
         cond = self.conditional_law(x, n)
-        row = dict.fromkeys(law.nums, _ZERO)
-        for y, num in cond.nums.items():
-            row[y] = Fraction(num * law.den, cond.den * law.nums[y])
-        return row
+        return {y: (cond.nums.get(y, 0) * law.den, cond.den * p) for y, p in law.nums.items()}
 
     def _backward_memo(self, y: State) -> dict[int, DistributionTable]:
         """{m: P(Y_m = . | Y_n = y)} for y at level n, from the point mass at y."""
@@ -427,7 +421,7 @@ class GradedChain:
 
 def kernel_rows(
     chain: GradedChain, max_level: int
-) -> Iterator[tuple[State, int, dict[State, Prob]]]:
+) -> Iterator[tuple[State, int, dict[State, IntRatio]]]:
     """(x, n, K(x, .) on level n) for every reachable x and every n from
     level(x) to max_level: by level of x, then x, then n, each level in
     enumeration order.  The one walk over kernel rows."""
@@ -437,6 +431,14 @@ def kernel_rows(
             if x in law:
                 for n in range(m, max_level + 1):
                     yield x, n, chain.kernel_row(x, n)
+
+
+def kernel_mean(row: dict[State, IntRatio], table: DistributionTable) -> IntRatio:
+    """sum_y K(x, y) table(y) for a kernel row of x and a law on the row's
+    level, as one int pair over the lcm of the terms' denominators."""
+    terms = [(row[y][0] * num, row[y][1]) for y, num in table.nums.items() if row[y][0]]
+    scale = math.lcm(*(b for _, b in terms))
+    return sum(a * (scale // b) for a, b in terms), scale * table.den
 
 
 def markov_property_check(law: DistributionTable) -> CheckReport:

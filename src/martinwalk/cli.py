@@ -47,8 +47,8 @@ MAX_EXACT_BUDGET = 12
 
 #: most kernel pairs (x, y) that ``verify`` and ``kernel`` will walk; a bound on
 #: time, since reports are streamed.  d=4 at budget 8 (149,292 pairs) is
-#: admitted: on a 2-core machine ``verify`` takes 4.2 s and ``kernel`` 1.2 s; d=4
-#: at budget 10 (592,878 pairs) is not.
+#: admitted: on a 2-core machine ``verify`` takes 1.9-2.6 s and ``kernel``
+#: 1.2-1.3 s; d=4 at budget 10 (592,878 pairs) is not.
 MAX_KERNEL_PAIRS = 150_000
 
 #: deepest ``lift``: from depth 14,284 Python refuses to print its 2**-depth residual
@@ -346,7 +346,9 @@ def _run_kernel(config: RunConfig, report: Report) -> None:
     def rows() -> Iterator[tuple]:
         for x, n, row in kernel_rows(chain, config.budget):
             for y in chain.enumerate_level(n):
-                yield "lattice", str(x.payload), x.level, str(y.payload), n, format_prob(row[y])
+                a, b = row[y]
+                value = format_prob(Fraction(a, b)) if a else "0/1"
+                yield "lattice", str(x.payload), x.level, str(y.payload), n, value
         if config.alpha is not None:
             for m in range(config.budget + 1):
                 for x in chain.enumerate_level(m):

@@ -12,8 +12,8 @@ closed form:
 with m = |x|, n = |y|.  The boundary kernel carries the d^m factor: it is
 forced by the root normalization h(e) = 1, by harmonicity under the uniform
 walk, and by the large-n limit of K(x, y) along rays y ~ n * alpha (all three
-are enforced by the test suite).  Exact rationals are used for small levels,
-compensated log sums for horizons up to about 10^6.
+are enforced by the test suite).  The closed forms are exact rationals at
+every level.
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ import numpy as np
 from .chain import GradedChain, State, replicate_rng, replicate_rows
 from .harmonic import HarmonicFn
 from .prob import Prob, is_exact, validate_simplex
-
-#: below this level sum, the kernel is evaluated in exact rational arithmetic
-EXACT_KERNEL_LIMIT = 64
 
 
 Composition = tuple[int, ...]
@@ -126,37 +123,17 @@ def alpha_walk(alpha: Sequence[Prob]) -> GradedChain:
     return _walk(pt, name=f"alpha-walk{tuple(map(str, pt))}")
 
 
-def _extend_log_falling(terms: list[float], top: int, count: int, sign: float) -> None:
-    # log of top * (top-1) * ... * (top-count+1); all factors >= 1 here
-    terms.extend(sign * math.log(top - t) for t in range(count))
-
-
-def closed_form_kernel(x, y) -> Prob:
-    """Martin kernel of the uniform walk between compositions x and y.
-
-    Exact rational below ``EXACT_KERNEL_LIMIT``; above it, evaluated through
-    a compensated sum of the logs of its falling-factorial factors (relative
-    error well under 1e-9 for levels up to 10^6).  Returns 0 whenever y does not dominate x.
-    """
+def closed_form_kernel(x, y) -> Fraction:
+    """Martin kernel of the uniform walk between compositions x and y, exact
+    at every level: d^m prod_i ff(y_i, x_i) / ff(n, m), with ``math.perm``
+    for the falling factorials.  Returns 0 whenever y does not dominate x."""
     cx, cy = _payload(x), _payload(y)
     if len(cx) != len(cy):
         raise ValueError(f"part counts differ: {cx} vs {cy}")
-    d = len(cx)
     m, n = sum(cx), sum(cy)
-    if m > n or any(yi < xi for xi, yi in zip(cx, cy)):
+    if any(yi < xi for xi, yi in zip(cx, cy)):
         return Fraction(0)
-    if n < EXACT_KERNEL_LIMIT:
-        num = math.factorial(n - m)
-        den = math.factorial(n)
-        for xi, yi in zip(cx, cy):
-            num *= math.factorial(yi)
-            den *= math.factorial(yi - xi)
-        return Fraction(d**m * num, den)
-    terms = [m * math.log(d)]
-    for xi, yi in zip(cx, cy):
-        _extend_log_falling(terms, yi, xi, +1.0)
-    _extend_log_falling(terms, n, m, -1.0)
-    return math.exp(math.fsum(terms))
+    return Fraction(len(cx) ** m * math.prod(map(math.perm, cy, cx)), math.perm(n, m))
 
 
 def product_moment(point: Sequence[Prob], counts: Sequence[int]) -> Prob:

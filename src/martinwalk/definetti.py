@@ -493,18 +493,26 @@ def estimate_directing_measure(
     Replicate r always uses the stream (seed, r), so the result is independent
     of the ``BLOCK_SIZE`` partition and of the worker count.  Multi-worker runs
     fan the blocks out to separate processes (per-replicate sampling holds the GIL).
+    Each block is copied into one float array as it arrives, which is then
+    divided in place: no other copy of the samples is ever held.
     """
     tasks = [
         (source, horizon, seed, lo, min(lo + BLOCK_SIZE, replicates))
         for lo in range(0, replicates, BLOCK_SIZE)
     ]
+    samples = np.empty((replicates, source.d), dtype=np.float64)
+
+    def fill(blocks) -> None:
+        for (*_, lo, hi), block in zip(tasks, blocks):
+            samples[lo:hi] = block
+
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_sample_block, tasks))
+            fill(pool.map(_sample_block, tasks))
     else:
-        parts = [_sample_block(t) for t in tasks]
-    counts = np.vstack(parts) if parts else np.zeros((0, source.d), dtype=np.int64)
-    return DirectingEstimate(counts.astype(np.float64) / horizon)
+        fill(map(_sample_block, tasks))
+    samples /= horizon
+    return DirectingEstimate(samples)
 
 
 def dirichlet_moment(initial: Sequence[int], counts: Sequence[int]) -> Fraction:

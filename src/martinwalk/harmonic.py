@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .chain import GradedChain, State, kernel_rows
+from .chain import GradedChain, State, kernel_mean, kernel_rows
 from .errors import (
     BudgetExceededError,
     CotransitionMismatchError,
@@ -152,13 +152,16 @@ def density_ratio_check(base: GradedChain, transformed: HTransformChain, n: int)
 def kernel_transform_check(
     base: GradedChain, transformed: HTransformChain, max_level: int
 ) -> CheckReport:
-    """Check K_h(x, y) h(x) = K(x, y) on the support, both sides computed independently."""
+    """Check K_h(x, y) h(x) = K(x, y) on the support, both sides computed
+    independently, by cross-products of the two kernel rows' int pairs."""
     report = CheckReport(f"kernel-transform[{transformed.name}]")
     for x, n, lifted in kernel_rows(transformed, max_level):
         hx, original = transformed.h(x), base.kernel_row(x, n)
         for y in transformed.enumerate_level(n):
             if y in lifted:
-                report.record(lambda: f"K_h@({x}; {y})", original[y], lifted[y] * hx)
+                a, b = lifted[y]
+                scaled = (a * hx.numerator, b * hx.denominator)
+                report.record_ratio(lambda: f"K_h@({x}; {y})", original[y], scaled)
     return report
 
 
@@ -232,10 +235,10 @@ def representation_check(
         raise UnreachableStateError(f"{x} lies outside the support of {h.name}")
     if transformed is None:
         transformed = h_transform(base, h)
-    law = transformed.forward_law(n)
-    total = sum(base.martin_kernel(x, y) * p for y, p in law.items())
+    mean = kernel_mean(base.kernel_row(x, n), transformed.forward_law(n))
+    hx = h(x)
     report = CheckReport(f"representation[{h.name}]@({x}, n={n})")
-    report.record("expected-kernel", h(x), total)
+    report.record_ratio("expected-kernel", (hx.numerator, hx.denominator), mean)
     return report
 
 

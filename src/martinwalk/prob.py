@@ -2,7 +2,7 @@
 
 Probabilities are either exact rationals (``fractions.Fraction``, used on all
 enumeration and verification paths) or binary floats (used for Monte Carlo
-and large-horizon closed forms).  ``Fraction`` keeps values in lowest terms
+and float inputs).  ``Fraction`` keeps values in lowest terms
 and never degrades to float when combined with another exact value, so no
 wrapper class is needed; a value's mode is simply its type.
 """

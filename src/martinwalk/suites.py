@@ -11,7 +11,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .chain import DistributionTable, GradedChain, State, kernel_rows, markov_property_check
+from .chain import (
+    DistributionTable,
+    GradedChain,
+    State,
+    kernel_mean,
+    kernel_rows,
+    markov_property_check,
+)
 from .compositions import (
     alpha_walk,
     boundary_harmonic,
@@ -105,12 +112,13 @@ def kernel_agreement_report(d: int, max_level: int) -> CheckReport:
     report = CheckReport(f"kernel-agreement[d={d}]<= {max_level}")
     for x, n, row in kernel_rows(chain, max_level):
         for y in chain.enumerate_level(n):
-            report.record(lambda: f"K@({x}; {y})", closed_form_kernel(x, y), row[y])
+            k = closed_form_kernel(x, y)
+            report.record_ratio(lambda: f"K@({x}; {y})", (k.numerator, k.denominator), row[y])
     return report
 
 
 def kernel_symmetry_report(d: int, max_level: int) -> CheckReport:
-    """Both kernel expressions agree, conditional laws against chained
+    """Both kernel expressions agree, kernel rows against chained
     cotransitions; K(x, y) <= 1/P(x); K(root, y) = 1.  Each check compares
     int cross-products, and only a failing one builds ``Fraction``s."""
     chain = uniform_walk(d)
@@ -119,21 +127,19 @@ def kernel_symmetry_report(d: int, max_level: int) -> CheckReport:
         level_m, law_m = chain.enumerate_level(m), chain.forward_law(m)
         bounds = {x: Fraction(law_m.den, law_m.nums[x]) for x in level_m}
         for n in range(m, max_level + 1):
-            law_n = chain.forward_law(n)
-            conds = [(x, chain.conditional_law(x, n), bounds[x]) for x in level_m]
-            root = chain.conditional_law(chain.root, n)
+            rows = [(x, chain.kernel_row(x, n), bounds[x]) for x in level_m]
+            root = chain.kernel_row(chain.root, n)
             for y in chain.enumerate_level(n):
-                back, py = chain.backward_conditional(y, m), law_n.nums[y]
-                for x, cond, bound in conds:
-                    forward = (cond.nums.get(y, 0) * law_n.den, cond.den * py)
+                back = chain.backward_conditional(y, m)
+                for x, row, bound in rows:
+                    forward = row[y]
                     backward = (back.nums.get(x, 0) * bound.numerator, back.den * bound.denominator)
                     report.record_ratio(lambda: f"symmetry@({x}; {y})", forward, backward)
                     within = forward[0] * bound.denominator <= bound.numerator * forward[1]
                     # only a failing bound keeps the kernel, so only it builds one
                     kernel = bound if within else Fraction(*forward)
                     report.require(lambda: f"bound@({x}; {y})", within, bound, kernel)
-                root_kernel = (root.nums.get(y, 0) * law_n.den, root.den * py)
-                report.record_ratio(lambda: f"root-normalization@{y}", (1, 1), root_kernel)
+                report.record_ratio(lambda: f"root-normalization@{y}", (1, 1), root[y])
     return report
 
 
@@ -145,9 +151,8 @@ def martingale_identity_report(d: int, max_level: int) -> CheckReport:
     for x, n, above in kernel_rows(chain, max_level):
         if n > x.level:
             for y in chain.enumerate_level(n):
-                back = chain.cotransition(y)
-                mean = sum(below[xp] * num for xp, num in back.nums.items() if below[xp])
-                report.record(lambda: f"martingale@({x}; {y})", above[y], Fraction(mean, back.den))
+                mean = kernel_mean(below, chain.cotransition(y))
+                report.record_ratio(lambda: f"martingale@({x}; {y})", above[y], mean)
         below = above
     return report
 
@@ -156,10 +161,9 @@ def expectation_identity_report(d: int, max_level: int) -> CheckReport:
     """sum_y K(x, y) P(Y_n = y) = 1 for every x and horizon."""
     chain = uniform_walk(d)
     report = CheckReport(f"kernel-expectation[d={d}]<= {max_level}")
-    laws = [chain.forward_law(n).atoms for n in range(max_level + 1)]
     for x, n, row in kernel_rows(chain, max_level):
-        total = sum(k * laws[n][y] for y, k in row.items() if k)
-        report.record(lambda: f"expectation@({x}; n={n})", 1, total)
+        mean = kernel_mean(row, chain.forward_law(n))
+        report.record_ratio(lambda: f"expectation@({x}; n={n})", (1, 1), mean)
     return report
 
 

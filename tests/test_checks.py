@@ -6,7 +6,9 @@ and keep ``(site, expected, actual)`` only when it fails.  An ``ast`` guard
 keeps every other module from counting or keeping checks by hand, and the
 failure-path cases pin the sites, expected values and residuals of checks
 that only fail on broken inputs, in the order they were recorded before
-those checks moved onto ``require``.
+those checks moved onto ``require``; the kernel-agreement, kernel-transform,
+representation, backwards-martingale and kernel-expectation cases were
+recorded before those checks moved onto the int pairs of ``kernel_row``.
 """
 
 import ast
@@ -17,14 +19,27 @@ import pytest
 
 from martinwalk import suites
 from martinwalk.chain import DistributionTable, GradedChain, State
-from martinwalk.compositions import alpha_walk, boundary_harmonic, uniform_walk
+from martinwalk.compositions import (
+    alpha_walk,
+    boundary_harmonic,
+    closed_form_kernel,
+    comp_state,
+    uniform_walk,
+)
 from martinwalk.definetti import (
     cylinder_exchangeability_report,
     source_cylinder_law,
     verify_counting_cotransitions,
     verify_counting_markov,
 )
-from martinwalk.harmonic import HarmonicFn, density_ratio_check, h_transform, is_harmonic
+from martinwalk.harmonic import (
+    HarmonicFn,
+    density_ratio_check,
+    h_transform,
+    is_harmonic,
+    kernel_transform_check,
+    representation_check,
+)
 from martinwalk.prob import format_prob
 from martinwalk.reports import CheckReport, Violation
 from martinwalk.suites import standard_negative_control
@@ -161,12 +176,51 @@ _THIRDS = (Fraction(1, 3), Fraction(2, 3))
 _HALVES = (Fraction(1, 2), Fraction(1, 2))
 
 
-def _swapped_h():
-    """An h-transform whose ``h`` is replaced by the constant boundary h of (1/2, 1/2)."""
+def _swapped_h_transform() -> tuple[GradedChain, GradedChain]:
+    """The uniform walk and an h-transform of it whose ``h`` is replaced by the
+    constant boundary h of (1/2, 1/2)."""
     base = uniform_walk(2)
     transformed = h_transform(base, boundary_harmonic(_THIRDS))
     transformed.h = boundary_harmonic(_HALVES)
-    return density_ratio_check(base, transformed, 2)
+    return base, transformed
+
+
+def _halves_on_thirds():
+    """The representation identity of the (1/2, 1/2) boundary h, averaged
+    under the (1/3, 2/3) transform."""
+    base = uniform_walk(2)
+    transformed = h_transform(base, boundary_harmonic(_THIRDS))
+    h = boundary_harmonic(_HALVES)
+    return representation_check(base, h, comp_state((1, 0)), 3, transformed=transformed)
+
+
+def _doubled_closed_form(monkeypatch):
+    monkeypatch.setattr(suites, "closed_form_kernel", lambda x, y: 2 * closed_form_kernel(x, y))
+    return suites.kernel_agreement_report(2, 1)
+
+
+def _double_conditional_laws(monkeypatch):
+    """Double the conditional laws' numerators strictly above the conditioning
+    level, so K(x, .) doubles on every level but level(x)."""
+    law = GradedChain.conditional_law
+
+    def doubled(self, x, n):
+        table = law(self, x, n)
+        if n == x.level:
+            return table
+        return DistributionTable(n, {y: 2 * v for y, v in table.nums.items()}, table.den)
+
+    monkeypatch.setattr(GradedChain, "conditional_law", doubled)
+
+
+def _doubled_martingale(monkeypatch):
+    _double_conditional_laws(monkeypatch)
+    return suites.martingale_identity_report(2, 2)
+
+
+def _doubled_expectation(monkeypatch):
+    _double_conditional_laws(monkeypatch)
+    return suites.expectation_identity_report(2, 1)
 
 
 def _base_paths_oracle():
@@ -324,7 +378,7 @@ FAILURES = {
         ],
     ),
     "density-ratio-swapped-h": (
-        lambda mp: _swapped_h(),
+        lambda mp: density_ratio_check(*_swapped_h_transform(), 2),
         "density-ratio[h-transform[K(.,('1/3', '2/3'))](uniform-walk(d=2))]@2",
         4,
         [(f"path={path}", "1/4", p) for path, p in zip(_PATHS, _THIRDS_PATH_LAW)],
@@ -355,6 +409,59 @@ FAILURES = {
         "alpha-walk-equivalence[d=2]@2",
         4,
         [(f"path@{path}", "1/4", p) for path, p in zip(_PATHS, _THIRDS_PATH_LAW)],
+    ),
+    "kernel-agreement-doubled": (
+        _doubled_closed_form,
+        "kernel-agreement[d=2]<= 1",
+        7,
+        [
+            ("K@((0, 0)@0; (0, 0)@0)", "2/1", "1/1"),
+            ("K@((0, 0)@0; (0, 1)@1)", "2/1", "1/1"),
+            ("K@((0, 0)@0; (1, 0)@1)", "2/1", "1/1"),
+            ("K@((0, 1)@1; (0, 1)@1)", "4/1", "2/1"),
+            ("K@((1, 0)@1; (1, 0)@1)", "4/1", "2/1"),
+        ],
+    ),
+    "kernel-transform-swapped-h": (
+        lambda mp: kernel_transform_check(*_swapped_h_transform(), 2),
+        "kernel-transform[h-transform[K(.,('1/3', '2/3'))](uniform-walk(d=2))]",
+        25,
+        [
+            ("K_h@((0, 1)@1; (0, 1)@1)", "2/1", "3/2"),
+            ("K_h@((0, 1)@1; (0, 2)@2)", "2/1", "3/2"),
+            ("K_h@((0, 1)@1; (1, 1)@2)", "1/1", "3/4"),
+            ("K_h@((1, 0)@1; (1, 0)@1)", "2/1", "3/1"),
+            ("K_h@((1, 0)@1; (1, 1)@2)", "1/1", "3/2"),
+            ("K_h@((1, 0)@1; (2, 0)@2)", "2/1", "3/1"),
+            ("K_h@((0, 2)@2; (0, 2)@2)", "4/1", "9/4"),
+            ("K_h@((1, 1)@2; (1, 1)@2)", "2/1", "9/4"),
+            ("K_h@((2, 0)@2; (2, 0)@2)", "4/1", "9/1"),
+        ],
+    ),
+    "representation-wrong-h": (
+        lambda mp: _halves_on_thirds(),
+        "representation[K(.,('1/2', '1/2'))]@((1, 0)@1, n=3)",
+        1,
+        [("expected-kernel", "1/1", "2/3")],
+    ),
+    "backwards-martingale-doubled": (
+        _doubled_martingale,
+        "backwards-martingale[d=2]<= 2",
+        11,
+        [
+            ("martingale@((0, 0)@0; (0, 1)@1)", "2/1", "1/1"),
+            ("martingale@((0, 0)@0; (1, 0)@1)", "2/1", "1/1"),
+            ("martingale@((0, 1)@1; (0, 2)@2)", "4/1", "2/1"),
+            ("martingale@((0, 1)@1; (1, 1)@2)", "2/1", "1/1"),
+            ("martingale@((1, 0)@1; (1, 1)@2)", "2/1", "1/1"),
+            ("martingale@((1, 0)@1; (2, 0)@2)", "4/1", "2/1"),
+        ],
+    ),
+    "kernel-expectation-doubled": (
+        _doubled_expectation,
+        "kernel-expectation[d=2]<= 1",
+        4,
+        [("expectation@((0, 0)@0; n=1)", "1/1", "2/1")],
     ),
     "digit-roundtrip-zero": (
         _zero_reconstruction,

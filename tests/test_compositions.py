@@ -20,7 +20,7 @@ from martinwalk import (
     product_moment,
     uniform_walk,
 )
-from martinwalk.compositions import EXACT_KERNEL_LIMIT, polya_cotransition, rounded_ray_point
+from martinwalk.compositions import polya_cotransition, rounded_ray_point
 
 
 class TestCompositions:
@@ -95,29 +95,24 @@ class TestClosedFormKernel:
                     for y in w.enumerate_level(n):
                         assert closed_form_kernel(x, y) == w.martin_kernel(x, y)
 
-    def test_exact_below_limit_float_above(self):
-        small = closed_form_kernel((1, 0), (30, 32))
-        large = closed_form_kernel((1, 0), (32, 33))
-        assert isinstance(small, Fraction)
-        assert isinstance(large, float)
-        assert sum((30, 32)) < EXACT_KERNEL_LIMIT <= sum((32, 33))
+    def test_exact_at_every_level(self):
+        value = closed_form_kernel((1, 0), (300_000, 700_000))
+        assert isinstance(value, Fraction)
+        assert value == Fraction(3, 5)
 
-    def test_float_path_relative_error(self):
+    def test_rays_match_the_integer_oracle(self):
         for n in (10**3, 10**5, 10**6):
             y = rounded_ray_point(n, (0.3, 0.7))
             for x in ((1, 0), (2, 1), (0, 3)):
-                approx = closed_form_kernel(x, y)
-                truth = exact_kernel(x, y)
-                assert abs(approx - truth) <= 1e-9 * truth
+                assert closed_form_kernel(x, y) == exact_kernel(x, y)
 
     @pytest.mark.parametrize(
         "x, y",
         [((300, 400), (30_000, 70_000)), ((1000, 1), (10**6, 5)), ((600, 0), (6000, 4000))],
     )
     def test_long_falling_factorials_stay_accurate(self, x, y):
-        # falling factorials of hundreds of factors, each summed log by log
-        truth = exact_kernel(x, y)
-        assert abs(Fraction(closed_form_kernel(x, y)) - truth) <= Fraction(1, 10**12) * truth
+        # falling factorials of hundreds of factors
+        assert closed_form_kernel(x, y) == exact_kernel(x, y)
 
 
 class TestBoundaryKernel:

@@ -213,7 +213,7 @@ def extracted_rows(source, n):
     families = [tuple(sorted(x for x, p in mass.items() if p != 0)) for mass in masses]
     rows = {root: {y: p for y, p in masses[1].items() if p != 0}}
     for k in range(1, n):
-        for (x, y), p in law.push(lambda path: path[k - 1 : k + 1]).items():
+        for (x, y), p in law.push(lambda path: path[k - 1 : k + 1]).atoms.items():
             if p != 0:
                 rows.setdefault(x, {})[y] = p / masses[k][x]
     return families, rows

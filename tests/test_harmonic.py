@@ -233,7 +233,7 @@ class TestRepresentation:
         # the identity value itself
         total = sum(
             base.martin_kernel(comp_state((1, 0)), y) * p
-            for y, p in transformed.forward_law(6).items()
+            for y, p in transformed.forward_law(6).atoms.items()
         )
         assert total == Fraction(7, 5)
 

@@ -4,9 +4,10 @@ Every other exact test runs on the composition walk and its transforms.  Here
 hypothesis draws small graded chains: at most five levels above the root and
 four states per level, with some edges absent and rows over different
 denominators, pruned to the states the root reaches.  Forward laws,
-cotransitions, backward conditionals and kernel rows are checked against
-pushes of ``cylinder_law``, the brute-force path law, which shares nothing
-with those DP routes but the int rows.  ``derandomize`` keeps the draws fixed.
+cotransitions, backward conditionals, kernel rows and kernel means are
+checked against pushes of ``cylinder_law``, the brute-force path law, which
+shares nothing with those DP routes but the int rows.  ``derandomize`` keeps
+the draws fixed.
 """
 
 import math
@@ -15,7 +16,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from martinwalk import DistributionTable, GradedChain, State
+from martinwalk import DistributionTable, GradedChain, State, kernel_mean
 
 ROOT = State(0, 0)
 
@@ -115,4 +116,42 @@ def test_kernel_row_is_the_backward_route_over_the_marginal(case):
                 row = chain.kernel_row(x, n)
                 assert row.keys() == set(chain.enumerate_level(n))
                 for y, k in row.items():
-                    assert k == chain.backward_conditional(y, m).atoms.get(x, 0) / marginal[x]
+                    back = chain.backward_conditional(y, m)
+                    assert Fraction(*k) == back.atoms.get(x, 0) / marginal[x]
+
+
+@given(graded_chains())
+@EXAMPLES
+def test_kernel_means_are_the_expectation_and_martingale_identities(case):
+    """The mean of K(x, Y_n) is 1, and its mean under the cotransition of y is
+    K(x, y) one level up.  Row denominators differ from y to y on these
+    chains, so ``kernel_mean`` takes the lcm of many; the oracle sums
+    ``Fraction``s of K(x, y) = P(Y_m = x, Y_n = y) / (P(Y_m = x) P(Y_n = y))."""
+    chain, top = case
+    paths = chain.cylinder_law(top)
+    marginals = [paths.push(lambda path: _at(path, k)).atoms for k in range(top + 1)]
+
+    def joint(m: int, n: int) -> dict:
+        return paths.push(lambda path: (_at(path, m), _at(path, n))).atoms
+
+    for m in range(top + 1):
+        for n in range(m, top + 1):
+            kernel = {
+                pair: p / (marginals[m][pair[0]] * marginals[n][pair[1]])
+                for pair, p in joint(m, n).items()
+            }
+            steps = joint(n, n + 1) if n < top else {}
+            for x in chain.enumerate_level(m):
+                row = chain.kernel_row(x, n)
+                expected = sum(kernel.get((x, y), 0) * p for y, p in marginals[n].items())
+                assert Fraction(*kernel_mean(row, chain.forward_law(n))) == expected == 1
+                if n == top:
+                    continue
+                for y in chain.enumerate_level(n + 1):
+                    expected = sum(
+                        kernel.get((x, z), 0) * p / marginals[n + 1][y]
+                        for (z, w), p in steps.items()
+                        if w == y
+                    )
+                    mean = Fraction(*kernel_mean(row, chain.cotransition(y)))
+                    assert mean == expected == Fraction(*chain.kernel_row(x, n + 1)[y])

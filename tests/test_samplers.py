@@ -68,11 +68,11 @@ def dirichlet_multinomial_pmf(initial, counts) -> Fraction:
 
 def exact_final_law(source, n: int) -> dict[tuple, Fraction]:
     final = counting_chain_law(source, n).push(lambda path: path[-1])
-    return {s.payload: p for s, p in final.items()}
+    return {s.payload: p for s, p in final.atoms.items()}
 
 
 def walk_final_law(walk: GradedChain, n: int) -> dict[tuple, Fraction]:
-    return {s.payload: p for s, p in walk.forward_law(n).items()}
+    return {s.payload: p for s, p in walk.forward_law(n).atoms.items()}
 
 
 def chi_square(draws: np.ndarray, pmf: dict[tuple, Fraction]) -> float:
@@ -101,7 +101,7 @@ class TestDirichletMultinomialLaw:
     def test_pmf_equals_counting_chain_marginals(self, initial):
         law = counting_chain_law(PolyaUrnSource(initial), 8)
         for n in range(1, 9):
-            marginal = {s.payload: p for s, p in law.push(lambda path: path[n - 1]).items()}
+            marginal = {s.payload: p for s, p in law.push(lambda path: path[n - 1]).atoms.items()}
             assert set(marginal) == set(compositions(len(initial), n))
             residuals = [p - dirichlet_multinomial_pmf(initial, y) for y, p in marginal.items()]
             assert all(r == 0 for r in residuals)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from martinwalk import BudgetExceededError
 from martinwalk.cli import _RECORD_FIELDS, Report, emit, main, parse_config, run, write_report
 from martinwalk.compositions import StepSampler
+from martinwalk.definetti import PolyaUrnSource, estimate_directing_measure
 
 
 def oracle(report: Report, fmt: str) -> bytes:
@@ -142,7 +143,8 @@ class TestPeakMemory:
 
 
 class TestEstimatePeakMemory:
-    """``estimate`` streams its rows from the samples array in blocks."""
+    """``estimate`` streams its rows from the samples array in blocks, and
+    ``estimate_directing_measure`` fills that one float array block by block."""
 
     @staticmethod
     def peak(replicates: int, fmt: str) -> int:
@@ -164,9 +166,26 @@ class TestEstimatePeakMemory:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_peak_grows_no_faster_than_the_samples(self, fmt):
         """Per replicate, the peak grows by a few copies of its samples row (the
-        sampler's int blocks, their stack and the float copy), not by a row of
-        Python objects, which alone takes about nine such copies."""
+        one float array and what the writer holds), not by a row of Python
+        objects, which alone takes about nine such copies."""
         self.peak(100, fmt)  # lazy one-time set-up is not a cost of the rows
         small, large = 300, 3000
         samples = (large - small) * 2 * 8  # float64, d = 2
         assert self.peak(large, fmt) - self.peak(small, fmt) < 6 * samples
+
+    def test_sampling_holds_no_copy_of_the_samples(self):
+        """The sampled blocks go straight into the float array and are divided
+        there, so no int stack or second float array is ever alive beside it."""
+
+        def peak(replicates: int) -> int:
+            tracemalloc.start()
+            try:
+                estimate_directing_measure(PolyaUrnSource((1, 1)), 10, replicates, seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # lazy one-time set-up is not a cost of the rows
+        small, large = 1_000, 20_000
+        samples = (large - small) * 2 * 8  # float64, d = 2
+        assert peak(large) - peak(small) < 1.5 * samples
