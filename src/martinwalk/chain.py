@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterator, NamedTuple, Optional, Protocol, Sequence
 
-import numpy as np
-
 from .errors import (
     BudgetExceededError,
     NonStochasticError,
@@ -58,6 +56,7 @@ IntRatio = tuple[int, int]
 
 def replicate_rng(seed: int, replicate: int = 0) -> np.random.Generator:
     """The fixed stream-splitting rule: one independent stream per (seed, replicate)."""
+    import numpy as np
     if seed < 0 or replicate < 0:
         raise ValueError("seed and replicate index must be non-negative")
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, replicate)))
@@ -69,6 +68,7 @@ def replicate_rows(
     """Row i is ``draw(replicate_rng(seed, start + i))``: replicates start..stop-1
     as a (stop - start, width) int64 array, each row from its own stream alone,
     so rows never depend on how the replicate range is split."""
+    import numpy as np
     out = np.empty((stop - start, width), dtype=np.int64)
     for i, r in enumerate(range(start, stop)):
         out[i] = draw(replicate_rng(seed, r))

@@ -358,11 +358,11 @@ def _run_kernel(config: RunConfig, report: Report) -> None:
     report.rows = LazyRows(rows)
 
 
-def _admit_counts(need: str, cells: int) -> None:
-    """Refuse, before any work, an array of more counts than the atom budget."""
+def _admit_counts(need: str, cells: int, unit: str = "counts") -> None:
+    """Refuse, before any work, more counts (or sampler steps) than the atom budget."""
     if cells > DEFAULT_ATOM_BUDGET:
         raise BudgetExceededError(
-            f"{need} of {cells} counts, more than the atom budget {DEFAULT_ATOM_BUDGET}"
+            f"{need} of {cells} {unit}, more than the atom budget {DEFAULT_ATOM_BUDGET}"
         )
 
 
@@ -383,6 +383,13 @@ def _run_estimate(config: RunConfig, report: Report) -> None:
     _admit_counts(
         f"{config.replicates} replicates need a sample array", config.replicates * config.source.d
     )
+    if isinstance(config.source, MarkovSource):
+        # the Markov sampler draws every step, so its cost is horizon x replicates
+        _admit_counts(
+            f"{config.replicates} markov replicates at horizon {config.horizon} need walks",
+            config.replicates * config.horizon,
+            "steps",
+        )
     estimate = estimate_directing_measure(
         config.source,
         horizon=config.horizon,

@@ -24,9 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .chain import GradedChain, State, replicate_rng, replicate_rows
+from .chain import GradedChain, IntRatio, State, replicate_rng, replicate_rows
 from .harmonic import HarmonicFn
 from .prob import Prob, is_exact, validate_simplex
 
@@ -66,6 +64,7 @@ class StepSampler:
     probs: tuple[float, ...]
 
     def sample_path_counts(self, n: int, seed: int, replicate: int) -> np.ndarray:
+        import numpy as np
         d = len(self.probs)
         steps = replicate_rng(seed, replicate).choice(d, size=n, p=self.probs)
         counts = np.zeros((n + 1, d), dtype=np.int64)
@@ -123,17 +122,23 @@ def alpha_walk(alpha: Sequence[Prob]) -> GradedChain:
     return _walk(pt, name=f"alpha-walk{tuple(map(str, pt))}")
 
 
-def closed_form_kernel(x, y) -> Fraction:
+def closed_form_kernel_ratio(x, y) -> IntRatio:
     """Martin kernel of the uniform walk between compositions x and y, exact
-    at every level: d^m prod_i ff(y_i, x_i) / ff(n, m), with ``math.perm``
-    for the falling factorials.  Returns 0 whenever y does not dominate x."""
+    at every level, as the int pair (d^m prod_i ff(y_i, x_i), ff(n, m)), with
+    ``math.perm`` for the falling factorials.  (0, 1) whenever y does not
+    dominate x."""
     cx, cy = _payload(x), _payload(y)
     if len(cx) != len(cy):
         raise ValueError(f"part counts differ: {cx} vs {cy}")
     m, n = sum(cx), sum(cy)
     if any(yi < xi for xi, yi in zip(cx, cy)):
-        return Fraction(0)
-    return Fraction(len(cx) ** m * math.prod(map(math.perm, cy, cx)), math.perm(n, m))
+        return 0, 1
+    return len(cx) ** m * math.prod(map(math.perm, cy, cx)), math.perm(n, m)
+
+
+def closed_form_kernel(x, y) -> Fraction:
+    """``closed_form_kernel_ratio`` as one reduced ``Fraction``."""
+    return Fraction(*closed_form_kernel_ratio(x, y))
 
 
 def product_moment(point: Sequence[Prob], counts: Sequence[int]) -> Prob:

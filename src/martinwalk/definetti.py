@@ -18,12 +18,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Protocol, Sequence
-
-import numpy as np
 
 from .chain import (
     DEFAULT_ATOM_BUDGET,
@@ -116,6 +113,7 @@ class MixtureSource:
         return tuple(zip(self.weights, self.atoms))
 
     def sample_final_counts(self, n: int, seed: int, start: int, stop: int) -> np.ndarray:
+        import numpy as np
         weights = np.array([float(w) for w in self.weights])
         atoms = np.array([[float(a) for a in atom] for atom in self.atoms])
         return replicate_rows(
@@ -171,6 +169,7 @@ class PolyaUrnSource:
         """Y_n drawn as Multinomial(n, p) with p ~ Dirichlet(initial): the urn's
         limit frequency is Dirichlet(initial) and, given it, the draws are
         i.i.d. (Blackwell & MacQueen 1973), so each replicate costs O(d)."""
+        import numpy as np
         initial = np.array(self.initial, dtype=np.float64)
         return replicate_rows(
             seed, start, stop, self.d, lambda rng: rng.multinomial(n, rng.dirichlet(initial))
@@ -221,6 +220,7 @@ class MarkovSource:
 
 
 def _cdf(probs: Sequence[Prob]) -> np.ndarray:
+    import numpy as np
     cdf = np.cumsum([float(p) for p in probs])
     # the last entry is exactly 1, so a uniform in [0, 1) never falls past it
     return cdf / cdf[-1]
@@ -234,6 +234,7 @@ def _markov_counts(n: int, initial: np.ndarray, rows: Sequence[np.ndarray], rng)
     i is).  Composing the maps by prefix doubling yields the whole path in
     log2(n) array passes instead of n Python steps.
     """
+    import numpy as np
     d = len(initial)
     chunk = max(1, _MARKOV_CHUNK_CELLS // d)
     counts = np.zeros(d, dtype=np.int64)
@@ -454,6 +455,7 @@ class DirectingEstimate:
 
     def cluster_summary(self, atoms: Sequence[Sequence[Prob]]) -> list[ClusterSummary]:
         """Nearest-atom assignment, for verification against a known mixing law."""
+        import numpy as np
         pts = np.array([[float(a) for a in atom] for atom in atoms])
         distances = ((self.samples[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
         labels = distances.argmin(axis=1)
@@ -496,6 +498,7 @@ def estimate_directing_measure(
     Each block is copied into one float array as it arrives, which is then
     divided in place: no other copy of the samples is ever held.
     """
+    import numpy as np  # loaded here, before any pool forks, so no worker imports it
     tasks = [
         (source, horizon, seed, lo, min(lo + BLOCK_SIZE, replicates))
         for lo in range(0, replicates, BLOCK_SIZE)
@@ -507,6 +510,7 @@ def estimate_directing_measure(
             samples[lo:hi] = block
 
     if workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             fill(pool.map(_sample_block, tasks))
     else:
@@ -631,6 +635,7 @@ def projection_consistency_check(
 
 def ks_distance_uniform(values: Sequence[float]) -> float:
     """Kolmogorov-Smirnov distance of a sample to the uniform law on [0, 1]."""
+    import numpy as np
     xs = np.sort(np.asarray(values, dtype=np.float64))
     n = len(xs)
     if n == 0:

@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .chain import GradedChain, State, kernel_mean, kernel_rows
 from .errors import (
     BudgetExceededError,
@@ -260,6 +258,7 @@ def representation_check_mc(
     chain without a sampler raises ``ValueError``.  Pass ``kernel`` to
     evaluate K in closed form when n is too large for the exact DP.
     """
+    import numpy as np
     if not h.supports(x):
         raise UnreachableStateError(f"{x} lies outside the support of {h.name}")
     if transformed.sampler is None:

@@ -24,6 +24,7 @@ from .compositions import (
     boundary_harmonic,
     boundary_kernel,
     closed_form_kernel,
+    closed_form_kernel_ratio,
     compositions,
     product_moment,
     rounded_ray_point,
@@ -112,8 +113,7 @@ def kernel_agreement_report(d: int, max_level: int) -> CheckReport:
     report = CheckReport(f"kernel-agreement[d={d}]<= {max_level}")
     for x, n, row in kernel_rows(chain, max_level):
         for y in chain.enumerate_level(n):
-            k = closed_form_kernel(x, y)
-            report.record_ratio(lambda: f"K@({x}; {y})", (k.numerator, k.denominator), row[y])
+            report.record_ratio(lambda: f"K@({x}; {y})", closed_form_kernel_ratio(x, y), row[y])
     return report
 
 

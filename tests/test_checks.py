@@ -22,7 +22,7 @@ from martinwalk.chain import DistributionTable, GradedChain, State
 from martinwalk.compositions import (
     alpha_walk,
     boundary_harmonic,
-    closed_form_kernel,
+    closed_form_kernel_ratio,
     comp_state,
     uniform_walk,
 )
@@ -195,7 +195,11 @@ def _halves_on_thirds():
 
 
 def _doubled_closed_form(monkeypatch):
-    monkeypatch.setattr(suites, "closed_form_kernel", lambda x, y: 2 * closed_form_kernel(x, y))
+    def doubled(x, y):
+        a, b = closed_form_kernel_ratio(x, y)
+        return 2 * a, b
+
+    monkeypatch.setattr(suites, "closed_form_kernel_ratio", doubled)
     return suites.kernel_agreement_report(2, 1)
 
 

@@ -671,6 +671,25 @@ class TestRegressions:
         assert "Traceback" not in captured.err and captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_markov_estimate_over_the_step_budget_exits_3(self, tmp_path, capsys, workers):
+        # the Markov sampler walks every step: 10**8 x 10**4 steps used to run for hours
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "r.json"
+        source = {"kind": "markov", "initial": ["1/2", "1/2"],
+                  "rows": [["2/3", "1/3"], ["1/6", "5/6"]]}
+        doc = dict(command="estimate", source=source, horizon=10**8, replicates=10**4)
+        cfg_path.write_text(json.dumps(doc))
+        argv = ["estimate", "--config", str(cfg_path), "--out", str(out), "--workers", workers]
+        start = time.perf_counter()
+        assert main(argv) == 3
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: 10000 markov replicates at horizon 100000000 need walks of 1000000000000 steps"
+        )
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out.exists()
+
     def test_largest_horizon_estimates(self, tmp_path):
         # the urn draws Y_n in O(d) per replicate, whatever the horizon
         cfg_path, out = tmp_path / "cfg.json", tmp_path / "r.json"

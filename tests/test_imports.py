@@ -13,10 +13,19 @@ read by the package, the acceptance tests, the README library example or
 the benchmark tracer's targets, bar the few names in ``UNREAD_PUBLIC``.
 Every ``self.attr`` a module assigns must be read as ``.attr`` somewhere in
 the package, the tests or the README library example.
+
+numpy and ``concurrent.futures`` are imported only inside the functions that
+use them, so ``import martinwalk`` and the exact commands (``verify``,
+``kernel``, ``lift``) never load them: a static check reads every module's
+import-time statements, and a fresh interpreter runs the commands.
 """
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -197,3 +206,76 @@ def test_every_attribute_is_read():
         if attr not in reads
     }
     assert not unread, f"attributes set and never read: {unread}"
+
+
+#: modules that only the samplers and the estimate pool use
+SAMPLING_ONLY = ("numpy", "concurrent.futures")
+
+
+def _import_time_imports(tree: ast.AST):
+    """Every import statement that runs when the module is imported: the
+    module body and class bodies, but not function bodies."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _import_time_imports(node)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_import_time_sampling_imports(path):
+    offending = []
+    for node in _import_time_imports(ast.parse(path.read_text(), filename=str(path))):
+        names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+        for name in names:
+            if any(name == m or name.startswith(m + ".") for m in SAMPLING_ONLY):
+                offending.append(f"{path.name}:{node.lineno}: imports {name}")
+    assert not offending, "import these inside the functions that use them: " + "; ".join(offending)
+
+
+def _run_in_fresh_interpreter(tmp_path, configs: dict) -> dict:
+    """Run ``cli.main`` on each {command: config} in one new interpreter that
+    starts with ``import martinwalk``; return the exit statuses and which
+    ``SAMPLING_ONLY`` modules are loaded afterwards."""
+    script = """
+import json, sys
+import martinwalk
+from martinwalk import cli
+tmp, configs, watched = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
+statuses = {}
+for command, doc in configs.items():
+    path = f"{tmp}/{command}.json"
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    statuses[command] = cli.main([command, "--config", path, "--out", f"{tmp}/{command}.out"])
+print(json.dumps({"statuses": statuses, "loaded": [m for m in watched if m in sys.modules]}))
+"""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    args = [str(tmp_path), json.dumps(configs), json.dumps(SAMPLING_ONLY)]
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_exact_commands_never_load_numpy(tmp_path):
+    configs = {
+        "verify": {"command": "verify", "d": 2, "budget": 4},
+        "kernel": {"command": "kernel", "d": 2, "budget": 3, "alpha": ["1/3", "2/3"]},
+        "lift": {"command": "lift", "points": ["1/3", "5/8"], "depth": 8},
+    }
+    result = _run_in_fresh_interpreter(tmp_path, configs)
+    assert result == {"statuses": dict.fromkeys(configs, 0), "loaded": []}
+
+
+def test_sampling_commands_load_numpy(tmp_path):
+    configs = {
+        "simulate": {"command": "simulate", "d": 2, "horizon": 10, "replicates": 2},
+        "estimate": {"command": "estimate", "source": {"kind": "polya", "initial": [1, 1]},
+                     "horizon": 20, "replicates": 3},
+    }
+    result = _run_in_fresh_interpreter(tmp_path, configs)
+    assert result["statuses"] == dict.fromkeys(configs, 0)
+    assert "numpy" in result["loaded"]
