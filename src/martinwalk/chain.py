@@ -107,6 +107,8 @@ class DistributionTable:
     def reduced(cls, level: int, nums: dict[Any, int], den: int) -> DistributionTable:
         """The law nums / den in lowest terms; nums holds no zero."""
         g = math.gcd(den, *nums.values())
+        if g == 1:
+            return cls(level, dict(nums), den)
         return cls(level, {key: num // g for key, num in nums.items()}, den // g)
 
     def __contains__(self, key) -> bool:
@@ -278,9 +280,11 @@ class GradedChain:
         """P(Y_n = . | Y_m = x) for x at level m <= n."""
         if x.level > n:
             raise ValueError(f"conditional horizon {n} below level of {x}")
-        if x not in self.forward_law(x.level):
-            raise UnreachableStateError(f"conditioning on unreachable state {x}")
-        per_state = self._cond.setdefault(x, {x.level: DistributionTable(x.level, {x: 1})})
+        per_state = self._cond.get(x)
+        if per_state is None:
+            if x not in self.forward_law(x.level):
+                raise UnreachableStateError(f"conditioning on unreachable state {x}")
+            per_state = self._cond[x] = {x.level: DistributionTable(x.level, {x: 1})}
         return per_state[n] if n in per_state else self._propagate(per_state, n)
 
     # -- kernel and cotransitions -----------------------------------------
@@ -306,8 +310,12 @@ class GradedChain:
         return {y: (cond.nums.get(y, 0) * law.den, cond.den * p) for y, p in law.nums.items()}
 
     def _backward_memo(self, y: State) -> dict[int, DistributionTable]:
-        """{m: P(Y_m = . | Y_n = y)} for y at level n, from the point mass at y."""
-        return self._back.setdefault(y, {y.level: DistributionTable(y.level, {y: 1})})
+        """{m: P(Y_m = . | Y_n = y)} for a reachable y at level n, from the point
+        mass at y; only a reachable y gets one."""
+        memo = self._back.get(y)
+        if memo is None:
+            memo = self._back[y] = {y.level: DistributionTable(y.level, {y: 1})}
+        return memo
 
     def cotransition(self, y: State) -> DistributionTable:
         """P(Y_{n-1} = . | Y_n = y), the backward one-step law: the entry one
@@ -316,6 +324,9 @@ class GradedChain:
         The first call on level n fills that entry for every reachable state
         there at once: the joint masses P(Y_{n-1} = x, Y_n = y), as numerators
         over one denominator, divided by their sum."""
+        memo = self._back.get(y)
+        if memo is not None and y.level - 1 in memo:
+            return memo[y.level - 1]
         if y.level == 0:
             raise ValueError(f"no level below {y}")
         if y not in self.forward_law(y.level):
@@ -345,6 +356,9 @@ class GradedChain:
         """
         if m > y.level:
             raise ValueError(f"backward horizon {m} above level of {y}")
+        memo = self._back.get(y)
+        if memo is not None and m in memo:
+            return memo[m]
         if y not in self.forward_law(y.level):
             raise UnreachableStateError(f"unreachable conditioning state {y}")
         memo = self._backward_memo(y)
@@ -375,20 +389,26 @@ class GradedChain:
             raise BudgetExceededError(
                 f"cylinder law at horizon {n} exceeds atom budget {DEFAULT_ATOM_BUDGET}"
             )
-        paths: dict[tuple[State, ...], int] = {(self.root,): 1}
+        # sorted prefixes, each extended by its sorted row, stay sorted
+        paths: dict[tuple[State, ...], int] = {(): 1}
         den = 1
         for _ in range(n):
-            rows = {path[-1]: self._exact_row(path[-1]) for path in paths}
+            ends = dict.fromkeys(path[-1] if path else self.root for path in paths)
+            rows = {z: self._exact_row(z) for z in ends}
             scale = math.lcm(*(row.den for row in rows.values()))
+            steps = {z: sorted(row.nums.items()) for z, row in rows.items()}
             nxt_paths: dict[tuple[State, ...], int] = {}
             for path, num in paths.items():
-                row = rows[path[-1]]
-                num *= scale // row.den
-                for y, q in row.nums.items():
+                end = path[-1] if path else self.root
+                num *= scale // rows[end].den
+                for y, q in steps[end]:
                     nxt_paths[path + (y,)] = num * q
             paths, den = nxt_paths, den * scale
         g = math.gcd(den, *paths.values())
-        return DistributionTable(n, {p[1:]: v // g for p, v in sorted(paths.items())}, den // g)
+        if g > 1:
+            for path in paths:
+                paths[path] //= g
+        return DistributionTable(n, paths, den // g)
 
     # -- sampling ------------------------------------------------------------
 
@@ -448,17 +468,23 @@ def markov_property_check(law: DistributionTable) -> CheckReport:
     the two conditionals disagree; an empty report is equivalent to the Markov
     property for the given horizon.  Each conditional is a ratio of two ``push``
     tables, each in its own lowest terms, so the check compares cross-products.
+    Each prefix law is pushed from the next longer one, and the state and pair
+    laws at step k from the prefixes of lengths k and k + 1.
     """
     if law.level < 2:
         raise ValueError(f"need horizon >= 2 to test the Markov property, got {law.level}")
     if sum(law.nums.values()) != law.den:
         raise NonStochasticError(f"cylinder atoms sum to {format_prob(law.total())}")
     report = CheckReport("markov-property")
-    prefix = law.push(lambda path: path[:1])
+    # prefixes[k] is the law of (Y_1, ..., Y_{k+1})
+    prefixes = [law]
+    for k in range(law.level - 1, 0, -1):
+        prefixes.append(prefixes[-1].push(lambda path: path[:k]))
+    prefixes.reverse()
     for k in range(1, law.level):
-        extended = law.push(lambda path: path[: k + 1])
-        state = law.push(lambda path: path[k - 1])
-        pair = law.push(lambda path: path[k - 1 : k + 1])
+        prefix, extended = prefixes[k - 1], prefixes[k]
+        state = prefix.push(lambda path: path[-1])
+        pair = extended.push(lambda path: path[-2:])
         for ext, num in sorted(extended.nums.items()):
             history, nxt = ext[:k], ext[k]
             report.record_ratio(
@@ -466,5 +492,4 @@ def markov_property_check(law: DistributionTable) -> CheckReport:
                 (pair.nums[ext[k - 1 :]] * state.den, pair.den * state.nums[ext[k - 1]]),
                 (num * prefix.den, extended.den * prefix.nums[history]),
             )
-        prefix = extended
     return report

@@ -122,23 +122,30 @@ def alpha_walk(alpha: Sequence[Prob]) -> GradedChain:
     return _walk(pt, name=f"alpha-walk{tuple(map(str, pt))}")
 
 
-def closed_form_kernel_ratio(x, y) -> IntRatio:
+def closed_form_kernel(x, y) -> Fraction:
     """Martin kernel of the uniform walk between compositions x and y, exact
-    at every level, as the int pair (d^m prod_i ff(y_i, x_i), ff(n, m)), with
-    ``math.perm`` for the falling factorials.  (0, 1) whenever y does not
-    dominate x."""
+    at every level: d^m prod_i ff(y_i, x_i) / ff(n, m), with ``math.perm`` for
+    the falling factorials, and 0 whenever y does not dominate x."""
     cx, cy = _payload(x), _payload(y)
     if len(cx) != len(cy):
         raise ValueError(f"part counts differ: {cx} vs {cy}")
     m, n = sum(cx), sum(cy)
     if any(yi < xi for xi, yi in zip(cx, cy)):
-        return 0, 1
-    return len(cx) ** m * math.prod(map(math.perm, cy, cx)), math.perm(n, m)
+        return Fraction(0)
+    return Fraction(len(cx) ** m * math.prod(map(math.perm, cy, cx)), math.perm(n, m))
 
 
-def closed_form_kernel(x, y) -> Fraction:
-    """``closed_form_kernel_ratio`` as one reduced ``Fraction``."""
-    return Fraction(*closed_form_kernel_ratio(x, y))
+def closed_form_kernel_row(x, n: int) -> list[IntRatio]:
+    """``closed_form_kernel(x, y)`` as an int pair for each y of
+    ``compositions(d, n)`` in order, n >= |x|, with x's factors d^m and
+    ff(n, m) taken once per row: a y that does not dominate x has
+    ff(y_i, x_i) = 0 for some i, so a zero numerator over ff(n, m)."""
+    cx = _payload(x)
+    m = sum(cx)
+    if n < m:
+        raise ValueError(f"row level {n} below the level of {cx}")
+    scale, den = len(cx) ** m, math.perm(n, m)
+    return [(scale * math.prod(map(math.perm, cy, cx)), den) for cy in compositions(len(cx), n)]
 
 
 def product_moment(point: Sequence[Prob], counts: Sequence[int]) -> Prob:

@@ -19,6 +19,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Optional, Protocol, Sequence
 
@@ -88,15 +89,43 @@ class MixtureSource:
     def name(self) -> str:
         return f"mixture[{len(self.atoms)} atoms, d={self.d}]"
 
+    @cached_property
+    def _int_terms(self) -> Optional[tuple]:
+        """Per atom: the weight's numerator and denominator, then the atom's
+        numerators and denominators; None when any of them is a float."""
+        if not all(map(is_exact, itertools.chain(self.weights, *self.atoms))):
+            return None
+        return tuple(
+            (
+                w.numerator,
+                w.denominator,
+                tuple(a.numerator for a in atom),
+                tuple(a.denominator for a in atom),
+            )
+            for w, atom in zip(self.weights, self.atoms)
+        )
+
     def word_probability(self, word: Sequence[int]) -> Prob:
+        """sum_i w_i prod_k mu_i(x_k), multiplied along the word: exact atoms
+        as int numerators and denominators with one ``Fraction`` per word,
+        float atoms in float."""
         _check_word(word, self.d)
-        total: Prob = 0
-        for w, atom in zip(self.weights, self.atoms):
-            p = w
+        terms = self._int_terms
+        if terms is None:
+            total: Prob = 0
+            for w, atom in zip(self.weights, self.atoms):
+                p = w
+                for s in word:
+                    p *= atom[s - 1]
+                total += p
+            return total
+        total_num, total_den = 0, 1
+        for num, den, nums, dens in terms:
             for s in word:
-                p *= atom[s - 1]
-            total += p
-        return total
+                num *= nums[s - 1]
+                den *= dens[s - 1]
+            total_num, total_den = total_num * den + num * total_den, total_den * den
+        return Fraction(total_num, total_den)
 
     def directing_moment(self, counts: Sequence[int]) -> Prob:
         """Mixture moment of the directing law: sum_i w_i prod_j mu_i(j)^c_j."""
@@ -150,13 +179,14 @@ class PolyaUrnSource:
 
     def word_probability(self, word: Sequence[int]) -> Fraction:
         _check_word(word, self.d)
-        counts = [0] * self.d
-        total = sum(self.initial)
-        p = Fraction(1)
+        counts = list(self.initial)
+        total = sum(counts)
+        num = den = 1
         for k, s in enumerate(word):
-            p *= Fraction(self.initial[s - 1] + counts[s - 1], total + k)
+            num *= counts[s - 1]
+            den *= total + k
             counts[s - 1] += 1
-        return p
+        return Fraction(num, den)
 
     def directing_moment(self, counts: Sequence[int]) -> Fraction:
         return dirichlet_moment(self.initial, counts)
@@ -399,22 +429,32 @@ def verify_counting_markov(source, words: DistributionTable) -> CheckReport:
     return _counting_report(report, "markov", source, words.level)
 
 
-def verify_counting_cotransitions(source, n: int) -> CheckReport:
+def verify_counting_cotransitions(
+    source, n: int, base: Optional[GradedChain] = None, observed: Optional[GradedChain] = None
+) -> CheckReport:
     """Cotransitions of the counting chain against those of the uniform walk.
 
     This is the decisive identity: together with the Markov property it
     exhibits the counting chain as an h-transform of the uniform walk.
+    ``base`` and ``observed`` default to a new uniform walk and counting chain.
     """
-    report = cotransition_equality_check(uniform_walk(source.d), counting_chain(source), n)
+    base = uniform_walk(source.d) if base is None else base
+    observed = counting_chain(source) if observed is None else observed
+    report = cotransition_equality_check(base, observed, n)
     return _counting_report(report, "cotransitions", source, n)
 
 
-def counting_h_recovery(source, n: int) -> HarmonicFn:
+def counting_h_recovery(
+    source, n: int, base: Optional[GradedChain] = None, observed: Optional[GradedChain] = None
+) -> HarmonicFn:
     """Recover the harmonic function for which the counting chain is the
     h-transform of the uniform walk, and verify the identification exactly:
-    equal rows at every reachable state below n, hence equal path laws."""
-    observed = counting_chain(source)
-    base = uniform_walk(source.d)
+    equal rows at every reachable state below n, hence equal path laws.
+    ``base`` and ``observed`` default to a new uniform walk and counting chain;
+    chains that ``verify_counting_cotransitions`` has run on keep their laws,
+    so the cotransition check that ``recover_h`` repeats only compares them."""
+    base = uniform_walk(source.d) if base is None else base
+    observed = counting_chain(source) if observed is None else observed
     h = recover_h(base, observed, max_level=n)
     harmonicity = is_harmonic(base, h, n)
     if not harmonicity.ok:
@@ -576,20 +616,17 @@ def binary_digits(x, count: int) -> tuple[int, ...]:
     """First ``count`` binary digits of x in [0, 1) via floor(2^k x) - 2 floor(2^(k-1) x).
 
     Exact for floats and rationals alike; dyadic values get the terminating
-    expansion, which is what the floor formula produces.
+    expansion, which is what the floor formula produces.  Digit k is the bit
+    of floor(2^k x) = floor(2^count x) >> (count - k) that the formula leaves,
+    so one shift and division give them all.
     """
     if count < 1:
         raise ValueError("need at least one digit")
     value = Fraction(x)
     if not 0 <= value < 1:
         raise ValueError(f"expected a value in [0, 1), got {x!r}")
-    digits = []
-    previous = 0
-    for k in range(1, count + 1):
-        current = (value.numerator << k) // value.denominator
-        digits.append(int(current - 2 * previous))
-        previous = current
-    return tuple(digits)
+    scaled = (value.numerator << count) // value.denominator
+    return tuple((scaled >> shift) & 1 for shift in reversed(range(count)))
 
 
 def reconstruct_real(digits: Sequence[int]) -> Fraction:

@@ -32,18 +32,24 @@ from .reports import CheckReport, MonteCarloResult
 class HarmonicFn:
     """A non-negative function on states, normalized to 1 at the root.
 
-    Wraps a plain callable; its support is where the value is positive.
+    Wraps a plain callable; its support is where the value is positive.  Each
+    instance calls it once per state and keeps the value; a call that raises
+    keeps nothing, so it raises again on the next call.
     """
 
     def __init__(self, fn: Callable[[State], Prob], name: str = "h"):
         self._fn = fn
         self.name = name
+        self._values: dict[State, Prob] = {}
 
     def __call__(self, state: State) -> Prob:
-        return self._fn(state)
+        value = self._values.get(state)
+        if value is None:
+            value = self._values[state] = self._fn(state)
+        return value
 
     def supports(self, state: State) -> bool:
-        return self._fn(state) > 0
+        return self(state) > 0
 
     def __repr__(self) -> str:
         return f"HarmonicFn({self.name!r})"
@@ -131,14 +137,13 @@ def h_transform(chain: GradedChain, h: HarmonicFn) -> HTransformChain:
 
 def density_ratio_check(base: GradedChain, transformed: HTransformChain, n: int) -> CheckReport:
     """Check P_h(path) = h(x_n) P(path) for every positive base path of length n
-    by cross-products of the two path laws' numerators, h read once per end state."""
+    by cross-products of the two path laws' numerators."""
     h = transformed.h
     base_law = base.cylinder_law(n)
     transformed_law = transformed.cylinder_law(n)
     report = CheckReport(f"density-ratio[{transformed.name}]@{n}")
-    h_end = {x: h(x) for x in {path[-1] for path in base_law.nums}}
     for path, p in base_law.nums.items():
-        hx = h_end[path[-1]]
+        hx = h(path[-1])
         report.record_ratio(
             lambda: f"path={path}",
             (hx.numerator * p, hx.denominator * base_law.den),
@@ -155,11 +160,11 @@ def kernel_transform_check(
     report = CheckReport(f"kernel-transform[{transformed.name}]")
     for x, n, lifted in kernel_rows(transformed, max_level):
         hx, original = transformed.h(x), base.kernel_row(x, n)
+        h_num, h_den = hx.numerator, hx.denominator
         for y in transformed.enumerate_level(n):
             if y in lifted:
                 a, b = lifted[y]
-                scaled = (a * hx.numerator, b * hx.denominator)
-                report.record_ratio(lambda: f"K_h@({x}; {y})", original[y], scaled)
+                report.record_ratio(lambda: f"K_h@({x}; {y})", original[y], (a * h_num, b * h_den))
     return report
 
 

@@ -70,6 +70,19 @@ class CheckReport:
         else:
             self.record(site, Fraction(a, b), Fraction(c, d))
 
+    def require_bound(
+        self, site: Site, actual: tuple[int, int], bound: tuple[int, int], strict: bool = False
+    ) -> None:
+        """``require`` that a / b <= c / d, or a / b < c / d if ``strict``, for
+        actual a / b and bound c / d given as int pairs with b, d > 0; a failure
+        keeps the bound as expected and the actual as ``Fraction``s, and only
+        it builds them."""
+        (a, b), (c, d) = actual, bound
+        if a * d < c * b or (not strict and a * d == c * b):
+            self.checked += 1
+        else:
+            self.require(site, False, Fraction(c, d), Fraction(a, b))
+
     def absorb(self, sub: CheckReport) -> None:
         """Merge another report's checks and violations into this one."""
         self.checked += sub.checked

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import martinwalk.chain
+import martinwalk.suites as suites
 from martinwalk import (
     BudgetExceededError,
     DistributionTable,
@@ -347,6 +348,27 @@ class TestIntegerLaws:
                         assert k == chain.martin_kernel(x, y) == closed_form_kernel(x, y)
                         if any(b < a for a, b in zip(x.payload, y.payload)):
                             assert row[y][0] == 0
+
+    def test_shared_chains_give_the_standalone_reports(self):
+        """Suites run over the walk or counting family that ``full_verification``
+        shares report what they report over chains of their own."""
+
+        def seen(reports):
+            return [(r.name, r.checked, r.violations, r.notes) for r in reports]
+
+        walk = uniform_walk(2)
+        for suite in (
+            suites.kernel_agreement_report,
+            suites.kernel_symmetry_report,
+            suites.martingale_identity_report,
+            suites.expectation_identity_report,
+        ):
+            assert seen([suite(2, 4, walk)]) == seen([suite(2, 4)])
+        family = suites.counting_family(2)
+        shared = suites.lemma_reports(2, 4, family)
+        shared.append(suites.recovery_identity_report(2, 4, family))
+        alone = [*suites.lemma_reports(2, 4), suites.recovery_identity_report(2, 4)]
+        assert seen(shared) == seen(alone)
 
     def test_full_verification_peak_memory(self):
         """Guards against a per-pair kernel memo, which traced 5.05 MB on this call."""

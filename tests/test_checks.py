@@ -22,7 +22,7 @@ from martinwalk.chain import DistributionTable, GradedChain, State
 from martinwalk.compositions import (
     alpha_walk,
     boundary_harmonic,
-    closed_form_kernel_ratio,
+    closed_form_kernel_row,
     comp_state,
     uniform_walk,
 )
@@ -123,6 +123,18 @@ class TestRequire:
             "bound@((1, 0)@1; (1, 1)@2)",
         ]
 
+    def test_bound_compares_int_pairs_and_keeps_fractions_on_failure(self):
+        report = CheckReport("r")
+        report.require_bound("below", (1, 3), (1, 2))
+        report.require_bound("equal", (2, 4), (1, 2))
+        report.require_bound("equal-strict", (2, 4), (1, 2), strict=True)
+        report.require_bound("above", (3, 4), (2, 4))
+        assert report.checked == 4
+        assert report.violations == [
+            Violation("equal-strict", Fraction(1, 2), Fraction(1, 2)),
+            Violation("above", Fraction(1, 2), Fraction(3, 4)),
+        ]
+
     def test_record_checks_identities_under_the_equality_rule(self):
         report = CheckReport("r")
         report.record("exact-equal", Fraction(1, 2), Fraction(2, 4))
@@ -195,11 +207,12 @@ def _halves_on_thirds():
 
 
 def _doubled_closed_form(monkeypatch):
-    def doubled(x, y):
-        a, b = closed_form_kernel_ratio(x, y)
-        return 2 * a, b
+    """Double the numerators of the closed-form rows the agreement suite reads."""
 
-    monkeypatch.setattr(suites, "closed_form_kernel_ratio", doubled)
+    def doubled(x, n):
+        return [(2 * a, b) for a, b in closed_form_kernel_row(x, n)]
+
+    monkeypatch.setattr(suites, "closed_form_kernel_row", doubled)
     return suites.kernel_agreement_report(2, 1)
 
 

@@ -20,7 +20,7 @@ from martinwalk import (
     product_moment,
     uniform_walk,
 )
-from martinwalk.compositions import polya_cotransition, rounded_ray_point
+from martinwalk.compositions import closed_form_kernel_row, polya_cotransition, rounded_ray_point
 
 
 class TestCompositions:
@@ -99,6 +99,22 @@ class TestClosedFormKernel:
         value = closed_form_kernel((1, 0), (300_000, 700_000))
         assert isinstance(value, Fraction)
         assert value == Fraction(3, 5)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_row_is_the_pairwise_kernel(self, d):
+        """A closed-form row holds closed_form_kernel(x, y) for each y of the
+        level in order, zero numerators where y does not dominate x."""
+        for m in range(4):
+            for x in compositions(d, m):
+                for n in range(m, 6):
+                    row = closed_form_kernel_row(x, n)
+                    assert len(row) == len(compositions(d, n))
+                    for y, (a, b) in zip(compositions(d, n), row):
+                        assert Fraction(a, b) == closed_form_kernel(x, y) == exact_kernel(x, y)
+
+    def test_row_below_the_level_of_x_raises(self):
+        with pytest.raises(ValueError, match="below the level"):
+            closed_form_kernel_row((1, 1), 1)
 
     def test_rays_match_the_integer_oracle(self):
         for n in (10**3, 10**5, 10**6):

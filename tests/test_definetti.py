@@ -2,6 +2,7 @@
 binary-expansion lift."""
 
 import itertools
+import math
 import time
 from fractions import Fraction
 
@@ -64,6 +65,27 @@ class TestSourceCylinderLaw:
     def test_polya_value_matches_beta_moment(self):
         assert POLYA.word_probability((1, 1)) == Fraction(1, 3)
         assert dirichlet_moment((1, 1), (2, 0)) == Fraction(1, 3)
+
+    @pytest.mark.parametrize("word", [(), (1,), (2, 1, 1), (1, 2, 2, 1, 2)])
+    def test_exact_word_probabilities_multiply_along_the_word(self, word):
+        """One Fraction per word equals the product of the step probabilities."""
+        expected = sum(
+            w * math.prod(atom[s - 1] for s in word) for w, atom in zip(MIX.weights, MIX.atoms)
+        )
+        assert MIX.word_probability(word) == expected
+        urn, counts, total = Fraction(1), [1, 1], 2
+        for k, s in enumerate(word):
+            urn *= Fraction(counts[s - 1], total + k)
+            counts[s - 1] += 1
+        assert POLYA.word_probability(word) == urn
+
+    def test_float_atoms_keep_the_float_path(self):
+        src = MixtureSource(
+            atoms=((0.25, 0.75), (Fraction(1, 2), Fraction(1, 2))), weights=(0.5, 0.5)
+        )
+        p = src.word_probability((2, 1))
+        assert isinstance(p, float)
+        assert p == 0.5 * 0.75 * 0.25 + 0.5 * Fraction(1, 2) * Fraction(1, 2)
 
     def test_total_mass(self):
         for src in (MIX, POLYA, CONTROL):
@@ -442,6 +464,25 @@ class TestBinaryDigits:
         depth = 40
         back = reconstruct_real(binary_digits(x, depth))
         assert abs(Fraction(x) - back) < Fraction(1, 2**depth)
+
+    @given(
+        st.one_of(
+            st.fractions(min_value=0, max_value=1).filter(lambda q: q < 1),
+            st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False),
+        ),
+        st.integers(1, 64),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_digits_follow_the_floor_formula(self, x, count):
+        """Digit k is floor(2^k x) - 2 floor(2^(k-1) x), and the partial sum
+        of the digits lies within 2^-count below x."""
+        value = Fraction(x)
+        digits = binary_digits(x, count)
+        assert digits == tuple(
+            math.floor(2**k * value) - 2 * math.floor(2 ** (k - 1) * value)
+            for k in range(1, count + 1)
+        )
+        assert 0 <= value - reconstruct_real(digits) < Fraction(1, 2**count)
 
 
 class TestLift:

@@ -48,6 +48,34 @@ def transformed(base, h_alpha):
     return h_transform(base, h_alpha)
 
 
+class TestHarmonicFn:
+    def test_calls_its_function_once_per_state(self, base):
+        calls = []
+
+        def value(state):
+            calls.append(state)
+            return Fraction(1)
+
+        h = HarmonicFn(value, name="1")
+        assert is_harmonic(base, h, 4).ok
+        assert h_transform(base, h).forward_law(4).total() == 1
+        states = [x for n in range(5) for x in base.enumerate_level(n)]
+        assert sorted(calls) == sorted(states)
+
+    def test_a_raising_call_is_not_cached(self):
+        calls = []
+
+        def value(state):
+            calls.append(state)
+            raise ValueError("no value")
+
+        h = HarmonicFn(value)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                h(comp_state((1, 0)))
+        assert len(calls) == 2
+
+
 class TestIsHarmonic:
     def test_constant_function(self, base):
         assert is_harmonic(base, HarmonicFn(lambda _s: 1, name="1"), 6).ok
@@ -195,6 +223,13 @@ class TestRecoverH:
         assert walk.forward_law(5).total() == base.forward_law(5).total() == 1
         with pytest.raises(BudgetExceededError, match="level 5, checked up to 4"):
             h(comp_state((3, 2)))
+
+    def test_budget_error_is_never_cached(self, base):
+        """Above max_level the recovered h raises on every call, not only the first."""
+        h = recover_h(base, alpha_walk(ALPHA), 3)
+        for _ in range(3):
+            with pytest.raises(BudgetExceededError, match="level 4, checked up to 3"):
+                h(comp_state((2, 2)))
 
     def test_polya_counting_recovery_values(self, base):
         observed = counting_chain(PolyaUrnSource((1, 1)))

@@ -6,17 +6,27 @@ four states per level, with some edges absent and rows over different
 denominators, pruned to the states the root reaches.  Forward laws,
 cotransitions, backward conditionals, kernel rows and kernel means are
 checked against pushes of ``cylinder_law``, the brute-force path law, which
-shares nothing with those DP routes but the int rows.  ``derandomize`` keeps
-the draws fixed.
+shares nothing with those DP routes but the int rows, and every path law must
+pass ``markov_property_check``.  ``derandomize`` keeps the draws fixed.
 """
 
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_checks import _CONTROL_HISTORIES
 
-from martinwalk import DistributionTable, GradedChain, State, kernel_mean
+from martinwalk import (
+    DistributionTable,
+    GradedChain,
+    State,
+    counting_chain_law,
+    kernel_mean,
+    markov_property_check,
+)
+from martinwalk.suites import standard_negative_control
 
 ROOT = State(0, 0)
 
@@ -155,3 +165,48 @@ def test_kernel_means_are_the_expectation_and_martingale_identities(case):
                     )
                     mean = Fraction(*kernel_mean(row, chain.cotransition(y)))
                     assert mean == expected == Fraction(*chain.kernel_row(x, n + 1)[y])
+
+
+@given(graded_chains())
+@EXAMPLES
+def test_path_laws_pass_the_markov_check(case):
+    """One passing check per history (Y_1, ..., Y_k) and next state, k < top."""
+    chain, top = case
+    paths = chain.cylinder_law(top)
+    if top < 2:
+        with pytest.raises(ValueError, match="horizon >= 2"):
+            markov_property_check(paths)
+        return
+    report = markov_property_check(paths)
+    assert report.ok
+    assert report.checked == sum(len(paths.push(lambda path: path[: k + 1])) for k in range(1, top))
+
+
+def _markov_failures_by_whole_law_pushes(law: DistributionTable) -> list:
+    """The Markov check's failures, each conditional pushed from the whole path
+    law, in the order the check reports them: by k, then by sorted history."""
+    out = []
+    for k in range(1, law.level):
+        extended = law.push(lambda path: path[: k + 1]).atoms
+        prefix = law.push(lambda path: path[:k]).atoms
+        state = law.push(lambda path: path[k - 1]).atoms
+        pair = law.push(lambda path: path[k - 1 : k + 1]).atoms
+        for ext, p in sorted(extended.items()):
+            given_state, given_history = pair[ext[k - 1 :]] / state[ext[k - 1]], p / prefix[ext[:k]]
+            if given_state != given_history:
+                out.append((f"history={ext[:k]} -> {ext[k]}", given_state, given_history))
+    return out
+
+
+def test_control_violations_keep_their_sites_and_order():
+    """Prefix laws pushed one from the next leave the control's violations as
+    whole-law pushes give them."""
+    control = standard_negative_control()
+    report = markov_property_check(counting_chain_law(control, 3))
+    assert [v.site for v in report.violations] == [
+        f"{history} -> {nxt}" for history in _CONTROL_HISTORIES for nxt in ("(1, 2)@3", "(2, 1)@3")
+    ]
+    for n in range(3, 7):
+        law = counting_chain_law(control, n)
+        found = [(v.site, v.expected, v.actual) for v in markov_property_check(law).violations]
+        assert found == _markov_failures_by_whole_law_pushes(law)
