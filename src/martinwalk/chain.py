@@ -23,7 +23,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterator, NamedTuple, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Optional, Protocol, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -32,6 +32,26 @@ from .errors import (
 )
 from .prob import Prob, format_prob, is_exact, probs_equal
 from .reports import CheckReport
+
+
+class _NumpyOnDemand:
+    """``np`` where only annotations name it: reading an attribute imports
+    numpy, so ``typing.get_type_hints`` resolves ``np.ndarray`` while
+    importing the package still loads no numpy."""
+
+    def __getattr__(self, name: str):
+        if name.startswith("__"):
+            # introspection, such as hasattr(x, "__wrapped__"), loads nothing
+            raise AttributeError(name)
+        import numpy
+
+        return getattr(numpy, name)
+
+
+if TYPE_CHECKING:
+    import numpy as np
+else:
+    np = _NumpyOnDemand()
 
 #: most paths or words one exact enumeration builds: ``cylinder_law`` here,
 #: the word laws of ``definetti``

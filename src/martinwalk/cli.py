@@ -38,6 +38,7 @@ from .definetti import (
     reconstruct_real,
 )
 from .errors import BudgetExceededError, ConfigError
+from .parallel import usable_cores
 from .prob import Prob, format_prob, parse_prob, validate_simplex
 from .reports import CheckReport
 from .suites import full_verification
@@ -276,7 +277,7 @@ def parse_config(text: str, overrides: Optional[dict] = None) -> RunConfig:
     return RunConfig(
         command=command,
         seed=_require_int(doc, "seed", 0),
-        workers=_require_int(doc, "workers", 1, minimum=1),
+        workers=_require_int(doc, "workers", usable_cores(), minimum=1),
         mode=mode,
         d=d_value,
         budget=_require_int(doc, "budget", 6, minimum=2 if command == "verify" else 1),
@@ -334,7 +335,7 @@ def _check_budget(config: RunConfig) -> None:
 def _run_verify(config: RunConfig, report: Report) -> None:
     _check_budget(config)
     report.records.extend(
-        _exact_record(r) for r in full_verification(config.d, config.budget)
+        _exact_record(r) for r in full_verification(config.d, config.budget, config.workers)
     )
 
 

@@ -22,11 +22,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .chain import GradedChain, IntRatio, State, replicate_rng, replicate_rows
 from .harmonic import HarmonicFn
 from .prob import Prob, is_exact, validate_simplex
+
+if TYPE_CHECKING:
+    import numpy as np
+else:
+    from .chain import np
 
 
 Composition = tuple[int, ...]

@@ -21,7 +21,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterator, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Protocol, Sequence
 
 from .chain import (
     DEFAULT_ATOM_BUDGET,
@@ -34,8 +34,14 @@ from .chain import (
 from .compositions import product_moment, uniform_walk
 from .errors import BudgetExceededError, MartinWalkError, NonStochasticError, UnreachableStateError
 from .harmonic import HarmonicFn, cotransition_equality_check, h_transform, is_harmonic, recover_h
+from .parallel import fork_map
 from .prob import Prob, format_prob, is_exact, probs_equal, validate_simplex
 from .reports import CheckReport
+
+if TYPE_CHECKING:
+    import numpy as np
+else:
+    from .chain import np
 
 #: Markov sampling draws at most this many step-map entries (steps x d) at once
 _MARKOV_CHUNK_CELLS = 1 << 20
@@ -534,27 +540,20 @@ def estimate_directing_measure(
 
     Replicate r always uses the stream (seed, r), so the result is independent
     of the ``BLOCK_SIZE`` partition and of the worker count.  Multi-worker runs
-    fan the blocks out to separate processes (per-replicate sampling holds the GIL).
-    Each block is copied into one float array as it arrives, which is then
-    divided in place: no other copy of the samples is ever held.
+    fan the blocks out to forked processes with ``fork_map`` (per-replicate
+    sampling holds the GIL), and this process only collects them.  Each block
+    is copied into one float array, which is then divided in place; a serial
+    run draws each block as it is copied, so it never holds another copy of
+    the samples.
     """
-    import numpy as np  # loaded here, before any pool forks, so no worker imports it
+    import numpy as np  # loaded here, before any worker forks, so no worker imports it
     tasks = [
         (source, horizon, seed, lo, min(lo + BLOCK_SIZE, replicates))
         for lo in range(0, replicates, BLOCK_SIZE)
     ]
     samples = np.empty((replicates, source.d), dtype=np.float64)
-
-    def fill(blocks) -> None:
-        for (*_, lo, hi), block in zip(tasks, blocks):
-            samples[lo:hi] = block
-
-    if workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            fill(pool.map(_sample_block, tasks))
-    else:
-        fill(map(_sample_block, tasks))
+    for (*_, lo, hi), block in zip(tasks, fork_map(_sample_block, tasks, workers)):
+        samples[lo:hi] = block
     samples /= horizon
     return DirectingEstimate(samples)
 

@@ -5,8 +5,10 @@ oracle) and are frozen as exact rationals.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -371,14 +373,26 @@ class TestIntegerLaws:
         assert seen(shared) == seen(alone)
 
     def test_full_verification_peak_memory(self):
-        """Guards against a per-pair kernel memo, which traced 5.05 MB on this call."""
-        tracemalloc.start()
-        try:
-            full_verification(3, 8)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2_000_000
+        """Guards against a per-pair kernel memo, which traced 5.05 MB on this
+        call.  A fresh interpreter keeps the reading apart from the tests run
+        before it, and ``workers=1`` keeps the work in the traced process."""
+        script = (
+            "import tracemalloc\n"
+            "from martinwalk.suites import full_verification\n"
+            "tracemalloc.start()\n"
+            "full_verification(3, 8, workers=1)\n"
+            "print(tracemalloc.get_traced_memory()[1])\n"
+        )
+        src = os.path.dirname(os.path.dirname(martinwalk.chain.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 2_000_000
 
 
 class TestMarkovPropertyCheck:

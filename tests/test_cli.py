@@ -286,6 +286,29 @@ class TestMain:
         assert out_a.read_bytes() == out_b.read_bytes()
         assert b"# seed=3" in out_a.read_bytes()
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"command": "verify", "d": 2, "budget": 6},
+            {"command": "verify", "d": 3, "budget": 8},
+            {"command": "estimate", "source": {"kind": "polya", "initial": [1, 1]},
+             "horizon": 200, "replicates": 600},
+        ],
+        ids=["verify-d2", "verify-d3", "estimate"],
+    )
+    def test_bytes_equal_for_every_worker_count(self, tmp_path, monkeypatch, doc):
+        # three usable cores, so --workers 3 and the default fork three children anywhere
+        monkeypatch.setattr("martinwalk.parallel.usable_cores", lambda: 3)
+        monkeypatch.setattr("martinwalk.cli.usable_cores", lambda: 3)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        outputs = set()
+        for extra in ([], ["--workers", "1"], ["--workers", "2"], ["--workers", "3"]):
+            out = tmp_path / "report.json"
+            assert main([doc["command"], "--config", str(cfg_path), "--out", str(out), *extra]) == 0
+            outputs.add(out.read_bytes())
+        assert len(outputs) == 1
+
     def test_config_error_status(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(config_text(command="verify", nonsense=True))

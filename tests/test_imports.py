@@ -14,10 +14,12 @@ the benchmark tracer's targets, bar the few names in ``UNREAD_PUBLIC``.
 Every ``self.attr`` a module assigns must be read as ``.attr`` somewhere in
 the package, the tests or the README library example.
 
-numpy and ``concurrent.futures`` are imported only inside the functions that
-use them, so ``import martinwalk`` and the exact commands (``verify``,
-``kernel``, ``lift``) never load them: a static check reads every module's
-import-time statements, and a fresh interpreter runs the commands.
+numpy is imported only inside the functions that use it, or under ``if
+TYPE_CHECKING:``, and ``concurrent.futures`` nowhere, so ``import
+martinwalk`` and the exact commands (``verify``, ``kernel``, ``lift``) never
+load them: a static check reads every module's import-time statements, and a
+fresh interpreter runs the commands.  The ``np`` annotations still resolve
+at run time.
 """
 
 import ast
@@ -26,6 +28,7 @@ import os
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -208,16 +211,19 @@ def test_every_attribute_is_read():
     assert not unread, f"attributes set and never read: {unread}"
 
 
-#: modules that only the samplers and the estimate pool use
+#: numpy, which only the samplers use, and the process pool that ``fork_map`` replaced
 SAMPLING_ONLY = ("numpy", "concurrent.futures")
 
 
 def _import_time_imports(tree: ast.AST):
     """Every import statement that runs when the module is imported: the
-    module body and class bodies, but not function bodies."""
+    module body and class bodies, but not function bodies, nor the body of
+    an ``if TYPE_CHECKING:``, which only a type checker runs."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             yield node
+        elif isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            yield from _import_time_imports(ast.Module(body=node.orelse, type_ignores=[]))
         elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             yield from _import_time_imports(node)
 
@@ -231,6 +237,22 @@ def test_no_import_time_sampling_imports(path):
             if any(name == m or name.startswith(m + ".") for m in SAMPLING_ONLY):
                 offending.append(f"{path.name}:{node.lineno}: imports {name}")
     assert not offending, "import these inside the functions that use them: " + "; ".join(offending)
+
+
+def test_numpy_annotations_resolve():
+    import numpy
+
+    from martinwalk import DirectingEstimate, PolyaUrnSource, chain, definetti, uniform_walk
+
+    assert typing.get_type_hints(chain.replicate_rng)["return"] is numpy.random.Generator
+    for annotated in (
+        chain.replicate_rows,
+        definetti._markov_counts,
+        DirectingEstimate,
+        PolyaUrnSource.sample_final_counts,
+        uniform_walk(2).sampler.sample_final_counts,
+    ):
+        assert numpy.ndarray in typing.get_type_hints(annotated).values(), annotated
 
 
 def _run_in_fresh_interpreter(tmp_path, configs: dict) -> dict:
