@@ -61,7 +61,7 @@ from .harmonic import (
     representation_check,
     representation_check_mc,
 )
-from .prob import Prob, format_prob, parse_prob, probs_equal, validate_simplex
+from .prob import Prob, format_prob, parse_prob, validate_simplex
 from .reports import CheckReport, MonteCarloResult, Violation
 
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ from .errors import (
     NonStochasticError,
     UnreachableStateError,
 )
-from .prob import Prob, format_prob, is_exact, probs_equal
+from .prob import Prob, format_prob, is_exact
 from .reports import CheckReport
 
 
@@ -173,8 +173,9 @@ class GradedChain:
         what a level costs is for the caller to admit.
     successors:
         Maps a state at level n to its (state, probability) row at level
-        n+1.  Every law built here needs exact rows: a float step
-        probability raises ``ValueError`` there.
+        n+1, with exact (``Fraction`` or int) probabilities summing to 1: a
+        float step probability raises ``ValueError`` when the row is built,
+        so a chain with float steps can only be sampled.
     sampler:
         Optional ``CountSampler`` for chains whose payloads are count
         vectors; a chain without one cannot be sampled.
@@ -230,13 +231,16 @@ class GradedChain:
         return self._levels[n]
 
     def successors(self, x: State) -> tuple[tuple[State, Prob], ...]:
-        """The one-step row out of x; validated to sum to 1."""
+        """The one-step row out of x; validated to be exact and to sum to 1."""
         cached = self._rows.get(x)
         if cached is not None:
             return cached
         row = tuple(self._successors(x))
+        for y, p in row:
+            if not is_exact(p):
+                raise ValueError(f"float step probability {p!r} at {x} -> {y}: laws are exact")
         total = sum(p for _, p in row)
-        if not probs_equal(total, 1):
+        if total != 1:
             raise NonStochasticError(
                 f"row out of {x} sums to {format_prob(total)} in {self.name}"
             )
@@ -251,12 +255,9 @@ class GradedChain:
     def _exact_row(self, x: State) -> DistributionTable:
         """The row out of x as a law on level(x) + 1: its positive step
         probabilities over the lcm of their denominators, which leaves it in
-        lowest terms; a float step probability raises ``ValueError``."""
+        lowest terms."""
         if x not in self._exact_rows:
             row = [(y, q) for y, q in self.successors(x) if q != 0]
-            for y, q in row:
-                if not is_exact(q):
-                    raise ValueError(f"float step probability {q!r} at {x} -> {y}: laws are exact")
             den = math.lcm(*(q.denominator for _, q in row))
             nums = {y: q.numerator * (den // q.denominator) for y, q in row}
             self._exact_rows[x] = DistributionTable(x.level + 1, nums, den)

@@ -35,7 +35,7 @@ from .compositions import product_moment, uniform_walk
 from .errors import BudgetExceededError, MartinWalkError, NonStochasticError, UnreachableStateError
 from .harmonic import HarmonicFn, cotransition_equality_check, h_transform, is_harmonic, recover_h
 from .parallel import fork_map
-from .prob import Prob, format_prob, is_exact, probs_equal, validate_simplex
+from .prob import Prob, format_prob, is_exact, validate_simplex
 from .reports import CheckReport
 
 if TYPE_CHECKING:
@@ -96,11 +96,11 @@ class MixtureSource:
         return f"mixture[{len(self.atoms)} atoms, d={self.d}]"
 
     @cached_property
-    def _int_terms(self) -> Optional[tuple]:
+    def _int_terms(self) -> tuple:
         """Per atom: the weight's numerator and denominator, then the atom's
-        numerators and denominators; None when any of them is a float."""
+        numerators and denominators; a float among them raises ``ValueError``."""
         if not all(map(is_exact, itertools.chain(self.weights, *self.atoms))):
-            return None
+            raise ValueError(f"float atoms or weights in {self.name}: word laws are exact")
         return tuple(
             (
                 w.numerator,
@@ -111,22 +111,13 @@ class MixtureSource:
             for w, atom in zip(self.weights, self.atoms)
         )
 
-    def word_probability(self, word: Sequence[int]) -> Prob:
-        """sum_i w_i prod_k mu_i(x_k), multiplied along the word: exact atoms
-        as int numerators and denominators with one ``Fraction`` per word,
-        float atoms in float."""
+    def word_probability(self, word: Sequence[int]) -> Fraction:
+        """sum_i w_i prod_k mu_i(x_k), multiplied along the word as int
+        numerators and denominators, with one ``Fraction`` per word; float
+        atoms or weights raise ``ValueError``, though they still sample."""
         _check_word(word, self.d)
-        terms = self._int_terms
-        if terms is None:
-            total: Prob = 0
-            for w, atom in zip(self.weights, self.atoms):
-                p = w
-                for s in word:
-                    p *= atom[s - 1]
-                total += p
-            return total
         total_num, total_den = 0, 1
-        for num, den, nums, dens in terms:
+        for num, den, nums, dens in self._int_terms:
             for s in word:
                 num *= nums[s - 1]
                 den *= dens[s - 1]
@@ -468,10 +459,7 @@ def counting_h_recovery(
     transformed = h_transform(base, h)
     for m in range(n):
         for x in observed.forward_law(m).nums:
-            expected, reproduced = dict(observed.successors(x)), dict(transformed.successors(x))
-            if expected.keys() != reproduced.keys() or not all(
-                probs_equal(p, expected[y]) for y, p in reproduced.items()
-            ):
+            if dict(observed.successors(x)) != dict(transformed.successors(x)):
                 raise MartinWalkError(
                     f"h-transform of the uniform walk misses the row of {x} in {observed.name}"
                 )

@@ -25,7 +25,7 @@ from .errors import (
     NotHarmonicError,
     UnreachableStateError,
 )
-from .prob import Prob, format_prob, probs_equal
+from .prob import Prob, format_prob
 from .reports import CheckReport, MonteCarloResult
 
 
@@ -93,7 +93,7 @@ class HTransformChain(GradedChain):
 
     def __init__(self, base: GradedChain, h: HarmonicFn):
         root_value = h(base.root)
-        if not probs_equal(root_value, 1):
+        if root_value != 1:
             raise NotHarmonicError(
                 f"{h.name} has value {format_prob(root_value)} at the root, expected 1"
             )
@@ -114,7 +114,7 @@ class HTransformChain(GradedChain):
                 p = hy * q / hx
                 total += p
                 row.append((y, p))
-            if not probs_equal(total, 1):
+            if total != 1:
                 raise NotHarmonicError(
                     f"{h.name} is not harmonic at {x}: reweighted row sums to "
                     f"{format_prob(total)}"
@@ -253,23 +253,22 @@ def representation_check_mc(
     replicates: int,
     seed: int,
     transformed: GradedChain,
-    kernel: Optional[Callable[[State, State], Prob]] = None,
+    kernel: Callable[[State, State], Prob],
 ) -> MonteCarloResult:
     """Monte Carlo form of the representation identity at large horizons.
 
     Averages K(x, Y_n) over replicates 0..replicates-1 of Y_n drawn by the
     ``CountSampler`` of ``transformed``, a chain equivalent to the h-transform
     (such as ``alpha_walk`` for a boundary h; establish that separately).  A
-    chain without a sampler raises ``ValueError``.  Pass ``kernel`` to
-    evaluate K in closed form when n is too large for the exact DP.
+    chain without a sampler raises ``ValueError``.  ``kernel`` evaluates the
+    Martin kernel of ``base``, in closed form at horizons too large for the
+    exact DP (``closed_form_kernel`` for the uniform walk).
     """
     import numpy as np
     if not h.supports(x):
         raise UnreachableStateError(f"{x} lies outside the support of {h.name}")
     if transformed.sampler is None:
         raise ValueError(f"{transformed.name} has no sampler to draw Y_n from")
-    if kernel is None:
-        kernel = base.martin_kernel
     counts = transformed.sampler.sample_final_counts(n, seed, 0, replicates)
     values = np.array([float(kernel(x, State(n, tuple(row)))) for row in counts.tolist()])
     estimate = float(values.mean())

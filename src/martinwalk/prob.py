@@ -1,10 +1,11 @@
-"""Dual-mode probability scalars.
+"""Probability scalars: exact rationals, with floats only at the edges.
 
-Probabilities are either exact rationals (``fractions.Fraction``, used on all
-enumeration and verification paths) or binary floats (used for Monte Carlo
-and float inputs).  ``Fraction`` keeps values in lowest terms
-and never degrades to float when combined with another exact value, so no
-wrapper class is needed; a value's mode is simply its type.
+Every law and every check is exact: ``fractions.Fraction`` (or ``int``),
+kept in lowest terms and never degraded to float by another exact value.
+Floats appear only at the edges: float configs (``parse_prob`` with
+``mode="float"``, checked by ``validate_simplex``), the samplers and their
+Monte Carlo results, and float boundary rows, which leave through
+``format_prob``.  A value's mode is simply its type.
 """
 
 from __future__ import annotations
@@ -16,27 +17,12 @@ from .errors import ConfigError
 
 Prob = Union[Fraction, int, float]
 
-#: absolute tolerance used whenever at least one operand is a float
+#: how far the coordinates of a float simplex point may sum from one
 FLOAT_TOL = 1e-12
 
 
 def is_exact(value: Prob) -> bool:
     return isinstance(value, (Fraction, int))
-
-
-def probs_equal(a: Prob, b: Prob) -> bool:
-    """The one equality rule: exact equality for two exact values,
-    |a-b| <= FLOAT_TOL otherwise."""
-    if is_exact(a) and is_exact(b):
-        return a == b
-    return abs(float(a) - float(b)) <= FLOAT_TOL
-
-
-def residual(a: Prob, b: Prob) -> Prob:
-    """a - b, exact when both operands are exact."""
-    if is_exact(a) and is_exact(b):
-        return Fraction(a) - Fraction(b)
-    return float(a) - float(b)
 
 
 def parse_prob(raw, mode: str = "exact") -> Prob:
@@ -74,13 +60,14 @@ def format_prob(value: Prob) -> str:
 
 
 def validate_simplex(coords: Iterable[Prob]) -> tuple[Prob, ...]:
-    """Check that coords are non-negative and sum to one, return them as a tuple."""
+    """Check that coords are non-negative and sum to one, exactly for exact
+    coords and within ``FLOAT_TOL`` once any is a float; return them as a tuple."""
     pt = tuple(coords)
     if not pt:
         raise ValueError("empty simplex point")
     if any(c < 0 for c in pt):
         raise ValueError(f"negative coordinate in simplex point {pt}")
     total = sum(pt)
-    if not probs_equal(total, 1):
+    if (total != 1) if is_exact(total) else (abs(total - 1) > FLOAT_TOL):
         raise ValueError(f"simplex coordinates sum to {total}, expected 1")
     return pt

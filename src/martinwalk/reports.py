@@ -1,8 +1,8 @@
 """Verification report containers.
 
 Exact checks produce a ``CheckReport``: a list of violations, each carrying
-the exact (or float) residual at the site where an identity failed.  Monte
-Carlo checks produce ``MonteCarloResult`` records carrying estimate, standard
+the exact residual at the site where an identity failed.  Monte Carlo
+checks produce ``MonteCarloResult`` records carrying estimate, standard
 error and z-score against the target.
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Union
 
-from .prob import Prob, format_prob, probs_equal, residual
+from .prob import Prob, format_prob
 
 
 @dataclass(frozen=True)
@@ -23,8 +23,8 @@ class Violation:
     actual: Prob
 
     @property
-    def residual(self) -> Prob:
-        return residual(self.actual, self.expected)
+    def residual(self) -> Fraction:
+        return Fraction(self.actual) - Fraction(self.expected)
 
     def __str__(self) -> str:
         return (
@@ -57,8 +57,10 @@ class CheckReport:
             self.violations.append(Violation(text, expected, actual))
 
     def record(self, site: Site, expected: Prob, actual: Prob) -> None:
-        """Compare one identity instance under the one equality rule."""
-        self.require(site, probs_equal(expected, actual), expected, actual)
+        """Compare one identity instance exactly; a float operand raises ``TypeError``."""
+        if isinstance(expected, float) or isinstance(actual, float):
+            raise TypeError(f"float operand in an exact check: {expected!r} vs {actual!r}")
+        self.require(site, expected == actual, expected, actual)
 
     def record_ratio(self, site: Site, expected: tuple[int, int], actual: tuple[int, int]) -> None:
         """``record`` for expected a / b and actual c / d, given as int pairs

@@ -1,8 +1,7 @@
 """Named verification suites over configurable budgets.
 
 Each function runs one family of identities at exact (rational) precision
-and returns a ``CheckReport``; the few floating-point families (kernel
-limits) say so in their names.  The command-line ``verify`` command and the
+and returns a ``CheckReport``.  The command-line ``verify`` command and the
 acceptance tests are both thin drivers over these.
 
 ``full_verification`` runs its suites in independent families, each
@@ -80,7 +79,7 @@ from .harmonic import (
     representation_check,
 )
 from .parallel import fork_map
-from .prob import Prob, probs_equal
+from .prob import Prob
 from .reports import CheckReport
 
 
@@ -275,25 +274,24 @@ def kernel_limit_report(
     horizons: Sequence[int] = (10**3, 10**4, 10**5),
     tol: float = 1e-3,
 ) -> CheckReport:
-    """Floating-point check: K(x, round(n alpha)) approaches K(x, alpha), with
-    error at most tol at the largest horizon and non-increasing along the way,
+    """K(x, round(n alpha)) approaches K(x, alpha), with exact error at most
+    ``Fraction(tol)`` at the largest horizon and non-increasing along the way,
     for every probe x up to level 3."""
-    report = CheckReport(f"kernel-limit[d={d}] (float)")
+    report = CheckReport(f"kernel-limit[d={d}]")
     probes = [c for n in range(4) for c in compositions(d, n)]
+    bound = Fraction(tol)
     for alpha in alphas:
         for x in probes:
-            target = float(boundary_kernel(x, alpha))
+            target = boundary_kernel(x, alpha)
             errors = [
-                abs(float(closed_form_kernel(x, rounded_ray_point(n, alpha))) - target)
-                for n in horizons
+                abs(closed_form_kernel(x, rounded_ray_point(n, alpha)) - target) for n in horizons
             ]
             probe = f"{x}; alpha={alpha}"
             report.require(
-                lambda: f"limit@({probe}; n={horizons[-1]})", errors[-1] <= tol, tol, errors[-1]
+                lambda: f"limit@({probe}; n={horizons[-1]})", errors[-1] <= bound, bound, errors[-1]
             )
             for a, b, n in zip(errors, errors[1:], horizons[1:]):
-                holds = b <= a or probs_equal(a, b)
-                report.require(lambda: f"monotone@({probe}; n={n})", holds, a, b)
+                report.require(lambda: f"monotone@({probe}; n={n})", b <= a, a, b)
     return report
 
 

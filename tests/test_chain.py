@@ -20,6 +20,7 @@ from martinwalk import (
     BudgetExceededError,
     DistributionTable,
     GradedChain,
+    MarkovSource,
     MixtureSource,
     NonStochasticError,
     State,
@@ -323,9 +324,11 @@ class TestIntegerLaws:
 
     def test_float_steps_raise(self):
         walk = alpha_walk((0.2, 0.3, 0.5))
-        assert dict(walk.successors(walk.root))[comp_state((1, 0, 0))] == 0.2  # float rows still build
+        with pytest.raises(ValueError, match=r"float step probability 0\.2 at \(0, 0, 0\)@0 -> "):
+            walk.successors(walk.root)
         with pytest.raises(ValueError, match=r"float step probability 0\.2 at \(0, 0, 0\)@0 -> "):
             walk.forward_law(1)
+        assert walk.sample_path(5, seed=0).shape == (6, 3)  # a float walk still samples
         mixture = MixtureSource(atoms=((0.2, 0.8), (0.6, 0.4)), weights=(0.5, 0.5))
         chain = counting_chain(mixture)
         with pytest.raises(ValueError, match="float step probability"):
@@ -334,8 +337,11 @@ class TestIntegerLaws:
             chain.conditional_law(chain.root, 3)
         with pytest.raises(ValueError, match=r"float step probability 0\.2 at \(0, 0, 0\)@0 -> "):
             walk.cylinder_law(2)
-        with pytest.raises(ValueError, match=r"float word probability 0\.2\d* of \(1, 1\)"):
+        with pytest.raises(ValueError, match=r"float atoms or weights in mixture"):
             source_cylinder_law(mixture, 2)
+        markov = MarkovSource(initial=(0.2, 0.8), rows=((0.5, 0.5), (0.5, 0.5)))
+        with pytest.raises(ValueError, match=r"float word probability 0\.1 of \(1, 1\)"):
+            source_cylinder_law(markov, 2)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_kernel_row_matches_pairs_and_closed_form(self, d):

@@ -1,7 +1,7 @@
 """The one check rule: every check is counted and kept by ``CheckReport``.
 
-``CheckReport.record`` checks an identity under the one equality rule and
-``CheckReport.require`` checks any other condition; both count one check
+``CheckReport.record`` checks an identity exactly, refusing a float operand,
+and ``CheckReport.require`` checks any other condition; both count one check
 and keep ``(site, expected, actual)`` only when it fails.  An ``ast`` guard
 keeps every other module from counting or keeping checks by hand, and the
 failure-path cases pin the sites, expected values and residuals of checks
@@ -16,6 +16,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from martinwalk import suites
 from martinwalk.chain import DistributionTable, GradedChain, State
@@ -135,14 +137,36 @@ class TestRequire:
             Violation("above", Fraction(1, 2), Fraction(3, 4)),
         ]
 
-    def test_record_checks_identities_under_the_equality_rule(self):
+    def test_record_checks_identities_exactly(self):
         report = CheckReport("r")
         report.record("exact-equal", Fraction(1, 2), Fraction(2, 4))
         report.record("exact-unequal", 1, Fraction(1, 3))
-        report.record("float-within-tol", 0.5, 0.5 + 1e-13)
-        report.record("float-outside-tol", 0.5, 0.5 + 1e-9)
-        assert report.checked == 4
-        assert [v.site for v in report.violations] == ["exact-unequal", "float-outside-tol"]
+        for expected, actual in ((0.5, Fraction(1, 2)), (Fraction(1, 2), 0.5 + 1e-13)):
+            with pytest.raises(TypeError, match="float operand"):
+                report.record("float", expected, actual)
+        assert report.checked == 2
+        assert [v.site for v in report.violations] == ["exact-unequal"]
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-6, 6), st.integers(1, 6), st.integers(-6, 6), st.integers(1, 6)),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_int_pair_checks_are_their_fraction_checks(self, quads):
+        """``record_ratio`` and ``require_bound`` on int pairs count and keep
+        what ``record`` and ``require`` do on the ``Fraction``s they stand for."""
+        pairs, fractions = CheckReport("pairs"), CheckReport("fractions")
+        for a, b, c, d in quads:
+            site, x, y = f"{a}/{b} vs {c}/{d}", Fraction(a, b), Fraction(c, d)
+            pairs.record_ratio(site, (a, b), (c, d))
+            fractions.record(site, x, y)
+            for strict in (False, True):
+                pairs.require_bound(f"{site} {strict}", (a, b), (c, d), strict)
+                fractions.require(f"{site} {strict}", x < y if strict else x <= y, y, x)
+        assert pairs.checked == fractions.checked == 3 * len(quads)
+        assert pairs.violations == fractions.violations
 
 
 # -- failure paths, recorded before the checks moved onto ``require`` -----------
@@ -303,25 +327,25 @@ FAILURES = {
         lambda mp: suites.kernel_limit_report(
             2, suites.limit_alpha_grid(2)[1:2], horizons=(10, 3, 30), tol=0
         ),
-        "kernel-limit[d=2] (float)",
+        "kernel-limit[d=2]",
         30,
         [
-            (f"monotone@((0, 1); {_A}; n=3)", "0.0", "0.06666666666666665"),
-            (f"monotone@((1, 0); {_A}; n=3)", "0.0", "0.06666666666666665"),
-            (f"limit@((0, 2); {_A}; n=30)", "0/1", "0.02896551724137919"),
-            (f"monotone@((0, 2); {_A}; n=3)", "0.09333333333333327", "0.6266666666666667"),
-            (f"limit@((1, 1); {_A}; n=30)", "0/1", "0.0289655172413793"),
-            (f"monotone@((1, 1); {_A}; n=3)", "0.09333333333333338", "0.4933333333333333"),
-            (f"limit@((2, 0); {_A}; n=30)", "0/1", "0.0289655172413793"),
-            (f"monotone@((2, 0); {_A}; n=3)", "0.09333333333333332", "0.36"),
-            (f"limit@((0, 3); {_A}; n=30)", "0/1", "0.12331034482758652"),
-            (f"monotone@((0, 3); {_A}; n=3)", "0.41066666666666674", "2.744"),
-            (f"limit@((1, 2); {_A}; n=30)", "0/1", "0.06537931034482769"),
-            (f"monotone@((1, 2); {_A}; n=3)", "0.22399999999999998", "1.4906666666666666"),
-            (f"limit@((2, 1); {_A}; n=30)", "0/1", "0.007448275862068976"),
-            (f"monotone@((2, 1); {_A}; n=3)", "0.03733333333333333", "0.504"),
-            (f"limit@((3, 0); {_A}; n=30)", "0/1", "0.050482758620689655"),
-            (f"monotone@((3, 0); {_A}; n=3)", "0.14933333333333332", "0.216"),
+            (f"monotone@((0, 1); {_A}; n=3)", "0/1", "1/15"),
+            (f"monotone@((1, 0); {_A}; n=3)", "0/1", "1/15"),
+            (f"limit@((0, 2); {_A}; n=30)", "0/1", "21/725"),
+            (f"monotone@((0, 2); {_A}; n=3)", "7/75", "47/75"),
+            (f"limit@((1, 1); {_A}; n=30)", "0/1", "21/725"),
+            (f"monotone@((1, 1); {_A}; n=3)", "7/75", "37/75"),
+            (f"limit@((2, 0); {_A}; n=30)", "0/1", "21/725"),
+            (f"monotone@((2, 0); {_A}; n=3)", "7/75", "9/25"),
+            (f"limit@((0, 3); {_A}; n=30)", "0/1", "447/3625"),
+            (f"monotone@((0, 3); {_A}; n=3)", "154/375", "343/125"),
+            (f"limit@((1, 2); {_A}; n=30)", "0/1", "237/3625"),
+            (f"monotone@((1, 2); {_A}; n=3)", "28/125", "559/375"),
+            (f"limit@((2, 1); {_A}; n=30)", "0/1", "27/3625"),
+            (f"monotone@((2, 1); {_A}; n=3)", "14/375", "63/125"),
+            (f"limit@((3, 0); {_A}; n=30)", "0/1", "183/3625"),
+            (f"monotone@((3, 0); {_A}; n=3)", "56/375", "27/125"),
         ],
     ),
     "kernel-symmetry-scaled": (

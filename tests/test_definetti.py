@@ -79,13 +79,14 @@ class TestSourceCylinderLaw:
             counts[s - 1] += 1
         assert POLYA.word_probability(word) == urn
 
-    def test_float_atoms_keep_the_float_path(self):
+    def test_float_atoms_raise_in_word_probability_but_still_sample(self):
         src = MixtureSource(
             atoms=((0.25, 0.75), (Fraction(1, 2), Fraction(1, 2))), weights=(0.5, 0.5)
         )
-        p = src.word_probability((2, 1))
-        assert isinstance(p, float)
-        assert p == 0.5 * 0.75 * 0.25 + 0.5 * Fraction(1, 2) * Fraction(1, 2)
+        with pytest.raises(ValueError, match=r"float atoms or weights in mixture\[2 atoms, d=2\]"):
+            src.word_probability((2, 1))
+        counts = src.sample_final_counts(10, seed=0, start=0, stop=3)
+        assert counts.shape == (3, 2) and (counts.sum(axis=1) == 10).all()
 
     def test_total_mass(self):
         for src in (MIX, POLYA, CONTROL):

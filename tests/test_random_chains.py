@@ -7,7 +7,11 @@ denominators, pruned to the states the root reaches.  Forward laws,
 cotransitions, backward conditionals, kernel rows and kernel means are
 checked against pushes of ``cylinder_law``, the brute-force path law, which
 shares nothing with those DP routes but the int rows, and every path law must
-pass ``markov_property_check``.  ``derandomize`` keeps the draws fixed.
+pass ``markov_property_check``.  The Doob bridge h = K(., y) to a top-level y
+is checked as an exact h-transform against the path law given Y_top = y.  A
+second strategy keeps enumerated states that no step reaches, where the
+routes that condition on a state must refuse them.  ``derandomize`` keeps
+the draws fixed.
 """
 
 import math
@@ -21,10 +25,17 @@ from test_checks import _CONTROL_HISTORIES
 from martinwalk import (
     DistributionTable,
     GradedChain,
+    HarmonicFn,
     State,
+    UnreachableStateError,
     counting_chain_law,
+    density_ratio_check,
+    h_transform,
+    is_harmonic,
     kernel_mean,
+    kernel_transform_check,
     markov_property_check,
+    recover_h,
 )
 from martinwalk.suites import standard_negative_control
 
@@ -37,8 +48,10 @@ EXAMPLES = settings(max_examples=40, derandomize=True, deadline=None)
 
 
 @st.composite
-def graded_chains(draw) -> tuple[GradedChain, int]:
-    """A chain on levels 0..top whose level k is State(k, j) for the j reached."""
+def graded_chains(draw, keep_unreachable: bool = False) -> tuple[GradedChain, int]:
+    """A chain on levels 0..top whose level k is State(k, j) for the j reached,
+    or, with ``keep_unreachable``, for every j up to the row width, which no
+    row reaches, so that every level above the root has an unreachable state."""
     top = draw(st.integers(1, 5))
     rows: dict[State, tuple[tuple[State, Fraction], ...]] = {}
     levels = [(ROOT,)]
@@ -52,6 +65,8 @@ def graded_chains(draw) -> tuple[GradedChain, int]:
                 (State(k + 1, j), Fraction(w, total)) for j, w in enumerate(weights) if w
             )
             reached.update(j for j, w in enumerate(weights) if w)
+        if keep_unreachable:
+            reached = set(range(width + 1))
         levels.append(tuple(State(k + 1, j) for j in sorted(reached)))
     chain = GradedChain(ROOT, levels.__getitem__, rows.__getitem__, name="random")
     return chain, top
@@ -210,3 +225,51 @@ def test_control_violations_keep_their_sites_and_order():
         law = counting_chain_law(control, n)
         found = [(v.site, v.expected, v.actual) for v in markov_property_check(law).violations]
         assert found == _markov_failures_by_whole_law_pushes(law)
+
+
+@given(graded_chains())
+@EXAMPLES
+def test_doob_bridge_is_the_path_law_conditioned_on_its_end(case):
+    """h = K(., y) for y on the top level is harmonic below it, and its
+    h-transform ends at y surely, passes the density and kernel identities,
+    is recovered from its cotransitions, and has the path law given Y_top = y."""
+    chain, top = case
+    paths = chain.cylinder_law(top)
+    for y in chain.enumerate_level(top):
+        h = HarmonicFn(lambda x: Fraction(*chain.kernel_row(x, top)[y]), name=f"K(.,{y})")
+        assert is_harmonic(chain, h, top).ok
+        bridge = h_transform(chain, h)
+        assert bridge.forward_law(top).atoms == {y: 1}
+        assert density_ratio_check(chain, bridge, top).ok
+        assert kernel_transform_check(chain, bridge, top).ok
+        recovered = recover_h(chain, bridge, top - 1)
+        for n in range(top):
+            for x in chain.enumerate_level(n):
+                assert recovered(x) == h(x)
+        ends = {path: p for path, p in paths.atoms.items() if path[-1] == y}
+        given_end = {path: p / sum(ends.values()) for path, p in ends.items()}
+        assert bridge.cylinder_law(top).atoms == given_end
+
+
+@given(graded_chains(keep_unreachable=True))
+@EXAMPLES
+def test_unreachable_states_are_refused(case):
+    """Conditioning on a state of zero mass raises, and weak irreducibility
+    fails at exactly the enumerated states that no positive path visits."""
+    chain, top = case
+    paths = chain.cylinder_law(top)
+    missing = []
+    for n in range(top + 1):
+        marginal = paths.push(lambda path: _at(path, n)).atoms
+        assert chain.forward_law(n).atoms == marginal
+        missing += [x for x in chain.enumerate_level(n) if x not in marginal]
+    for x in missing:
+        with pytest.raises(UnreachableStateError):
+            chain.kernel_row(x, top)
+        with pytest.raises(UnreachableStateError):
+            chain.cotransition(x)
+    with pytest.raises(UnreachableStateError, match="not weakly irreducible"):
+        recover_h(chain, chain, top)
+    report = chain.check_weak_irreducibility(top)
+    assert not report.ok
+    assert [v.site for v in report.violations] == [f"P(Y_{x.level}={x})>0" for x in missing]

@@ -16,6 +16,7 @@ from martinwalk import (
     PolyaUrnSource,
     alpha_walk,
     boundary_harmonic,
+    closed_form_kernel,
     compositions,
     counting_chain_law,
     estimate_directing_measure,
@@ -199,4 +200,7 @@ class TestArrayContract:
         with pytest.raises(ValueError, match="has no sampler"):
             chain.sample_path(7, seed=0)
         with pytest.raises(ValueError, match="has no sampler"):
-            representation_check_mc(base, h, base.root, 7, replicates=2, seed=0, transformed=chain)
+            representation_check_mc(
+                base, h, base.root, 7, replicates=2, seed=0, transformed=chain,
+                kernel=closed_form_kernel,
+            )
