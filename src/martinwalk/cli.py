@@ -48,8 +48,7 @@ MAX_EXACT_BUDGET = 12
 
 #: most kernel pairs (x, y) that ``verify`` and ``kernel`` will walk; a bound on
 #: time, since reports are streamed.  d=4 at budget 8 (149,292 pairs) is
-#: admitted: on a 2-core machine ``verify`` takes 1.9-2.6 s and ``kernel``
-#: 1.2-1.3 s; d=4 at budget 10 (592,878 pairs) is not.
+#: admitted; d=4 at budget 10 (592,878 pairs) is not.
 MAX_KERNEL_PAIRS = 150_000
 
 #: deepest ``lift``: from depth 14,284 Python refuses to print its 2**-depth residual

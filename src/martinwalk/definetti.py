@@ -561,31 +561,15 @@ def dirichlet_moment(initial: Sequence[int], counts: Sequence[int]) -> Fraction:
     return Fraction(num, den)
 
 
-def definetti_identity_check(
-    source,
-    k: int,
-    directing: Optional[Sequence[tuple[Prob, Sequence[Prob]]]] = None,
-) -> CheckReport:
-    """Cylinder probabilities against the mixture integral of the directing law.
-
-    With ``directing=None`` the source's own closed-form moment is used (the
-    Dirichlet moment for urns); an explicit list of (weight, atom) pairs, read
-    as a ``MixtureSource`` and so validated, with atoms over the source's
-    alphabet, can be passed instead, and must be for a source without a
-    directing law.
+def definetti_identity_check(source, k: int) -> CheckReport:
+    """Cylinder probabilities against the mixture integral of the source's
+    directing law, read from its closed-form ``directing_moment`` (the
+    Dirichlet moment for urns).  A source without one, such as the Markov
+    control, raises ``MartinWalkError``.
     """
-    if directing is not None:
-        weights, atoms = zip(*directing)
-        mixture = MixtureSource(atoms, weights)
-        if mixture.d != source.d:
-            raise ValueError(f"{mixture.d}-symbol atoms for the {source.d}-symbol {source.name}")
-        moment = mixture.directing_moment
-    elif hasattr(source, "directing_moment"):
-        moment = source.directing_moment
-    else:
-        raise MartinWalkError(
-            f"{source.name} has no directing law; pass directing=[(weight, atom), ...]"
-        )
+    if not hasattr(source, "directing_moment"):
+        raise MartinWalkError(f"{source.name} has no directing law")
+    moment = source.directing_moment
 
     report = CheckReport(f"definetti-identity[{source.name}]@{k}")
     for word in _words(source.d, k):

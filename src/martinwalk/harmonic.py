@@ -16,7 +16,7 @@ the marginal ratio h(x) = P_observed(Y_n = x) / P_base(Y_n = x).
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .chain import GradedChain, State, kernel_mean, kernel_rows
 from .errors import (
@@ -25,7 +25,7 @@ from .errors import (
     NotHarmonicError,
     UnreachableStateError,
 )
-from .prob import Prob, format_prob
+from .prob import Prob, format_prob, is_exact
 from .reports import CheckReport, MonteCarloResult
 
 
@@ -87,8 +87,9 @@ class HTransformChain(GradedChain):
     """The base chain reweighted by a normalized harmonic function.
 
     State enumeration shrinks to the support of h; each transition row is
-    validated to sum to 1 when it is first built, which is exactly
-    harmonicity at that state.
+    validated when it is first built: a float step raises the same
+    ``ValueError`` as in any ``GradedChain``, and an exact row must sum to 1,
+    which is exactly harmonicity at that state.
     """
 
     def __init__(self, base: GradedChain, h: HarmonicFn):
@@ -112,6 +113,8 @@ class HTransformChain(GradedChain):
                 if hy == 0 or q == 0:
                     continue
                 p = hy * q / hx
+                if not is_exact(p):
+                    raise ValueError(f"float step probability {p!r} at {x} -> {y}: laws are exact")
                 total += p
                 row.append((y, p))
             if total != 1:
@@ -226,9 +229,10 @@ def representation_check(
     h: HarmonicFn,
     x: State,
     n: int,
-    transformed: Optional[HTransformChain] = None,
+    transformed: HTransformChain,
 ) -> CheckReport:
-    """Exact finite-horizon representation identity: E_{P_h} K(x, Y_n) = h(x).
+    """Exact finite-horizon representation identity: E_{P_h} K(x, Y_n) = h(x),
+    with Y_n under ``transformed``, which is ``h_transform(base, h)``.
 
     K(x, Y_n) is a backwards martingale under the base chain, so the
     identity holds at every horizon n >= level(x); this is the finitely
@@ -236,8 +240,6 @@ def representation_check(
     """
     if not h.supports(x):
         raise UnreachableStateError(f"{x} lies outside the support of {h.name}")
-    if transformed is None:
-        transformed = h_transform(base, h)
     mean = kernel_mean(base.kernel_row(x, n), transformed.forward_law(n))
     hx = h(x)
     report = CheckReport(f"representation[{h.name}]@({x}, n={n})")
@@ -246,7 +248,6 @@ def representation_check(
 
 
 def representation_check_mc(
-    base: GradedChain,
     h: HarmonicFn,
     x: State,
     n: int,
@@ -259,10 +260,12 @@ def representation_check_mc(
 
     Averages K(x, Y_n) over replicates 0..replicates-1 of Y_n drawn by the
     ``CountSampler`` of ``transformed``, a chain equivalent to the h-transform
-    (such as ``alpha_walk`` for a boundary h; establish that separately).  A
-    chain without a sampler raises ``ValueError``.  ``kernel`` evaluates the
-    Martin kernel of ``base``, in closed form at horizons too large for the
-    exact DP (``closed_form_kernel`` for the uniform walk).
+    of the base chain (such as ``alpha_walk`` for a boundary h on the uniform
+    walk; establish that separately).  A chain without a sampler raises
+    ``ValueError``.  ``kernel`` evaluates the Martin kernel of the base chain,
+    in closed form at horizons too large for the exact DP
+    (``closed_form_kernel`` for the uniform walk), so the base chain itself is
+    not an argument.
     """
     import numpy as np
     if not h.supports(x):

@@ -12,24 +12,27 @@ chain family (structural, oracle, Markov, kernel-agreement, symmetry,
 martingale and expectation suites) runs over one uniform walk.  The counting
 family (lemma and recovery suites) runs over one ``counting_family``: a
 uniform walk and the counting chain of each standard source, so the recovery
-reuses the laws the lemma suite's cotransition check built.  Every other
-suite is a family of its own: transform, boundary harmonicity, digits,
-representation, and the small unnormalized, identity, projection and lift
-suites.
+reuses the laws the lemma suite's cotransition check built.  Each of these
+suites takes the walk or family it checks and no degree beside it: d is the
+number of parts of the walk's root, so a record name always names the chain
+that was checked.  Every other suite is a family of its own: transform,
+boundary harmonicity, digits, representation, and the small unnormalized,
+identity, projection and lift suites.
 
 With one worker every family runs in the calling process.  With more,
 ``fork_map`` deals the families out to forked children by their cost at
 d=3, budget 8, and the caller only collects the reports.  With two children
 one runs the chain, boundary, representation and digits families and the
 projection suite, and the other the counting and transform families and the
-unnormalized, identity and lift suites: about 95 ms each at d=3, budget 8.
+unnormalized, identity and lift suites: 46 and 48 ms in-process at d=3,
+budget 8 on a 2-core machine.
 The reports come back in the same order for every worker count.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .chain import (
     DistributionTable,
@@ -130,38 +133,32 @@ def standard_negative_control() -> MarkovSource:
 # -- chain-level identities ------------------------------------------------------
 
 
-def kernel_agreement_report(
-    d: int, max_level: int, walk: Optional[GradedChain] = None
-) -> CheckReport:
-    """Closed-form kernel equals the dynamic-programming kernel, all pairs: the
-    closed form taken a row at a time, over ``walk`` (a new uniform walk if None)."""
-    chain = uniform_walk(d) if walk is None else walk
-    report = CheckReport(f"kernel-agreement[d={d}]<= {max_level}")
-    for x, n, row in kernel_rows(chain, max_level):
-        for y, closed in zip(chain.enumerate_level(n), closed_form_kernel_row(x, n)):
+def kernel_agreement_report(walk: GradedChain, max_level: int) -> CheckReport:
+    """Closed-form kernel equals the dynamic-programming kernel of the uniform
+    ``walk``, all pairs: the closed form taken a row at a time."""
+    report = CheckReport(f"kernel-agreement[d={len(walk.root.payload)}]<= {max_level}")
+    for x, n, row in kernel_rows(walk, max_level):
+        for y, closed in zip(walk.enumerate_level(n), closed_form_kernel_row(x, n)):
             report.record_ratio(lambda: f"K@({x}; {y})", closed, row[y])
     return report
 
 
-def kernel_symmetry_report(
-    d: int, max_level: int, walk: Optional[GradedChain] = None
-) -> CheckReport:
-    """Both kernel expressions agree: P(Y_n = y | Y_m = x) / P(Y_n = y), read
-    from the forward tables, against chained cotransitions; K(x, y) <= 1/P(x);
-    K(root, y) = 1.  Each check compares int cross-products, the bound 1/P(x)
-    kept as the int pair of the forward law, and only a failing one builds
-    ``Fraction``s."""
-    chain = uniform_walk(d) if walk is None else walk
-    report = CheckReport(f"kernel-symmetry[d={d}]<= {max_level}")
+def kernel_symmetry_report(walk: GradedChain, max_level: int) -> CheckReport:
+    """Both kernel expressions of the uniform ``walk`` agree:
+    P(Y_n = y | Y_m = x) / P(Y_n = y), read from the forward tables, against
+    chained cotransitions; K(x, y) <= 1/P(x); K(root, y) = 1.  Each check
+    compares int cross-products, the bound 1/P(x) kept as the int pair of the
+    forward law, and only a failing one builds ``Fraction``s."""
+    report = CheckReport(f"kernel-symmetry[d={len(walk.root.payload)}]<= {max_level}")
     for m in range(max_level + 1):
-        level_m, law_m = chain.enumerate_level(m), chain.forward_law(m)
+        level_m, law_m = walk.enumerate_level(m), walk.forward_law(m)
         bounds = {x: (law_m.den, law_m.nums[x]) for x in level_m}
         for n in range(m, max_level + 1):
-            law_n = chain.forward_law(n)
-            conds = [(x, chain.conditional_law(x, n), bounds[x]) for x in level_m]
-            root = chain.kernel_row(chain.root, n)
-            for y in chain.enumerate_level(n):
-                back, p_y = chain.backward_conditional(y, m), law_n.nums[y]
+            law_n = walk.forward_law(n)
+            conds = [(x, walk.conditional_law(x, n), bounds[x]) for x in level_m]
+            root = walk.kernel_row(walk.root, n)
+            for y in walk.enumerate_level(n):
+                back, p_y = walk.backward_conditional(y, m), law_n.nums[y]
                 for x, cond, bound in conds:
                     forward = (cond.nums.get(y, 0) * law_n.den, cond.den * p_y)
                     backward = (back.nums.get(x, 0) * bound[0], back.den * bound[1])
@@ -171,30 +168,25 @@ def kernel_symmetry_report(
     return report
 
 
-def martingale_identity_report(
-    d: int, max_level: int, walk: Optional[GradedChain] = None
-) -> CheckReport:
-    """One-step backwards-martingale identity:
+def martingale_identity_report(walk: GradedChain, max_level: int) -> CheckReport:
+    """One-step backwards-martingale identity of the uniform ``walk``:
     sum_x' K(x, x') P(Y_n = x' | Y_{n+1} = y) = K(x, y)."""
-    chain = uniform_walk(d) if walk is None else walk
-    report = CheckReport(f"backwards-martingale[d={d}]<= {max_level}")
-    for x, n, above in kernel_rows(chain, max_level):
+    report = CheckReport(f"backwards-martingale[d={len(walk.root.payload)}]<= {max_level}")
+    for x, n, above in kernel_rows(walk, max_level):
         if n > x.level:
-            for y in chain.enumerate_level(n):
-                mean = kernel_mean(below, chain.cotransition(y))
+            for y in walk.enumerate_level(n):
+                mean = kernel_mean(below, walk.cotransition(y))
                 report.record_ratio(lambda: f"martingale@({x}; {y})", above[y], mean)
         below = above
     return report
 
 
-def expectation_identity_report(
-    d: int, max_level: int, walk: Optional[GradedChain] = None
-) -> CheckReport:
-    """sum_y K(x, y) P(Y_n = y) = 1 for every x and horizon."""
-    chain = uniform_walk(d) if walk is None else walk
-    report = CheckReport(f"kernel-expectation[d={d}]<= {max_level}")
-    for x, n, row in kernel_rows(chain, max_level):
-        mean = kernel_mean(row, chain.forward_law(n))
+def expectation_identity_report(walk: GradedChain, max_level: int) -> CheckReport:
+    """sum_y K(x, y) P(Y_n = y) = 1 over the uniform ``walk``, for every x and
+    horizon."""
+    report = CheckReport(f"kernel-expectation[d={len(walk.root.payload)}]<= {max_level}")
+    for x, n, row in kernel_rows(walk, max_level):
+        mean = kernel_mean(row, walk.forward_law(n))
         report.record_ratio(lambda: f"expectation@({x}; n={n})", (1, 1), mean)
     return report
 
@@ -342,7 +334,7 @@ def representation_report(d: int, horizon: int, alphas: Sequence[tuple[Prob, ...
         transformed = h_transform(base, h)
         for m in range(3):
             for x in transformed.enumerate_level(m):
-                report.absorb(representation_check(base, h, x, horizon, transformed=transformed))
+                report.absorb(representation_check(base, h, x, horizon, transformed))
     return report
 
 
@@ -359,13 +351,11 @@ def counting_family(d: int) -> CountingFamily:
     return uniform_walk(d), tuple((source, counting_chain(source)) for source in sources)
 
 
-def lemma_reports(
-    d: int, horizon: int, family: Optional[CountingFamily] = None
-) -> list[CheckReport]:
+def lemma_reports(family: CountingFamily, horizon: int) -> list[CheckReport]:
     """Exchangeability, Markov property and universal cotransitions of the standard
     sources, one word law each, plus the negative control (which must fail the last two).
-    The cotransitions are those of ``family``'s chains (a new ``counting_family`` if None)."""
-    walk, counted = counting_family(d) if family is None else family
+    The cotransitions are those of ``family``'s chains."""
+    walk, counted = family
     words = [source_cylinder_law(source, horizon) for source, _ in counted]
     out = [cylinder_exchangeability_report(law) for law in words]
     for (source, chain), law in zip(counted, words):
@@ -386,19 +376,15 @@ def lemma_reports(
     return out
 
 
-def recovery_identity_report(
-    d: int, horizon: int, family: Optional[CountingFamily] = None
-) -> CheckReport:
-    """Constructive representation of the recovered h, over ``family``'s chains
-    (a new ``counting_family`` if None).
+def recovery_identity_report(family: CountingFamily, horizon: int) -> CheckReport:
+    """Constructive representation of the recovered h, over ``family``'s chains.
 
     For a finite mixture, h(x) = sum_i w_i K(x, mu_i) exactly; for the urn,
     h(x) = d^{|x|} times the Dirichlet moment of the directing law.
     """
+    walk, ((mixture, mixture_chain), (urn, urn_chain)) = family
+    d = len(walk.root.payload)
     report = CheckReport(f"h-recovery-identity[d={d}]@{horizon}")
-    walk, ((mixture, mixture_chain), (urn, urn_chain)) = (
-        counting_family(d) if family is None else family
-    )
     h_mix = counting_h_recovery(mixture, horizon, walk, mixture_chain)
     expected_mix = HarmonicFn.mixture(
         [(w, boundary_harmonic(atom)) for w, atom in mixture.directing_atoms()],
@@ -488,10 +474,10 @@ def _chain_reports(d: int, budget: int, small_level: int) -> list[CheckReport]:
         walk.check_weak_irreducibility(budget),
         oracle_equivalence_report(walk, small_level),
         cylinder_markov_report(walk, small_level),
-        kernel_agreement_report(d, budget, walk),
-        kernel_symmetry_report(d, budget, walk),
-        martingale_identity_report(d, small_level, walk),
-        expectation_identity_report(d, small_level, walk),
+        kernel_agreement_report(walk, budget),
+        kernel_symmetry_report(walk, budget),
+        martingale_identity_report(walk, small_level),
+        expectation_identity_report(walk, small_level),
     ]
 
 
@@ -499,7 +485,7 @@ def _counting_reports(d: int, horizon: int) -> list[CheckReport]:
     """The lemma and recovery suites over one ``counting_family``, which is
     dropped when they are done."""
     family = counting_family(d)
-    return [*lemma_reports(d, horizon, family), recovery_identity_report(d, horizon, family)]
+    return [*lemma_reports(family, horizon), recovery_identity_report(family, horizon)]
 
 
 def full_verification(d: int, budget: int, workers: int = 1) -> list[CheckReport]:

@@ -30,6 +30,7 @@ from martinwalk import (
 from martinwalk.cli import emit, parse_config, run
 from martinwalk.suites import (
     boundary_harmonicity_report,
+    counting_family,
     digit_roundtrip_report,
     expectation_identity_report,
     kernel_agreement_report,
@@ -63,22 +64,23 @@ def criterion(number: int, name: str, limit_seconds: float):
 def test_criterion_01_kernel_oracle_equivalence():
     with criterion(1, "kernel oracle equivalence", 60):
         for d in (2, 3, 4):
-            report = kernel_agreement_report(d, 8)
+            report = kernel_agreement_report(uniform_walk(d), 8)
             assert report.ok, str(report)
 
 
 def test_criterion_02_kernel_symmetry_and_bound():
     with criterion(2, "kernel symmetry and bound", 30):
         for d in (2, 3, 4):
-            report = kernel_symmetry_report(d, 8)
+            report = kernel_symmetry_report(uniform_walk(d), 8)
             assert report.ok, str(report)
 
 
 def test_criterion_03_martingale_and_expectation_identities():
     with criterion(3, "backwards-martingale and expectation identities", 30):
         for d in (2, 3):
-            assert martingale_identity_report(d, 8).ok
-            assert expectation_identity_report(d, 8).ok
+            walk = uniform_walk(d)
+            assert martingale_identity_report(walk, 8).ok
+            assert expectation_identity_report(walk, 8).ok
 
 
 def test_criterion_04_boundary_kernel_harmonicity():
@@ -120,13 +122,12 @@ def test_criterion_07_finite_horizon_representation():
             report = representation_report(d, 6, rational_alphas(d, 3))
             assert report.ok, str(report)
         # Monte Carlo mode at n = 200 with 10^4 replicates
-        base = uniform_walk(2)
         alpha = (Fraction(7, 10), Fraction(3, 10))
         h = boundary_harmonic(alpha)
         walk = alpha_walk(alpha)
         for seed, x in ((3, comp_state((1, 0))), (4, comp_state((1, 1)))):
             result = representation_check_mc(
-                base, h, x, n=200, replicates=10_000, seed=seed,
+                h, x, n=200, replicates=10_000, seed=seed,
                 transformed=walk, kernel=closed_form_kernel,
             )
             assert result.within(3.0), str(result)
@@ -134,7 +135,7 @@ def test_criterion_07_finite_horizon_representation():
 
 def test_criterion_08_lemma_suite():
     with criterion(8, "counting-chain lemma suite", 60):
-        reports = lemma_reports(2, 6)
+        reports = lemma_reports(counting_family(2), 6)
         named = {r.name: r for r in reports}
         for name, report in named.items():
             assert report.ok, f"{name} failed:\n{report}"
@@ -145,7 +146,7 @@ def test_criterion_08_lemma_suite():
 def test_criterion_09_constructive_definetti():
     with criterion(9, "constructive de Finetti identification", 60):
         for d in (2, 3):
-            report = recovery_identity_report(d, 6)
+            report = recovery_identity_report(counting_family(d), 6)
             assert report.ok, str(report)
         # recovered transform reproduces the counting law exactly (enforced inside
         # counting_h_recovery by equal rows on reachable states; the whole path

@@ -359,7 +359,7 @@ class TestIntegerLaws:
 
     def test_shared_chains_give_the_standalone_reports(self):
         """Suites run over the walk or counting family that ``full_verification``
-        shares report what they report over chains of their own."""
+        shares report what they report over fresh chains of their own."""
 
         def seen(reports):
             return [(r.name, r.checked, r.violations, r.notes) for r in reports]
@@ -371,12 +371,36 @@ class TestIntegerLaws:
             suites.martingale_identity_report,
             suites.expectation_identity_report,
         ):
-            assert seen([suite(2, 4, walk)]) == seen([suite(2, 4)])
+            assert seen([suite(walk, 4)]) == seen([suite(uniform_walk(2), 4)])
         family = suites.counting_family(2)
-        shared = suites.lemma_reports(2, 4, family)
-        shared.append(suites.recovery_identity_report(2, 4, family))
-        alone = [*suites.lemma_reports(2, 4), suites.recovery_identity_report(2, 4)]
+        shared = [*suites.lemma_reports(family, 4), suites.recovery_identity_report(family, 4)]
+        alone = [
+            *suites.lemma_reports(suites.counting_family(2), 4),
+            suites.recovery_identity_report(suites.counting_family(2), 4),
+        ]
         assert seen(shared) == seen(alone)
+
+    @pytest.mark.parametrize(
+        "suite, prefix",
+        [
+            (suites.kernel_agreement_report, "kernel-agreement"),
+            (suites.kernel_symmetry_report, "kernel-symmetry"),
+            (suites.martingale_identity_report, "backwards-martingale"),
+            (suites.expectation_identity_report, "kernel-expectation"),
+        ],
+        ids=lambda v: getattr(v, "__name__", v),
+    )
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_kernel_suites_name_the_walk_they_check(self, suite, prefix, d):
+        report = suite(uniform_walk(d), 3)
+        assert report.ok, str(report)
+        assert report.name == f"{prefix}[d={d}]<= 3"
+
+    def test_recovery_reads_d_from_its_family(self):
+        # d^n in the urn's h comes from the family's walk
+        report = suites.recovery_identity_report(suites.counting_family(2), 3)
+        assert report.ok, str(report)
+        assert report.name == "h-recovery-identity[d=2]@3"
 
     def test_full_verification_peak_memory(self):
         """Guards against a per-pair kernel memo, which traced 5.05 MB on this

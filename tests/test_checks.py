@@ -195,12 +195,12 @@ def _four_times_kernel(monkeypatch):
         return DistributionTable(n, {y: 4 * v for y, v in table.nums.items()}, table.den)
 
     monkeypatch.setattr(GradedChain, "conditional_law", scaled)
-    return suites.kernel_symmetry_report(2, 1)
+    return suites.kernel_symmetry_report(uniform_walk(2), 1)
 
 
 def _exchangeable_control(monkeypatch):
     monkeypatch.setattr(suites, "standard_negative_control", lambda: suites.standard_mixture(2))
-    return suites.lemma_reports(2, 3)[-1]
+    return suites.lemma_reports(suites.counting_family(2), 3)[-1]
 
 
 def _zero_reconstruction(monkeypatch):
@@ -227,7 +227,7 @@ def _halves_on_thirds():
     base = uniform_walk(2)
     transformed = h_transform(base, boundary_harmonic(_THIRDS))
     h = boundary_harmonic(_HALVES)
-    return representation_check(base, h, comp_state((1, 0)), 3, transformed=transformed)
+    return representation_check(base, h, comp_state((1, 0)), 3, transformed)
 
 
 def _doubled_closed_form(monkeypatch):
@@ -237,7 +237,7 @@ def _doubled_closed_form(monkeypatch):
         return [(2 * a, b) for a, b in closed_form_kernel_row(x, n)]
 
     monkeypatch.setattr(suites, "closed_form_kernel_row", doubled)
-    return suites.kernel_agreement_report(2, 1)
+    return suites.kernel_agreement_report(uniform_walk(2), 1)
 
 
 def _double_conditional_laws(monkeypatch):
@@ -256,12 +256,12 @@ def _double_conditional_laws(monkeypatch):
 
 def _doubled_martingale(monkeypatch):
     _double_conditional_laws(monkeypatch)
-    return suites.martingale_identity_report(2, 2)
+    return suites.martingale_identity_report(uniform_walk(2), 2)
 
 
 def _doubled_expectation(monkeypatch):
     _double_conditional_laws(monkeypatch)
-    return suites.expectation_identity_report(2, 1)
+    return suites.expectation_identity_report(uniform_walk(2), 1)
 
 
 def _base_paths_oracle():

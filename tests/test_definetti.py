@@ -5,6 +5,7 @@ import itertools
 import math
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -390,42 +391,32 @@ class TestDefinettiIdentity:
     def test_mixture_exact(self):
         assert definetti_identity_check(MIX, 3).ok
 
-    def test_explicit_atoms(self):
-        report = definetti_identity_check(MIX, 2, directing=MIX.directing_atoms())
-        assert report.ok
-
     def test_source_without_directing_law(self):
         with pytest.raises(MartinWalkError, match="no directing law"):
             definetti_identity_check(standard_negative_control(), 2)
 
     def test_negative_control_fails(self):
-        directing = [(1, (Fraction(1, 2), Fraction(1, 2)))]
-        report = definetti_identity_check(standard_negative_control(), 2, directing=directing)
+        """The control's word law against the moments of a fair coin: every
+        word of length 2 differs."""
+        control = standard_negative_control()
+        fair = MixtureSource(atoms=((Fraction(1, 2), Fraction(1, 2)),), weights=(Fraction(1),))
+        source = SimpleNamespace(
+            d=control.d,
+            name=control.name,
+            word_probability=control.word_probability,
+            directing_moment=fair.directing_moment,
+        )
+        report = definetti_identity_check(source, 2)
         assert (report.checked, len(report.violations)) == (4, 4)
 
     @pytest.mark.parametrize(
-        "directing",
-        [
-            [(2, (Fraction(1, 2), Fraction(1, 2)))],
-            [(1, (Fraction(1, 2), Fraction(1, 3)))],
-        ],
+        "weight, atom",
+        [(2, (Fraction(1, 2), Fraction(1, 2))), (1, (Fraction(1, 2), Fraction(1, 3)))],
         ids=["weight-sums-to-2", "atom-sums-to-5/6"],
     )
-    def test_explicit_directing_law_is_validated(self, directing):
+    def test_explicit_directing_law_is_validated(self, weight, atom):
         with pytest.raises(ValueError, match="sum to"):
-            definetti_identity_check(standard_negative_control(), 2, directing=directing)
-
-    @pytest.mark.parametrize(
-        "source, atom",
-        [
-            (standard_negative_control(), (Fraction(1, 3),) * 3),
-            (standard_mixture(3), (Fraction(1, 2), Fraction(1, 2))),
-        ],
-        ids=["3-part-atom-on-2-symbols", "2-part-atom-on-3-symbols"],
-    )
-    def test_atom_size_must_match_the_source(self, source, atom):
-        with pytest.raises(ValueError, match="symbol"):
-            definetti_identity_check(source, 2, directing=[(1, atom)])
+            MixtureSource(atoms=(atom,), weights=(weight,))
 
 
 class TestBinaryDigits:

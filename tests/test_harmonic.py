@@ -122,6 +122,14 @@ class TestHTransform:
         with pytest.raises(NotHarmonicError):
             t.forward_law(2)
 
+    @pytest.mark.parametrize("alpha", [(0.1, 0.2, 0.7), (0.25, 0.75)])
+    def test_float_h_raises_the_float_step_error(self, alpha):
+        # (0.1, 0.2, 0.7) reweights a row to a float sum of 0.9999999999999999;
+        # the float step is refused before the sum is read
+        t = h_transform(uniform_walk(len(alpha)), boundary_harmonic(alpha))
+        with pytest.raises(ValueError, match=r"^float step probability .* laws are exact$"):
+            t.forward_law(2)
+
     def test_wrong_root_value_rejected(self, base):
         with pytest.raises(NotHarmonicError):
             h_transform(base, HarmonicFn(lambda s: Fraction(2), name="two"))
@@ -257,7 +265,7 @@ class TestRecoverH:
 class TestRepresentation:
     def test_constant_h(self, base):
         one = HarmonicFn(lambda _s: 1, name="1")
-        report = representation_check(base, one, comp_state((1, 1)), 6)
+        report = representation_check(base, one, comp_state((1, 1)), 6, h_transform(base, one))
         assert report.ok
 
     def test_alpha_exact_value(self, base, h_alpha, transformed):
@@ -279,10 +287,9 @@ class TestRepresentation:
                     base, h_alpha, x, 6, transformed=transformed
                 ).ok
 
-    def test_monte_carlo_mode(self, base, h_alpha):
+    def test_monte_carlo_mode(self, h_alpha):
         walk = alpha_walk(ALPHA)
         result = representation_check_mc(
-            base,
             h_alpha,
             comp_state((1, 0)),
             n=200,
@@ -293,11 +300,11 @@ class TestRepresentation:
         )
         assert result.within(3.0), str(result)
 
-    def test_monte_carlo_mode_averages_the_sampled_rows(self, base, h_alpha):
+    def test_monte_carlo_mode_averages_the_sampled_rows(self, h_alpha):
         walk = alpha_walk(ALPHA)
         x = comp_state((1, 1))
         result = representation_check_mc(
-            base, h_alpha, x, n=50, replicates=300, seed=8, transformed=walk,
+            h_alpha, x, n=50, replicates=300, seed=8, transformed=walk,
             kernel=closed_form_kernel,
         )
         rows = walk.sampler.sample_final_counts(50, 8, 0, 300).tolist()
@@ -309,4 +316,4 @@ class TestRepresentation:
         from martinwalk import UnreachableStateError
 
         with pytest.raises(UnreachableStateError):
-            representation_check(base, h, comp_state((0, 1)), 4)
+            representation_check(base, h, comp_state((0, 1)), 4, h_transform(base, h))

@@ -20,6 +20,9 @@ martinwalk`` and the exact commands (``verify``, ``kernel``, ``lift``) never
 load them: a static check reads every module's import-time statements, and a
 fresh interpreter runs the commands.  The ``np`` annotations still resolve
 at run time.
+
+No public function in ``suites`` takes a degree ``d`` beside the ``walk`` or
+``family`` it checks, since the two could disagree.
 """
 
 import ast
@@ -181,6 +184,20 @@ def test_every_public_definition_is_read():
         if name not in reads and name not in UNREAD_PUBLIC
     )
     assert not unread, f"public names read only by unit tests, or by nothing: {unread}"
+
+
+def test_no_suite_takes_a_degree_beside_its_chain():
+    """A suite handed its chain reads d from it: a ``d`` parameter beside a
+    ``walk`` or ``family`` could name one degree and check another."""
+    tree = ast.parse((SRC / "suites.py").read_text())
+    both = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            args = node.args
+            params = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+            if "d" in params and params & {"walk", "family"}:
+                both.append(node.name)
+    assert not both, f"suites that take d beside their chain: {both}"
 
 
 def test_readme_example_runs():

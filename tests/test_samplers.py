@@ -201,6 +201,6 @@ class TestArrayContract:
             chain.sample_path(7, seed=0)
         with pytest.raises(ValueError, match="has no sampler"):
             representation_check_mc(
-                base, h, base.root, 7, replicates=2, seed=0, transformed=chain,
+                h, base.root, 7, replicates=2, seed=0, transformed=chain,
                 kernel=closed_form_kernel,
             )
