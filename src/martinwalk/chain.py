@@ -206,7 +206,6 @@ class GradedChain:
         self._successors = successors
         self.sampler = sampler
         self._levels: dict[int, tuple[State, ...]] = {0: (root,)}
-        self._rows: dict[State, tuple[tuple[State, Prob], ...]] = {}
         self._exact_rows: dict[State, DistributionTable] = {}
         self._cond: dict[State, dict[int, DistributionTable]] = {
             root: {0: DistributionTable(0, {root: 1})}
@@ -231,37 +230,37 @@ class GradedChain:
         return self._levels[n]
 
     def successors(self, x: State) -> tuple[tuple[State, Prob], ...]:
-        """The one-step row out of x; validated to be exact and to sum to 1."""
-        cached = self._rows.get(x)
-        if cached is not None:
-            return cached
+        """The one-step row out of x, validated to be exact and to sum to 1 in
+        ints over the lcm of its denominators; those ints are kept as its
+        ``exact_row``, the memo every law is built from."""
         row = tuple(self._successors(x))
         for y, p in row:
             if not is_exact(p):
                 raise ValueError(f"float step probability {p!r} at {x} -> {y}: laws are exact")
-        total = sum(p for _, p in row)
-        if total != 1:
+        den = math.lcm(*(p.denominator for _, p in row))
+        nums = [p.numerator * (den // p.denominator) for _, p in row]
+        if sum(nums) != den:
             raise NonStochasticError(
-                f"row out of {x} sums to {format_prob(total)} in {self.name}"
+                f"row out of {x} sums to {format_prob(Fraction(sum(nums), den))} in {self.name}"
             )
-        for y, p in row:
-            if p < 0:
+        for (y, _), num in zip(row, nums):
+            if num < 0:
                 raise NonStochasticError(f"negative step probability at {x} -> {y}")
             if y.level != x.level + 1:
                 raise ValueError(f"successor {y} of {x} is not one level up")
-        self._rows[x] = row
+        positive = {y: num for (y, _), num in zip(row, nums) if num}
+        self._exact_rows[x] = DistributionTable(x.level + 1, positive, den)
         return row
 
-    def _exact_row(self, x: State) -> DistributionTable:
+    def exact_row(self, x: State) -> DistributionTable:
         """The row out of x as a law on level(x) + 1: its positive step
         probabilities over the lcm of their denominators, which leaves it in
         lowest terms."""
-        if x not in self._exact_rows:
-            row = [(y, q) for y, q in self.successors(x) if q != 0]
-            den = math.lcm(*(q.denominator for _, q in row))
-            nums = {y: q.numerator * (den // q.denominator) for y, q in row}
-            self._exact_rows[x] = DistributionTable(x.level + 1, nums, den)
-        return self._exact_rows[x]
+        table = self._exact_rows.get(x)
+        if table is None:
+            self.successors(x)
+            table = self._exact_rows[x]
+        return table
 
     # -- forward laws ------------------------------------------------------
 
@@ -289,7 +288,7 @@ class GradedChain:
         """
         table = memo[max(k for k in memo if k <= n)]
         for k in range(table.level, n):
-            table = memo[k + 1] = self._advance(table, self._exact_row, k + 1)
+            table = memo[k + 1] = self._advance(table, self.exact_row, k + 1)
         return table
 
     def forward_law(self, n: int) -> DistributionTable:
@@ -324,11 +323,15 @@ class GradedChain:
     def kernel_row(self, x: State, n: int) -> dict[State, IntRatio]:
         """K(x, .) on level n >= level(x): for every y with P(Y_n = y) > 0, the
         int pair (N_cond * D_fwd, D_cond * N_fwd) of the ``martin_kernel``
-        ratio, with N_cond = 0 where y cannot follow x.  The one place the
-        kernel formula is written out."""
+        ratio, and (0, 1) where y cannot follow x, so only the support of the
+        conditional law is multiplied out.  The one place the kernel formula is
+        written out."""
         law = self.forward_law(n)
         cond = self.conditional_law(x, n)
-        return {y: (cond.nums.get(y, 0) * law.den, cond.den * p) for y, p in law.nums.items()}
+        row = dict.fromkeys(law.nums, (0, 1))
+        for y, num in cond.nums.items():
+            row[y] = (num * law.den, cond.den * law.nums[y])
+        return row
 
     def _backward_memo(self, y: State) -> dict[int, DistributionTable]:
         """{m: P(Y_m = . | Y_n = y)} for a reachable y at level n, from the point
@@ -355,7 +358,7 @@ class GradedChain:
         memo = self._backward_memo(y)
         if y.level - 1 not in memo:
             below = self.forward_law(y.level - 1)
-            rows = [self._exact_row(x) for x in below.nums]
+            rows = [self.exact_row(x) for x in below.nums]
             scale = math.lcm(*(row.den for row in rows))
             joint: dict[State, dict[State, int]] = defaultdict(dict)
             for (x, p), row in zip(below.nums.items(), rows):
@@ -396,14 +399,14 @@ class GradedChain:
 
         Exponential by design: the brute-force oracle that the dynamic-programming
         routes are tested against.  Paths grow level by level by the int rows of
-        ``_exact_row``.  Raises ``BudgetExceededError`` before building any path
+        ``exact_row``.  Raises ``BudgetExceededError`` before building any path
         when there are more than ``DEFAULT_ATOM_BUDGET`` paths, counted level by level.
         """
         counts: dict[State, int] = {self.root: 1}
         for _ in range(n):
             nxt: dict[State, int] = defaultdict(int)
             for z, c in counts.items():
-                for y in self._exact_row(z).nums:
+                for y in self.exact_row(z).nums:
                     nxt[y] += c
             counts = nxt
         if sum(counts.values()) > DEFAULT_ATOM_BUDGET:
@@ -415,7 +418,7 @@ class GradedChain:
         den = 1
         for _ in range(n):
             ends = dict.fromkeys(path[-1] if path else self.root for path in paths)
-            rows = {z: self._exact_row(z) for z in ends}
+            rows = {z: self.exact_row(z) for z in ends}
             scale = math.lcm(*(row.den for row in rows.values()))
             steps = {z: sorted(row.nums.items()) for z, row in rows.items()}
             nxt_paths: dict[tuple[State, ...], int] = {}
@@ -446,8 +449,9 @@ class GradedChain:
         report = CheckReport(f"row-stochasticity[{self.name}]")
         for n in range(max_level):
             for x in self.enumerate_level(n):
-                row = self.successors(x)  # raises NonStochasticError on failure
-                report.record(lambda: f"row-sum@{x}", 1, sum(p for _, p in row))
+                row = self.exact_row(x)  # raises NonStochasticError on failure
+                total = (sum(row.nums.values()), row.den)
+                report.record_ratio(lambda: f"row-sum@{x}", (1, 1), total)
         return report
 
     def check_weak_irreducibility(self, max_level: int) -> CheckReport:
@@ -476,10 +480,15 @@ def kernel_rows(
 
 def kernel_mean(row: dict[State, IntRatio], table: DistributionTable) -> IntRatio:
     """sum_y K(x, y) table(y) for a kernel row of x and a law on the row's
-    level, as one int pair over the lcm of the terms' denominators."""
-    terms = [(row[y][0] * num, row[y][1]) for y, num in table.nums.items() if row[y][0]]
-    scale = math.lcm(*(b for _, b in terms))
-    return sum(a * (scale // b) for a, b in terms), scale * table.den
+    level, as one int pair over the lcm of the terms' denominators, which
+    grows term by term."""
+    num, den = 0, 1
+    for y, q in table.nums.items():
+        a, b = row[y]
+        if a:
+            scale = math.lcm(den, b)
+            num, den = num * (scale // den) + a * q * (scale // b), scale
+    return num, den * table.den
 
 
 def markov_property_check(law: DistributionTable) -> CheckReport:
@@ -490,7 +499,8 @@ def markov_property_check(law: DistributionTable) -> CheckReport:
     property for the given horizon.  Each conditional is a ratio of two ``push``
     tables, each in its own lowest terms, so the check compares cross-products.
     Each prefix law is pushed from the next longer one, and the state and pair
-    laws at step k from the prefixes of lengths k and k + 1.
+    laws at step k from the prefixes of lengths k and k + 1.  The checks of
+    one step k form a row, counted at once when they all pass.
     """
     if law.level < 2:
         raise ValueError(f"need horizon >= 2 to test the Markov property, got {law.level}")
@@ -506,11 +516,19 @@ def markov_property_check(law: DistributionTable) -> CheckReport:
         prefix, extended = prefixes[k - 1], prefixes[k]
         state = prefix.push(lambda path: path[-1])
         pair = extended.push(lambda path: path[-2:])
-        for ext, num in sorted(extended.nums.items()):
-            history, nxt = ext[:k], ext[k]
-            report.record_ratio(
-                lambda: f"history={history} -> {nxt}",
-                (pair.nums[ext[k - 1 :]] * state.den, pair.den * state.nums[ext[k - 1]]),
-                (num * prefix.den, extended.den * prefix.nums[history]),
-            )
+
+        def checks() -> Iterator[tuple[tuple[State, ...], IntRatio, IntRatio]]:
+            for ext, num in sorted(extended.nums.items()):
+                yield (
+                    ext,
+                    (pair.nums[ext[k - 1 :]] * state.den, pair.den * state.nums[ext[k - 1]]),
+                    (num * prefix.den, extended.den * prefix.nums[ext[:k]]),
+                )
+
+        def replay() -> None:
+            for ext, expected, actual in checks():
+                report.record_ratio(lambda: f"history={ext[:k]} -> {ext[k]}", expected, actual)
+
+        holds = all(a * d == c * b for _, (a, b), (c, d) in checks())
+        report.record_row(len(extended), holds, replay)
     return report

@@ -88,9 +88,16 @@ _RECORD_FIELDS = (
     "replicates",
 )
 
+
+def _json_float(value: float) -> str:
+    """What ``json.dumps`` writes for a float: its ``repr`` when finite, and
+    ``json.dumps``' own text for NaN and the infinities."""
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+
+
 #: what ``json.dumps`` writes for a value of exactly these types, without its
 #: per-call set-up; a row cell of any other type goes through ``json.dumps``
-_JSON_CELL = {str: encode_basestring_ascii, int: int.__repr__}
+_JSON_CELL = {str: encode_basestring_ascii, int: int.__repr__, float: _json_float}
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ every level.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -86,9 +87,6 @@ def _walk(alpha: tuple[Prob, ...], name: str) -> GradedChain:
     d = len(alpha)
     live = tuple(j for j in range(d) if alpha[j] != 0)
     dead = tuple(j for j in range(d) if alpha[j] == 0)
-    unit_rows = tuple(
-        tuple(1 if i == j else 0 for i in range(d)) for j in range(d)
-    )
 
     def family(n: int) -> tuple[State, ...]:
         return tuple(
@@ -98,11 +96,8 @@ def _walk(alpha: tuple[Prob, ...], name: str) -> GradedChain:
         )
 
     def successors(x: State):
-        c = x.payload
-        return tuple(
-            (State(x.level + 1, tuple(ci + ei for ci, ei in zip(c, unit_rows[j]))), alpha[j])
-            for j in live
-        )
+        c, level = x.payload, x.level + 1
+        return tuple((State(level, c[:j] + (c[j] + 1,) + c[j + 1 :]), alpha[j]) for j in live)
 
     return GradedChain(
         root=State(0, (0,) * d),
@@ -144,13 +139,25 @@ def closed_form_kernel_row(x, n: int) -> list[IntRatio]:
     """``closed_form_kernel(x, y)`` as an int pair for each y of
     ``compositions(d, n)`` in order, n >= |x|, with x's factors d^m and
     ff(n, m) taken once per row: a y that does not dominate x has
-    ff(y_i, x_i) = 0 for some i, so a zero numerator over ff(n, m)."""
+    ff(y_i, x_i) = 0 for some i, so a zero numerator over ff(n, m), and only
+    the y = x + z, z in ``compositions(d, n - m)``, are multiplied out."""
     cx = _payload(x)
-    m = sum(cx)
+    d, m = len(cx), sum(cx)
     if n < m:
         raise ValueError(f"row level {n} below the level of {cx}")
-    scale, den = len(cx) ** m, math.perm(n, m)
-    return [(scale * math.prod(map(math.perm, cy, cx)), den) for cy in compositions(len(cx), n)]
+    scale, den = d**m, math.perm(n, m)
+    row = [(0, den)] * len(compositions(d, n))
+    where = _positions(d, n)
+    for z in compositions(d, n - m):
+        cy = tuple(map(operator.add, cx, z))
+        row[where[cy]] = (scale * math.prod(map(math.perm, cy, cx)), den)
+    return row
+
+
+@lru_cache(maxsize=None)
+def _positions(d: int, n: int) -> dict[Composition, int]:
+    """The index of each composition in ``compositions(d, n)``."""
+    return {c: i for i, c in enumerate(compositions(d, n))}
 
 
 def product_moment(point: Sequence[Prob], counts: Sequence[int]) -> Prob:
@@ -185,12 +192,22 @@ def _boundary_kernel(cx: Composition, pt: tuple[Prob, ...]) -> Prob:
 
 def boundary_harmonic(alpha: Sequence[Prob]) -> HarmonicFn:
     """K(., alpha) as a normalized harmonic function of the uniform walk;
-    alpha is validated once, not at every state."""
+    alpha is validated once, not at every state, and an exact alpha's
+    numerators and denominators are read once, so each value is one
+    ``Fraction`` of two int products."""
     pt = validate_simplex(alpha)
-    return HarmonicFn(
-        lambda state: _boundary_kernel(_payload(state), pt),
-        name=f"K(.,{tuple(map(str, pt))})",
-    )
+    name = f"K(.,{tuple(map(str, pt))})"
+    if not all(map(is_exact, pt)):
+        return HarmonicFn(lambda state: _boundary_kernel(_payload(state), pt), name=name)
+    d, nums, dens = len(pt), [a.numerator for a in pt], [a.denominator for a in pt]
+
+    def value(state) -> Fraction:
+        cx = _payload(state)
+        if len(cx) != d:
+            raise ValueError(f"composition {cx} does not match a {d}-part simplex point")
+        return Fraction(d ** sum(cx) * math.prod(map(pow, nums, cx)), math.prod(map(pow, dens, cx)))
+
+    return HarmonicFn(value, name=name)
 
 
 def polya_cotransition(y, j: int) -> Fraction:

@@ -132,8 +132,31 @@ class MixtureSource:
         )
 
     def next_symbol_law(self, counts: Sequence[int], last: Optional[int]) -> tuple[Prob, ...]:
-        moment = self.directing_moment(counts)
-        return tuple(self.directing_moment(_add_symbol(counts, j)) / moment for j in range(self.d))
+        """M(counts + e_j) / M(counts) for the directing moment M, j = 1..d: each
+        atom's term w_i prod_j mu_i(j)^c_j as an int over one denominator, then
+        one ``Fraction`` per entry.  Float atoms or weights give the float ratios
+        of ``directing_moment``, which a counting chain refuses as float steps."""
+        try:
+            int_terms = self._int_terms
+        except ValueError:
+            moment = self.directing_moment(counts)
+            steps = (_add_symbol(counts, j) for j in range(self.d))
+            return tuple(self.directing_moment(step) / moment for step in steps)
+        terms = []
+        for num, den, nums, dens in int_terms:
+            for c, a, b in zip(counts, nums, dens):
+                num *= a**c
+                den *= b**c
+            terms.append((num, den))
+        scale = math.lcm(*(den for _, den in terms))
+        weights = [num * (scale // den) for num, den in terms]
+        common = math.lcm(*itertools.chain.from_iterable(dens for *_, dens in int_terms))
+        atoms = [(nums, dens) for *_, nums, dens in int_terms]
+        total = sum(weights) * common
+        return tuple(
+            Fraction(sum(w * a[j] * (common // b[j]) for w, (a, b) in zip(weights, atoms)), total)
+            for j in range(self.d)
+        )
 
     def directing_atoms(self) -> tuple[tuple[Prob, tuple[Prob, ...]], ...]:
         return tuple(zip(self.weights, self.atoms))
@@ -324,19 +347,27 @@ def source_cylinder_law(source, n: int) -> DistributionTable:
 
 
 def _count_paths(words: DistributionTable, d: int) -> DistributionTable:
-    """Push a word law onto composition paths, a word going to its occurrence
-    counts Y_k = (#{i <= k : X_i = j})_j, k = 1..n: a bijective re-keying,
-    since each step of the count path increments one coordinate."""
+    """Re-key a word law onto composition paths, a word going to its occurrence
+    counts Y_k = (#{i <= k : X_i = j})_j, k = 1..n.  The map is a bijection,
+    since each step of the count path increments one coordinate, so the law
+    keeps its numerators and denominator; the path of each word prefix is
+    built once, from that of the prefix one symbol shorter."""
+    paths: dict[tuple[int, ...], tuple[State, ...]] = {(): ()}
+    nums = {_count_path(word, d, paths): p for word, p in words.nums.items()}
+    return DistributionTable(words.level, nums, words.den)
 
-    def count_path(word: tuple[int, ...]) -> tuple[State, ...]:
-        counts = [0] * d
-        path = []
-        for k, s in enumerate(word, 1):
-            counts[s - 1] += 1
-            path.append(State(k, tuple(counts)))
-        return tuple(path)
 
-    return words.push(count_path)
+def _count_path(
+    word: tuple[int, ...], d: int, paths: dict[tuple[int, ...], tuple[State, ...]]
+) -> tuple[State, ...]:
+    """The count path of word, kept in ``paths`` with those of its prefixes."""
+    path = paths.get(word)
+    if path is None:
+        head = _count_path(word[:-1], d, paths)
+        counts = list(head[-1].payload if head else (0,) * d)
+        counts[word[-1] - 1] += 1
+        path = paths[word] = head + (State(len(word), tuple(counts)),)
+    return path
 
 
 def counting_chain_law(source, n: int) -> DistributionTable:
@@ -351,7 +382,7 @@ def dead_symbols(source) -> tuple[int, ...]:
 
 def _add_symbol(counts: Sequence[int], j: int) -> tuple[int, ...]:
     """counts + e_j for a 0-based symbol index j."""
-    return tuple(c + (i == j) for i, c in enumerate(counts))
+    return (*counts[:j], counts[j] + 1, *counts[j + 1 :])
 
 
 def counting_chain(source) -> GradedChain:
@@ -390,23 +421,30 @@ def cylinder_exchangeability_report(law: DistributionTable) -> CheckReport:
     """Permutation invariance of a sequence law, checked class by class.
 
     Within each multiset of symbols all orderings must carry equal mass
-    (orderings absent from the table count as mass 0).
+    (orderings absent from the table count as mass 0).  The words of a class
+    are read off the table in sorted order; only a class with an ordering
+    absent from the table enumerates its permutations.
     """
     report = CheckReport("exchangeability")
-    seen: set[tuple] = set()
+    classes: dict[tuple, list[tuple]] = {}
     for word in sorted(law.nums):
-        key = tuple(sorted(word))
-        if key in seen:
-            continue
-        seen.add(key)
-        orderings = sorted(set(itertools.permutations(key)))
-        reference = (law.nums.get(orderings[0], 0), law.den)
-        for other in orderings[1:]:
-            report.record_ratio(
-                lambda: f"permutation@{other} vs {orderings[0]}",
-                reference,
-                (law.nums.get(other, 0), law.den),
-            )
+        classes.setdefault(tuple(sorted(word)), []).append(word)
+    for key, orderings in classes.items():
+        count = math.factorial(len(key)) // math.prod(map(math.factorial, map(key.count, set(key))))
+        if len(orderings) < count:
+            orderings = sorted(set(itertools.permutations(key)))
+        nums = [law.nums.get(word, 0) for word in orderings]
+
+        def replay() -> None:
+            for other, num in zip(orderings[1:], nums[1:]):
+                report.record_ratio(
+                    lambda: f"permutation@{other} vs {orderings[0]}",
+                    (nums[0], law.den),
+                    (num, law.den),
+                )
+
+        # over the one denominator, the cross-products match when the numerators do
+        report.record_row(len(orderings) - 1, len(set(nums)) == 1, replay)
     return report
 
 
@@ -459,7 +497,7 @@ def counting_h_recovery(
     transformed = h_transform(base, h)
     for m in range(n):
         for x in observed.forward_law(m).nums:
-            if dict(observed.successors(x)) != dict(transformed.successors(x)):
+            if observed.exact_row(x) != transformed.exact_row(x):
                 raise MartinWalkError(
                     f"h-transform of the uniform walk misses the row of {x} in {observed.name}"
                 )
@@ -583,31 +621,36 @@ def definetti_identity_check(source, k: int) -> CheckReport:
 # -- binary expansion lift ------------------------------------------------------
 
 
+#: the bytes b"0" and b"1" of a binary numeral to the digit values 0 and 1
+_BIT_VALUES = bytes.maketrans(b"01", bytes((0, 1)))
+
+
 def binary_digits(x, count: int) -> tuple[int, ...]:
     """First ``count`` binary digits of x in [0, 1) via floor(2^k x) - 2 floor(2^(k-1) x).
 
     Exact for floats and rationals alike; dyadic values get the terminating
     expansion, which is what the floor formula produces.  Digit k is the bit
     of floor(2^k x) = floor(2^count x) >> (count - k) that the formula leaves,
-    so one shift and division give them all.
+    so one shift and division give them all: floor(2^count x) < 2^count, and
+    its count-digit binary numeral lists them in order.
     """
     if count < 1:
         raise ValueError("need at least one digit")
-    value = Fraction(x)
-    if not 0 <= value < 1:
+    value = x if isinstance(x, Fraction) else Fraction(x)
+    if not 0 <= value.numerator < value.denominator:
         raise ValueError(f"expected a value in [0, 1), got {x!r}")
     scaled = (value.numerator << count) // value.denominator
-    return tuple((scaled >> shift) & 1 for shift in reversed(range(count)))
+    return tuple(format(scaled, f"0{count}b").encode().translate(_BIT_VALUES))
 
 
 def reconstruct_real(digits: Sequence[int]) -> Fraction:
     """Partial sum sum_k digits_k 2^{-k}; inverts binary_digits up to 2^{-K}."""
+    if not set(digits) <= {0, 1}:
+        bad = next(digit for digit in digits if digit not in (0, 1))
+        raise ValueError(f"digit {bad!r} is not binary")
     total = 0
-    for k, digit in enumerate(digits, start=1):
-        if digit not in (0, 1):
-            raise ValueError(f"digit {digit!r} is not binary")
-        if digit:
-            total += 1 << (len(digits) - k)
+    for digit in digits:
+        total = 2 * total + digit
     return Fraction(total, 1 << len(digits))
 
 

@@ -16,9 +16,10 @@ the marginal ratio h(x) = P_observed(Y_n = x) / P_base(Y_n = x).
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Callable, Sequence
 
-from .chain import GradedChain, State, kernel_mean, kernel_rows
+from .chain import DistributionTable, GradedChain, IntRatio, State, kernel_mean, kernel_rows
 from .errors import (
     BudgetExceededError,
     CotransitionMismatchError,
@@ -68,8 +69,10 @@ class HarmonicFn:
 def is_harmonic(chain: GradedChain, h: HarmonicFn, max_level: int) -> CheckReport:
     """Report every failure of the mean-value identity below max_level.
 
-    Also checks h(root) = 1 and h >= 0 on all enumerated states.  Failures
-    are report content, not errors.
+    Also checks h(root) = 1 and h >= 0 on all enumerated states.  Each mean
+    is one int pair over the int row out of x, so a passing check builds no
+    ``Fraction``; a float value of h raises ``TypeError``, as in
+    ``CheckReport.record``.  Failures are report content, not errors.
     """
     report = CheckReport(f"harmonicity[{h.name} on {chain.name}]")
     report.record("root-normalization", 1, h(chain.root))
@@ -78,9 +81,17 @@ def is_harmonic(chain: GradedChain, h: HarmonicFn, max_level: int) -> CheckRepor
             hx = h(x)
             report.require(lambda: f"non-negativity@{x}", hx >= 0, 0, hx)
             if n < max_level:
-                mean = sum(q * h(y) for y, q in chain.successors(x))
-                report.record(lambda: f"mean-value@{x}", hx, mean)
+                row = chain.exact_row(x)
+                mean = kernel_mean({y: _int_pair(h(y)) for y in row.nums}, row)
+                report.record_ratio(lambda: f"mean-value@{x}", _int_pair(hx), mean)
     return report
+
+
+def _int_pair(value: Prob) -> IntRatio:
+    """An exact value as (numerator, denominator); a float raises ``TypeError``."""
+    if not is_exact(value):
+        raise TypeError(f"float operand in an exact check: {value!r}")
+    return value.numerator, value.denominator
 
 
 class HTransformChain(GradedChain):
@@ -106,23 +117,28 @@ class HTransformChain(GradedChain):
             hx = h(x)
             if hx == 0:
                 raise UnreachableStateError(f"{x} lies outside the support of {h.name}")
-            row = []
-            total = 0
-            for y, q in base.successors(x):
+            row, steps = base.exact_row(x), []
+            for y, num in row.nums.items():
                 hy = h(y)
-                if hy == 0 or q == 0:
-                    continue
-                p = hy * q / hx
-                if not is_exact(p):
-                    raise ValueError(f"float step probability {p!r} at {x} -> {y}: laws are exact")
-                total += p
-                row.append((y, p))
-            if total != 1:
+                if hy != 0:
+                    if not (is_exact(hy) and is_exact(hx)):
+                        p = hy * Fraction(num, row.den) / hx
+                        raise ValueError(
+                            f"float step probability {p!r} at {x} -> {y}: laws are exact"
+                        )
+                    steps.append((y, num * hy.numerator, hy.denominator))
+            # p_h(x, y) = q(x, y) h(y) / h(x), with q(x, y) h(y) = a / (b row.den) for each
+            # step (y, a, b): the row sums to 1 exactly when the steps sum to h(x)
+            scale = math.lcm(*(b for *_, b in steps))
+            mass = sum(a * (scale // b) for _, a, b in steps) * hx.denominator
+            if mass != scale * row.den * hx.numerator:
+                total = Fraction(mass, scale * row.den * hx.numerator)
                 raise NotHarmonicError(
-                    f"{h.name} is not harmonic at {x}: reweighted row sums to "
-                    f"{format_prob(total)}"
+                    f"{h.name} is not harmonic at {x}: reweighted row sums to {format_prob(total)}"
                 )
-            return tuple(row)
+            return tuple(
+                (y, Fraction(a * hx.denominator, b * row.den * hx.numerator)) for y, a, b in steps
+            )
 
         super().__init__(
             root=base.root,
@@ -138,19 +154,20 @@ def h_transform(chain: GradedChain, h: HarmonicFn) -> HTransformChain:
     return HTransformChain(chain, h)
 
 
-def density_ratio_check(base: GradedChain, transformed: HTransformChain, n: int) -> CheckReport:
+def density_ratio_check(
+    base_law: DistributionTable, transformed: HTransformChain, law: DistributionTable
+) -> CheckReport:
     """Check P_h(path) = h(x_n) P(path) for every positive base path of length n
-    by cross-products of the two path laws' numerators."""
+    by cross-products of the two path laws' numerators: ``base_law`` is the base
+    chain's ``cylinder_law(n)`` and ``law`` is ``transformed.cylinder_law(n)``."""
     h = transformed.h
-    base_law = base.cylinder_law(n)
-    transformed_law = transformed.cylinder_law(n)
-    report = CheckReport(f"density-ratio[{transformed.name}]@{n}")
+    report = CheckReport(f"density-ratio[{transformed.name}]@{law.level}")
     for path, p in base_law.nums.items():
         hx = h(path[-1])
         report.record_ratio(
             lambda: f"path={path}",
             (hx.numerator * p, hx.denominator * base_law.den),
-            (transformed_law.nums.get(path, 0), transformed_law.den),
+            (law.nums.get(path, 0), law.den),
         )
     return report
 
@@ -164,10 +181,16 @@ def kernel_transform_check(
     for x, n, lifted in kernel_rows(transformed, max_level):
         hx, original = transformed.h(x), base.kernel_row(x, n)
         h_num, h_den = hx.numerator, hx.denominator
-        for y in transformed.enumerate_level(n):
-            if y in lifted:
+        ys = [y for y in transformed.enumerate_level(n) if y in lifted]
+
+        def replay() -> None:
+            for y in ys:
                 a, b = lifted[y]
                 report.record_ratio(lambda: f"K_h@({x}; {y})", original[y], (a * h_num, b * h_den))
+
+        pairs = zip(map(lifted.__getitem__, ys), map(original.__getitem__, ys))
+        holds = all(a * h_num * d == c * b * h_den for (a, b), (c, d) in pairs)
+        report.record_row(len(ys), holds, replay)
     return report
 
 
@@ -176,18 +199,24 @@ def cotransition_equality_check(a: GradedChain, b: GradedChain, max_level: int) 
 
     Only conditioning states reachable in both chains are compared, each
     over the union of the two laws' supports, so that missing mass counts as 0.
+    The checks of one y form a row; laws in lowest terms have equal values
+    exactly when they are equal tables, so a row is counted at once then.
     """
     report = CheckReport(f"cotransition-equality[{a.name} vs {b.name}]")
     for n in range(1, max_level + 1):
         shared = a.forward_law(n).nums.keys() & b.forward_law(n).nums.keys()
         for y in sorted(shared):
             back_a, back_b = a.cotransition(y), b.cotransition(y)
-            for x in sorted(back_a.nums.keys() | back_b.nums.keys()):
-                report.record_ratio(
-                    lambda: f"cotransition@({y} -> {x})",
-                    (back_a.nums.get(x, 0), back_a.den),
-                    (back_b.nums.get(x, 0), back_b.den),
-                )
+
+            def replay() -> None:
+                for x in sorted(back_a.nums.keys() | back_b.nums.keys()):
+                    report.record_ratio(
+                        lambda: f"cotransition@({y} -> {x})",
+                        (back_a.nums.get(x, 0), back_a.den),
+                        (back_b.nums.get(x, 0), back_b.den),
+                    )
+
+            report.record_row(len(back_a), back_a == back_b, replay)
     return report
 
 

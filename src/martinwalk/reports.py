@@ -85,6 +85,17 @@ class CheckReport:
         else:
             self.require(site, False, Fraction(c, d), Fraction(a, b))
 
+    def record_row(self, checks: int, holds: bool, replay: Callable[[], object]) -> None:
+        """Count a row of ``checks`` checks at once when ``holds``, the verdict
+        that every check of the row passes (its cross-products all match, or
+        meet their bounds); otherwise call ``replay``, which records the row
+        check by check on this report, so a failing row keeps the sites, order
+        and residuals of the per-check path."""
+        if holds:
+            self.checked += checks
+        else:
+            replay()
+
     def absorb(self, sub: CheckReport) -> None:
         """Merge another report's checks and violations into this one."""
         self.checked += sub.checked

@@ -17,20 +17,22 @@ suites takes the walk or family it checks and no degree beside it: d is the
 number of parts of the walk's root, so a record name always names the chain
 that was checked.  Every other suite is a family of its own: transform,
 boundary harmonicity, digits, representation, and the small unnormalized,
-identity, projection and lift suites.
+identity, projection and lift suites.  A family builds each path law once
+and hands it to every suite that reads it.
 
 With one worker every family runs in the calling process.  With more,
 ``fork_map`` deals the families out to forked children by their cost at
 d=3, budget 8, and the caller only collects the reports.  With two children
-one runs the chain, boundary, representation and digits families and the
-projection suite, and the other the counting and transform families and the
-unnormalized, identity and lift suites: 46 and 48 ms in-process at d=3,
-budget 8 on a 2-core machine.
+one runs the chain, boundary, unnormalized, representation, identity and
+digits families and the projection and lift suites, and the other the
+transform and counting families: 28 and 30 ms in-process at d=3, budget 8 on
+a 2-core machine.
 The reports come back in the same order for every worker count.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -138,8 +140,15 @@ def kernel_agreement_report(walk: GradedChain, max_level: int) -> CheckReport:
     ``walk``, all pairs: the closed form taken a row at a time."""
     report = CheckReport(f"kernel-agreement[d={len(walk.root.payload)}]<= {max_level}")
     for x, n, row in kernel_rows(walk, max_level):
-        for y, closed in zip(walk.enumerate_level(n), closed_form_kernel_row(x, n)):
-            report.record_ratio(lambda: f"K@({x}; {y})", closed, row[y])
+        level, closed = walk.enumerate_level(n), closed_form_kernel_row(x, n)
+        dp = [row[y] for y in level]
+
+        def replay() -> None:
+            for y, expected, actual in zip(level, closed, dp):
+                report.record_ratio(lambda: f"K@({x}; {y})", expected, actual)
+
+        holds = all(a * d == c * b for (a, b), (c, d) in zip(closed, dp))
+        report.record_row(min(len(level), len(closed)), holds, replay)
     return report
 
 
@@ -148,7 +157,8 @@ def kernel_symmetry_report(walk: GradedChain, max_level: int) -> CheckReport:
     P(Y_n = y | Y_m = x) / P(Y_n = y), read from the forward tables, against
     chained cotransitions; K(x, y) <= 1/P(x); K(root, y) = 1.  Each check
     compares int cross-products, the bound 1/P(x) kept as the int pair of the
-    forward law, and only a failing one builds ``Fraction``s."""
+    forward law, and only a failing one builds ``Fraction``s.  The checks of
+    one y form a row, counted at once when they all pass."""
     report = CheckReport(f"kernel-symmetry[d={len(walk.root.payload)}]<= {max_level}")
     for m in range(max_level + 1):
         level_m, law_m = walk.enumerate_level(m), walk.forward_law(m)
@@ -156,15 +166,35 @@ def kernel_symmetry_report(walk: GradedChain, max_level: int) -> CheckReport:
         for n in range(m, max_level + 1):
             law_n = walk.forward_law(n)
             conds = [(x, walk.conditional_law(x, n), bounds[x]) for x in level_m]
+            # the x that reach each y, with the parts of the cross-products
+            # that do not depend on y.  An x that does not reach y passes both
+            # of its checks exactly when it is outside P(Y_m = . | Y_n = y):
+            # once every reaching x matches, and so lies inside, equal sizes
+            # leave no other x there
+            reaching: dict[State, list[tuple[State, int, int]]] = defaultdict(list)
+            for x, cond, (den, q) in conds:
+                for y, num in cond.nums.items():
+                    reaching[y].append((x, num * law_n.den * q, cond.den * den))
             root = walk.kernel_row(walk.root, n)
             for y in walk.enumerate_level(n):
                 back, p_y = walk.backward_conditional(y, m), law_n.nums[y]
-                for x, cond, bound in conds:
-                    forward = (cond.nums.get(y, 0) * law_n.den, cond.den * p_y)
-                    backward = (back.nums.get(x, 0) * bound[0], back.den * bound[1])
-                    report.record_ratio(lambda: f"symmetry@({x}; {y})", forward, backward)
-                    report.require_bound(lambda: f"bound@({x}; {y})", forward, bound)
-                report.record_ratio(lambda: f"root-normalization@{y}", (1, 1), root[y])
+
+                def replay() -> None:
+                    for x, cond, bound in conds:
+                        forward = (cond.nums.get(y, 0) * law_n.den, cond.den * p_y)
+                        backward = (back.nums.get(x, 0) * bound[0], back.den * bound[1])
+                        report.record_ratio(lambda: f"symmetry@({x}; {y})", forward, backward)
+                        report.require_bound(lambda: f"bound@({x}; {y})", forward, bound)
+                    report.record_ratio(lambda: f"root-normalization@{y}", (1, 1), root[y])
+
+                holds = root[y][0] == root[y][1] and len(back.nums) == len(reaching[y])
+                for x, f, b in reaching[y]:
+                    # forward and backward cross-products, and the bound's
+                    g = b * p_y
+                    if f * back.den != back.nums.get(x, 0) * g or f > g:
+                        holds = False
+                        break
+                report.record_row(2 * len(conds) + 1, holds, replay)
     return report
 
 
@@ -191,22 +221,35 @@ def expectation_identity_report(walk: GradedChain, max_level: int) -> CheckRepor
     return report
 
 
-def oracle_equivalence_report(chain: GradedChain, horizon: int) -> CheckReport:
+def oracle_equivalence_report(chain: GradedChain, law: DistributionTable) -> CheckReport:
     """Forward, conditional and backward laws against brute-force path
-    enumeration: path masses are summed as numerators over the path law's
-    one denominator, and each check compares cross-products."""
-    law = chain.cylinder_law(horizon)
+    enumeration, ``law`` being ``chain.cylinder_law(horizon)``: path masses
+    are summed as numerators over the path law's one denominator, and each
+    check compares cross-products."""
+    horizon = law.level
     report = CheckReport(f"oracle-equivalence[{chain.name}]@{horizon}")
-    joint: dict[tuple[State, State], int] = {}
-    marginal: dict[State, int] = {chain.root: law.den}
-    for path, p in law.nums.items():
-        states = (chain.root,) + path
-        for i, x in enumerate(states):
-            if i:
-                marginal[x] = marginal.get(x, 0) + p
-            for y in states[i + 1 :]:
-                key = (x, y)
-                joint[key] = joint.get(key, 0) + p
+    # masses are summed by state index, the root's being 0, over path prefixes
+    # from the longest down: a prefix adds its mass to its last state and to
+    # each pair of an earlier state with it, and then to its own prefix
+    index: dict[State, int] = {chain.root: 0}
+    prefixes = {
+        (0, *[index.setdefault(x, len(index)) for x in path]): p for path, p in law.nums.items()
+    }
+    joint_at: dict[tuple[int, int], int] = defaultdict(int)
+    marginal_at: dict[int, int] = defaultdict(int)
+    for _ in range(horizon):
+        shorter: dict[tuple[int, ...], int] = defaultdict(int)
+        for prefix, mass in prefixes.items():
+            *head, end = prefix
+            marginal_at[end] += mass
+            for i in head:
+                joint_at[i, end] += mass
+            shorter[prefix[:-1]] += mass
+        prefixes = shorter
+    states = list(index)
+    joint = {(states[i], states[j]): mass for (i, j), mass in joint_at.items()}
+    marginal = {states[i]: mass for i, mass in marginal_at.items()}
+    marginal[chain.root] = law.den
     for k in range(horizon + 1):
         table = chain.forward_law(k)
         for x in chain.enumerate_level(k):
@@ -223,9 +266,10 @@ def oracle_equivalence_report(chain: GradedChain, horizon: int) -> CheckReport:
     return report
 
 
-def cylinder_markov_report(chain: GradedChain, horizon: int) -> CheckReport:
-    report = markov_property_check(chain.cylinder_law(horizon))
-    report.name = f"cylinder-markov[{chain.name}]@{horizon}"
+def cylinder_markov_report(chain: GradedChain, law: DistributionTable) -> CheckReport:
+    """The Markov property of ``law``, which is ``chain.cylinder_law(horizon)``."""
+    report = markov_property_check(law)
+    report.name = f"cylinder-markov[{chain.name}]@{law.level}"
     return report
 
 
@@ -294,27 +338,35 @@ def transform_identity_reports(
     d: int, max_level: int, alphas: Sequence[tuple[Prob, ...]]
 ) -> list[CheckReport]:
     """Density ratio, kernel transform, walk equivalence, cotransition
-    invariance, and recovery roundtrip for each conditioned walk."""
+    invariance, and recovery roundtrip for each conditioned walk.  Each path
+    law is built once: the base walk's for every alpha, and each transformed
+    and alpha walk's for the two suites that read it."""
     base = uniform_walk(d)
+    base_law = base.cylinder_law(max_level)
     equivalence = CheckReport(f"alpha-walk-equivalence[d={d}]@{max_level}")
     roundtrip = CheckReport(f"recovery-roundtrip[d={d}]<= {max_level}")
     out: list[CheckReport] = []
     for alpha in alphas:
         h = boundary_harmonic(alpha)
         transformed = h_transform(base, h)
-        out.append(density_ratio_check(base, transformed, max_level))
+        transformed_law = transformed.cylinder_law(max_level)
+        out.append(density_ratio_check(base_law, transformed, transformed_law))
         out.append(kernel_transform_check(base, transformed, max_level))
         out.append(cotransition_equality_check(base, transformed, max_level))
         walk = alpha_walk(alpha)
         out.append(cotransition_equality_check(base, walk, max_level))
         walk_law = walk.cylinder_law(max_level)
-        transformed_law = transformed.cylinder_law(max_level)
-        for path in sorted(set(walk_law.nums) | set(transformed_law.nums)):
-            equivalence.record_ratio(
-                lambda: f"path@{path}",
-                (walk_law.nums.get(path, 0), walk_law.den),
-                (transformed_law.nums.get(path, 0), transformed_law.den),
-            )
+
+        def replay() -> None:
+            for path in sorted(set(walk_law.nums) | set(transformed_law.nums)):
+                equivalence.record_ratio(
+                    lambda: f"path@{path}",
+                    (walk_law.nums.get(path, 0), walk_law.den),
+                    (transformed_law.nums.get(path, 0), transformed_law.den),
+                )
+
+        # path laws in lowest terms agree path by path exactly when they are equal tables
+        equivalence.record_row(len(walk_law), walk_law == transformed_law, replay)
         recovered = recover_h(base, walk, max_level)
         for n in range(max_level + 1):
             for x in walk.enumerate_level(n):
@@ -407,13 +459,20 @@ def recovery_identity_report(family: CountingFamily, horizon: int) -> CheckRepor
 
 def digit_roundtrip_report(points: int = 10_000, depth: int = 30) -> CheckReport:
     """|x - sum_k digit_k 2^{-k}| < 2^{-depth} on an evenly spaced grid, each
-    gap compared as an int cross-product."""
+    gap compared as an int cross-product; the grid is one row."""
     report = CheckReport(f"digit-roundtrip[{points} points, depth {depth}]")
+    gaps = []
     for i in range(points):
         x = Fraction(i, points)
         real = reconstruct_real(binary_digits(x, depth))
-        gap = (abs(i * real.denominator - real.numerator * points), points * real.denominator)
-        report.require_bound(lambda: f"roundtrip@{x}", gap, (1, 2**depth), strict=True)
+        gap = abs(i * real.denominator - real.numerator * points), points * real.denominator
+        gaps.append((x, gap))
+
+    def replay() -> None:
+        for x, gap in gaps:
+            report.require_bound(lambda: f"roundtrip@{x}", gap, (1, 2**depth), strict=True)
+
+    report.record_row(points, all(a << depth < b for _, (a, b) in gaps), replay)
     return report
 
 
@@ -467,13 +526,14 @@ def identity_reports(d: int, horizon: int) -> list[CheckReport]:
 
 def _chain_reports(d: int, budget: int, small_level: int) -> list[CheckReport]:
     """The structural, oracle and kernel suites, all over one uniform walk,
-    which is dropped when they are done."""
+    which is dropped when they are done; the oracle and Markov suites read
+    one path law, dropped before the kernel suites run."""
     walk = uniform_walk(d)
-    return [
-        walk.check_row_stochastic(budget),
-        walk.check_weak_irreducibility(budget),
-        oracle_equivalence_report(walk, small_level),
-        cylinder_markov_report(walk, small_level),
+    reports = [walk.check_row_stochastic(budget), walk.check_weak_irreducibility(budget)]
+    law = walk.cylinder_law(small_level)
+    reports += [oracle_equivalence_report(walk, law), cylinder_markov_report(walk, law)]
+    del law
+    return reports + [
         kernel_agreement_report(walk, budget),
         kernel_symmetry_report(walk, budget),
         martingale_identity_report(walk, small_level),
@@ -496,25 +556,27 @@ def full_verification(d: int, budget: int, workers: int = 1) -> list[CheckReport
     alphas = rational_alphas(d, 4)
     # (cost, family): each cost is the family's time in ms at d=3, budget 8, in one process
     families: list[tuple[float, Callable[[], list[CheckReport]]]] = [
-        (68, lambda: _chain_reports(d, budget, small_level)),
-        (11, lambda: [boundary_harmonicity_report(d, budget, alphas)]),
+        (19, lambda: _chain_reports(d, budget, small_level)),
+        (2.9, lambda: [boundary_harmonicity_report(d, budget, alphas)]),
     ]
     if d >= 2:
         # at d = 1 the plain product is the normalized kernel (d^m = 1), so it cannot fail
-        families.append((1, lambda: [unnormalized_rejection_report(d, min(budget, 4), alphas[:2])]))
+        families.append(
+            (0.5, lambda: [unnormalized_rejection_report(d, min(budget, 4), alphas[:2])])
+        )
     families += [
-        (6, lambda: [representation_report(d, small_level, alphas[:2])]),
-        (37, lambda: transform_identity_reports(d, small_level, alphas[:2])),
+        (1.9, lambda: [representation_report(d, small_level, alphas[:2])]),
+        (13, lambda: transform_identity_reports(d, small_level, alphas[:2])),
     ]
     if d in (2, 3):
         families += [
-            (56, lambda: _counting_reports(d, small_level)),
-            (1, lambda: identity_reports(d, small_level)),
+            (17, lambda: _counting_reports(d, small_level)),
+            (0.3, lambda: identity_reports(d, small_level)),
         ]
     families += [
-        (10, lambda: [digit_roundtrip_report(points=1000, depth=30)]),
-        (0.2, lambda: [projection_report()]),
-        (0.2, lambda: [lift_exchangeability_report()]),
+        (3.1, lambda: [digit_roundtrip_report(points=1000, depth=30)]),
+        (0.1, lambda: [projection_report()]),
+        (0.1, lambda: [lift_exchangeability_report()]),
     ]
     costs, runs = zip(*families)
     reports = fork_map(lambda run: run(), runs, workers, costs)

@@ -282,7 +282,8 @@ class TestCylinderLaw:
 class TestOracleEquivalence:
     @pytest.mark.parametrize("d,horizon", [(2, 8), (3, 8)])
     def test_dp_matches_enumeration(self, d, horizon):
-        report = oracle_equivalence_report(uniform_walk(d), horizon)
+        walk = uniform_walk(d)
+        report = oracle_equivalence_report(walk, walk.cylinder_law(horizon))
         assert report.ok, str(report)
 
     @pytest.mark.parametrize(
@@ -294,7 +295,7 @@ class TestOracleEquivalence:
         ids=["mixed-denominators", "h-transform"],
     )
     def test_dp_matches_enumeration_on_other_rows(self, chain):
-        report = oracle_equivalence_report(chain, 5)
+        report = oracle_equivalence_report(chain, chain.cylinder_law(5))
         assert report.ok, str(report)
 
 
@@ -401,6 +402,21 @@ class TestIntegerLaws:
         report = suites.recovery_identity_report(suites.counting_family(2), 3)
         assert report.ok, str(report)
         assert report.name == "h-recovery-identity[d=2]@3"
+
+    def test_full_verification_builds_each_path_law_once(self, monkeypatch):
+        """The oracle and Markov suites share the walk's path law, and the
+        transform suites the base walk's and each conditioned walk's."""
+        built = []
+        cylinder_law = GradedChain.cylinder_law
+
+        def counted(chain, n):
+            built.append((chain, n))  # keeps each chain alive, so ids stay distinct
+            return cylinder_law(chain, n)
+
+        monkeypatch.setattr(GradedChain, "cylinder_law", counted)
+        full_verification(3, 8, workers=1)
+        keys = [(id(chain), n) for chain, n in built]
+        assert len(keys) == len(set(keys)) == 6
 
     def test_full_verification_peak_memory(self):
         """Guards against a per-pair kernel memo, which traced 5.05 MB on this

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from martinwalk import suites
-from martinwalk.chain import DistributionTable, GradedChain, State
+from martinwalk.chain import DistributionTable, GradedChain, State, kernel_rows
 from martinwalk.compositions import (
     alpha_walk,
     boundary_harmonic,
@@ -221,6 +221,12 @@ def _swapped_h_transform() -> tuple[GradedChain, GradedChain]:
     return base, transformed
 
 
+def _swapped_density_ratio():
+    """The density identity of the swapped transform, over its own path law."""
+    base, transformed = _swapped_h_transform()
+    return density_ratio_check(base.cylinder_law(2), transformed, transformed.cylinder_law(2))
+
+
 def _halves_on_thirds():
     """The representation identity of the (1/2, 1/2) boundary h, averaged
     under the (1/3, 2/3) transform."""
@@ -268,8 +274,7 @@ def _base_paths_oracle():
     """The oracle reads the base walk's path law for the h-transform's DP laws."""
     base = uniform_walk(2)
     transformed = h_transform(base, boundary_harmonic(_THIRDS))
-    transformed.cylinder_law = base.cylinder_law
-    return suites.oracle_equivalence_report(transformed, 2)
+    return suites.oracle_equivalence_report(transformed, base.cylinder_law(2))
 
 
 def _uniform_alpha_walk(monkeypatch):
@@ -419,7 +424,7 @@ FAILURES = {
         ],
     ),
     "density-ratio-swapped-h": (
-        lambda mp: density_ratio_check(*_swapped_h_transform(), 2),
+        lambda mp: _swapped_density_ratio(),
         "density-ratio[h-transform[K(.,('1/3', '2/3'))](uniform-walk(d=2))]@2",
         4,
         [(f"path={path}", "1/4", p) for path, p in zip(_PATHS, _THIRDS_PATH_LAW)],
@@ -523,3 +528,137 @@ def test_failure_path(case, monkeypatch):
     report = build(monkeypatch)
     rendered = [(v.site, format_prob(v.expected), format_prob(v.actual)) for v in report.violations]
     assert (report.name, report.checked, rendered) == (name, checked, violations)
+
+
+# -- rows counted at once, against the per-check path ---------------------------
+
+
+def _agreement_per_check(walk: GradedChain, max_level: int) -> CheckReport:
+    """``kernel_agreement_report`` as it recorded its checks one at a time."""
+    report = CheckReport(f"kernel-agreement[d={len(walk.root.payload)}]<= {max_level}")
+    for x, n, row in kernel_rows(walk, max_level):
+        for y, closed in zip(walk.enumerate_level(n), suites.closed_form_kernel_row(x, n)):
+            report.record_ratio(lambda: f"K@({x}; {y})", closed, row[y])
+    return report
+
+
+def _symmetry_per_check(walk: GradedChain, max_level: int) -> CheckReport:
+    """``kernel_symmetry_report`` as it recorded its checks one at a time."""
+    report = CheckReport(f"kernel-symmetry[d={len(walk.root.payload)}]<= {max_level}")
+    for m in range(max_level + 1):
+        level_m, law_m = walk.enumerate_level(m), walk.forward_law(m)
+        bounds = {x: (law_m.den, law_m.nums[x]) for x in level_m}
+        for n in range(m, max_level + 1):
+            law_n = walk.forward_law(n)
+            conds = [(x, walk.conditional_law(x, n), bounds[x]) for x in level_m]
+            root = walk.kernel_row(walk.root, n)
+            for y in walk.enumerate_level(n):
+                back, p_y = walk.backward_conditional(y, m), law_n.nums[y]
+                for x, cond, bound in conds:
+                    forward = (cond.nums.get(y, 0) * law_n.den, cond.den * p_y)
+                    backward = (back.nums.get(x, 0) * bound[0], back.den * bound[1])
+                    report.record_ratio(lambda: f"symmetry@({x}; {y})", forward, backward)
+                    report.require_bound(lambda: f"bound@({x}; {y})", forward, bound)
+                report.record_ratio(lambda: f"root-normalization@{y}", (1, 1), root[y])
+    return report
+
+
+_ROW_LEVEL = 4
+
+
+def _mutated_walk(mutate) -> GradedChain:
+    """A d=3 walk whose laws up to ``_ROW_LEVEL`` are all built, then changed
+    in one place by ``mutate(walk)``."""
+    walk = uniform_walk(3)
+    _symmetry_per_check(walk, _ROW_LEVEL)
+    mutate(walk)
+    return walk
+
+
+def _bump_conditional(factor: int, shift: int):
+    """Scale and shift P(Y_3 = (2, 1, 0) | Y_1 = (1, 0, 0)), the numerator the
+    forward kernel of that pair reads."""
+
+    def mutate(walk):
+        nums = walk.conditional_law(comp_state((1, 0, 0)), 3).nums
+        nums[comp_state((2, 1, 0))] = nums[comp_state((2, 1, 0))] * factor + shift
+
+    return mutate
+
+
+def _unreached_conditional(walk):
+    """Give (1, 0, 0) mass at (0, 0, 3), which it cannot reach."""
+    walk.conditional_law(comp_state((1, 0, 0)), 3).nums[comp_state((0, 0, 3))] = 1
+
+
+def _unreached_backward(walk):
+    """Give (0, 0, 3) backward mass at (1, 0, 0), which does not reach it."""
+    walk.backward_conditional(comp_state((0, 0, 3)), 1).nums[comp_state((1, 0, 0))] = 1
+
+
+_ROW_MUTATIONS = {
+    "conditional-plus-one": (_bump_conditional(1, 1), True),
+    "conditional-times-1000": (_bump_conditional(1000, 0), True),
+    "conditional-outside-support": (_unreached_conditional, True),
+    "backward-outside-support": (_unreached_backward, False),
+}
+
+
+def _same_report(report: CheckReport, reference: CheckReport) -> None:
+    assert reference.violations, "the mutation must make some check fail"
+    assert (report.name, report.checked) == (reference.name, reference.checked)
+    assert report.violations == reference.violations
+    assert report.violations[0].residual == reference.violations[0].residual
+
+
+class TestRowsAgainstPerCheck:
+    """A row counted at once on a match, and recorded check by check on a
+    mismatch, gives the per-check path's count, sites, order and residuals."""
+
+    @pytest.mark.parametrize("case", _ROW_MUTATIONS, ids=list(_ROW_MUTATIONS))
+    def test_symmetry(self, case):
+        walk = _mutated_walk(_ROW_MUTATIONS[case][0])
+        reference = _symmetry_per_check(walk, _ROW_LEVEL)
+        _same_report(suites.kernel_symmetry_report(walk, _ROW_LEVEL), reference)
+
+    @pytest.mark.parametrize(
+        "case", [c for c, (_, forward) in _ROW_MUTATIONS.items() if forward]
+    )
+    def test_agreement_with_a_changed_conditional_law(self, case):
+        walk = _mutated_walk(_ROW_MUTATIONS[case][0])
+        reference = _agreement_per_check(walk, _ROW_LEVEL)
+        _same_report(suites.kernel_agreement_report(walk, _ROW_LEVEL), reference)
+
+    def test_agreement_with_a_changed_closed_form(self, monkeypatch):
+        x = comp_state((1, 1, 0))
+
+        def changed(z, n):
+            row = closed_form_kernel_row(z, n)
+            if (z, n) == (x, 3):
+                a, b = row[4]
+                row[4] = (a + 1, b)
+            return row
+
+        monkeypatch.setattr(suites, "closed_form_kernel_row", changed)
+        walk = uniform_walk(3)
+        reference = _agreement_per_check(walk, _ROW_LEVEL)
+        _same_report(suites.kernel_agreement_report(walk, _ROW_LEVEL), reference)
+
+    @pytest.mark.parametrize(
+        "suite, per_check",
+        [
+            (suites.kernel_symmetry_report, _symmetry_per_check),
+            (suites.kernel_agreement_report, _agreement_per_check),
+        ],
+    )
+    def test_unchanged_walk_passes_with_the_per_check_count(self, suite, per_check):
+        reference = per_check(uniform_walk(3), _ROW_LEVEL)
+        report = suite(uniform_walk(3), _ROW_LEVEL)
+        assert (report.checked, report.violations) == (reference.checked, []) and reference.ok
+
+    def test_record_row_replays_only_a_failing_row(self):
+        report, replayed = CheckReport("r"), []
+        report.record_row(5, True, lambda: replayed.append("passing"))
+        report.record_row(5, False, lambda: report.record_ratio("failing", (1, 2), (1, 3)))
+        assert replayed == [] and report.checked == 5 + 1
+        assert report.violations == [Violation("failing", Fraction(1, 2), Fraction(1, 3))]

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from martinwalk import (
@@ -283,6 +283,36 @@ class TestLumpedCountingChain:
                 law = source.next_symbol_law(counts, word[-1] if word else None)
                 expected = tuple(source.word_probability(word + (j,)) / p for j in range(1, source.d + 1))
                 assert law == expected
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_mixture_law_is_the_moment_ratio(self, data):
+        """The int next-symbol law of a random exact mixture equals the ratio
+        of its ``Fraction`` directing moments, entry by entry."""
+        d = data.draw(st.integers(2, 4))
+        simplex = st.lists(st.integers(0, 6), min_size=d, max_size=d).filter(any)
+        atoms = data.draw(st.lists(simplex, min_size=1, max_size=3))
+        weights = data.draw(st.lists(st.integers(1, 6), min_size=len(atoms), max_size=len(atoms)))
+        mixture = MixtureSource(
+            atoms=tuple(tuple(Fraction(a, sum(atom)) for a in atom) for atom in atoms),
+            weights=tuple(Fraction(w, sum(weights)) for w in weights),
+        )
+        counts = tuple(data.draw(st.lists(st.integers(0, 5), min_size=d, max_size=d)))
+        moment = mixture.directing_moment(counts)
+        assume(moment != 0)
+        law = mixture.next_symbol_law(counts, None)
+        for j in range(d):
+            step = tuple(c + (i == j) for i, c in enumerate(counts))
+            assert law[j] == mixture.directing_moment(step) / moment
+            assert type(law[j]) is Fraction
+
+    def test_float_mixture_steps_raise(self):
+        """A float mixture's next-symbol law stays float, so its counting chain
+        refuses the float step, as any chain does."""
+        mixture = MixtureSource(atoms=((0.2, 0.8), (0.6, 0.4)), weights=(0.5, 0.5))
+        assert all(isinstance(p, float) for p in mixture.next_symbol_law((1, 0), None))
+        with pytest.raises(ValueError, match="^float step probability .* laws are exact$"):
+            counting_chain(mixture).forward_law(1)
 
     @pytest.mark.parametrize("source", (MIX, POLYA, CONTROL, DP_SOURCES[-1]), ids=lambda s: s.name)
     def test_no_word_is_enumerated(self, source):

@@ -138,7 +138,7 @@ class TestHTransform:
 class TestDensityRatio:
     def test_constant_h(self, base):
         t = h_transform(base, HarmonicFn(lambda _s: 1, name="1"))
-        assert density_ratio_check(base, t, 4).ok
+        assert density_ratio_check(base.cylinder_law(4), t, t.cylinder_law(4)).ok
 
     def test_alpha_path_value(self, base, transformed, h_alpha):
         # path (1,0),(2,0): P_h = 0.49, P = 1/4, ratio 1.96 = h((2,0))
@@ -149,7 +149,7 @@ class TestDensityRatio:
         assert h_alpha(comp_state((2, 0))) == Fraction(49, 25)
 
     def test_full_horizon(self, base, transformed):
-        report = density_ratio_check(base, transformed, 6)
+        report = density_ratio_check(base.cylinder_law(6), transformed, transformed.cylinder_law(6))
         assert report.ok, str(report)
 
     def test_one_step_case(self, base, transformed, h_alpha):

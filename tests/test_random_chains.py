@@ -240,7 +240,7 @@ def test_doob_bridge_is_the_path_law_conditioned_on_its_end(case):
         assert is_harmonic(chain, h, top).ok
         bridge = h_transform(chain, h)
         assert bridge.forward_law(top).atoms == {y: 1}
-        assert density_ratio_check(chain, bridge, top).ok
+        assert density_ratio_check(paths, bridge, bridge.cylinder_law(top)).ok
         assert kernel_transform_check(chain, bridge, top).ok
         recovered = recover_h(chain, bridge, top - 1)
         for n in range(top):

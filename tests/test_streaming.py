@@ -80,6 +80,19 @@ class TestOracleBytes:
         report, _ = run(parse_config(json.dumps(_CONFIGS["verify"])))
         assert list(report.rows) == [] and report.records
 
+    def test_float_cells(self):
+        """Finite floats are written as their ``repr``, and NaN and the
+        infinities as ``json.dumps`` writes them."""
+        cells = [0.1, -0.0, 1e-310, 2.5e300, 1 / 3, float("nan"), float("inf"), float("-inf")]
+        report = Report(
+            config={"command": "estimate"},
+            fields=("replicate", "y1"),
+            rows=[(i, cell) for i, cell in enumerate(cells)],
+            summary={"status": "ok"},
+        )
+        for fmt in ("json", "csv"):
+            assert emit(report, fmt) == oracle(report, fmt)
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_hostile_cells(self, data):
