@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Optional, Protocol, Sequence
 
@@ -109,7 +108,6 @@ class CountSampler(Protocol):
         """Payloads of Y_n for replicates start..stop-1, int64 of shape (stop - start, d)."""
 
 
-@dataclass(frozen=True)
 class DistributionTable:
     """An exact law: positive int numerators over one denominator ``den``.
 
@@ -119,9 +117,17 @@ class DistributionTable:
     its keys are its support.  ``ratio`` and ``atoms`` build ``Fraction``s.
     """
 
-    level: int
-    nums: dict[Any, int]
-    den: int = 1
+    __slots__ = ("level", "nums", "den")
+
+    def __init__(self, level: int, nums: dict[Any, int], den: int = 1):
+        self.level = level
+        self.nums = nums
+        self.den = den
+
+    def __eq__(self, other):
+        if type(other) is not DistributionTable:
+            return NotImplemented
+        return (self.level, self.den, self.nums) == (other.level, other.den, other.nums)
 
     @classmethod
     def reduced(cls, level: int, nums: dict[Any, int], den: int) -> DistributionTable:

@@ -16,15 +16,13 @@ path or sample array).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .chain import DEFAULT_ATOM_BUDGET, DistributionTable, kernel_rows
 from .compositions import alpha_walk, boundary_kernel, uniform_walk
@@ -100,8 +98,7 @@ def _json_float(value: float) -> str:
 _JSON_CELL = {str: encode_basestring_ascii, int: int.__repr__, float: _json_float}
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     seed: int
     workers: int
@@ -129,27 +126,38 @@ class RunConfig:
         return {key: _echo_value(value) for key, value in values.items() if value is not None}
 
 
-@dataclass(frozen=True)
 class LazyRows:
     """Rows made on demand: every pass calls ``make`` afresh, so a report can
     be written more than once without ever holding all of its rows."""
 
-    make: Callable[[], Iterator[tuple]]
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[], Iterator[tuple]]):
+        self.make = make
 
     def __iter__(self) -> Iterator[tuple]:
         return self.make()
 
 
-@dataclass
 class Report:
-    config: dict
-    records: list[dict] = field(default_factory=list)
-    #: the column names of ``rows``, each row a tuple in this order; a report
-    #: without them writes its records as its CSV table
-    fields: tuple[str, ...] = ()
-    #: a list, or ``LazyRows`` where there are too many rows to hold
-    rows: Iterable[tuple] = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
+    __slots__ = ("config", "records", "fields", "rows", "summary")
+
+    def __init__(
+        self,
+        config: dict,
+        records: Optional[list[dict]] = None,
+        fields: tuple[str, ...] = (),
+        rows: Optional[Iterable[tuple]] = None,
+        summary: Optional[dict] = None,
+    ):
+        self.config = config
+        self.records = [] if records is None else records
+        #: the column names of ``rows``, each row a tuple in this order; a
+        #: report without them writes its records as its CSV table
+        self.fields = fields
+        #: a list, or ``LazyRows`` where there are too many rows to hold
+        self.rows = [] if rows is None else rows
+        self.summary = {} if summary is None else summary
 
     @property
     def passed(self) -> bool:
@@ -513,6 +521,8 @@ def _write_json(report: Report, out) -> None:
 
 
 def _write_csv(report: Report, out) -> None:
+    import csv
+
     for key in sorted(report.config):
         out.write(f"# {key}={json.dumps(report.config[key], sort_keys=True)}\n")
     if report.fields:

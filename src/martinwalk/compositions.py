@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -63,11 +62,13 @@ def _payload(x) -> Composition:
     return tuple(x.payload) if isinstance(x, State) else tuple(x)
 
 
-@dataclass(frozen=True)
 class StepSampler:
     """``CountSampler`` of the walk: i.i.d. unit steps e_j with probability probs[j]."""
 
-    probs: tuple[float, ...]
+    __slots__ = ("probs",)
+
+    def __init__(self, probs: tuple[float, ...]):
+        self.probs = probs
 
     def sample_path_counts(self, n: int, seed: int, replicate: int) -> np.ndarray:
         import numpy as np

@@ -18,10 +18,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Protocol, Sequence
 
 from .chain import (
     DEFAULT_ATOM_BUDGET,
@@ -70,22 +69,16 @@ class Source(Protocol):
         ``chain.CountSampler``."""
 
 
-@dataclass(frozen=True)
 class MixtureSource:
     """Finite mixture of i.i.d. product laws: pick an atom, then draw i.i.d."""
 
-    atoms: tuple[tuple[Prob, ...], ...]
-    weights: tuple[Prob, ...]
-
-    def __post_init__(self):
-        atoms = tuple(validate_simplex(a) for a in self.atoms)
-        weights = validate_simplex(self.weights)
-        if len(atoms) != len(weights):
+    def __init__(self, atoms: Sequence[Sequence[Prob]], weights: Sequence[Prob]):
+        self.atoms = tuple(validate_simplex(a) for a in atoms)
+        self.weights = validate_simplex(weights)
+        if len(self.atoms) != len(self.weights):
             raise ValueError("one weight per atom required")
-        if len({len(a) for a in atoms}) != 1:
+        if len({len(a) for a in self.atoms}) != 1:
             raise ValueError("all atoms must share the alphabet size")
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", weights)
 
     @property
     def d(self) -> int:
@@ -174,20 +167,18 @@ class MixtureSource:
         )
 
 
-@dataclass(frozen=True)
 class PolyaUrnSource:
     """Reinforced urn: draw a symbol with probability proportional to its count,
     then return the ball together with one more of the same colour."""
 
-    initial: tuple[int, ...]
+    __slots__ = ("initial",)
 
-    def __post_init__(self):
-        if any(isinstance(c, bool) for c in self.initial):
+    def __init__(self, initial: Sequence[int]):
+        if any(isinstance(c, bool) for c in initial):
             raise TypeError("urn counts must be integers, not booleans")
-        counts = tuple(operator.index(c) for c in self.initial)
-        if not counts or any(c <= 0 for c in counts):
+        self.initial = tuple(operator.index(c) for c in initial)
+        if not self.initial or any(c <= 0 for c in self.initial):
             raise ValueError("urn needs a positive initial count per symbol")
-        object.__setattr__(self, "initial", counts)
 
     @property
     def d(self) -> int:
@@ -226,20 +217,17 @@ class PolyaUrnSource:
         )
 
 
-@dataclass(frozen=True)
 class MarkovSource:
     """Symbol chain with state-dependent rows; non-exchangeable negative control."""
 
-    initial: tuple[Prob, ...]
-    rows: tuple[tuple[Prob, ...], ...]
+    __slots__ = ("initial", "rows")
 
-    def __post_init__(self):
-        initial = validate_simplex(self.initial)
-        rows = tuple(validate_simplex(r) for r in self.rows)
-        if len(rows) != len(initial) or any(len(r) != len(initial) for r in rows):
+    def __init__(self, initial: Sequence[Prob], rows: Sequence[Sequence[Prob]]):
+        self.initial = validate_simplex(initial)
+        self.rows = tuple(validate_simplex(r) for r in rows)
+        d = len(self.initial)
+        if len(self.rows) != d or any(len(r) != d for r in self.rows):
             raise ValueError("need one stochastic row per symbol")
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "rows", rows)
 
     @property
     def d(self) -> int:
@@ -507,19 +495,21 @@ def counting_h_recovery(
 # -- directing measure ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClusterSummary:
+class ClusterSummary(NamedTuple):
     atom: tuple[float, ...]
     count: int
     weight: float
     mean: tuple[float, ...]
 
 
-@dataclass(frozen=True)
 class DirectingEstimate:
     """Per-replicate boundary points Y_n / n approximating the directing measure."""
 
+    __slots__ = ("samples",)
     samples: np.ndarray
+
+    def __init__(self, samples: np.ndarray):
+        self.samples = samples
 
     @property
     def replicates(self) -> int:

@@ -9,15 +9,13 @@ error and z-score against the target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .prob import Prob, format_prob
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     site: str
     expected: Prob
     actual: Prob
@@ -38,12 +36,27 @@ class Violation:
 Site = Union[str, Callable[[], str]]
 
 
-@dataclass
 class CheckReport:
-    name: str
-    checked: int = 0
-    violations: list[Violation] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("name", "checked", "violations", "notes")
+
+    def __init__(
+        self,
+        name: str,
+        checked: int = 0,
+        violations: Optional[list[Violation]] = None,
+        notes: Optional[list[str]] = None,
+    ):
+        self.name = name
+        self.checked = checked
+        self.violations = [] if violations is None else violations
+        self.notes = [] if notes is None else notes
+
+    def __eq__(self, other):
+        if type(other) is not CheckReport:
+            return NotImplemented
+        return (self.name, self.checked, self.violations, self.notes) == (
+            other.name, other.checked, other.violations, other.notes
+        )
 
     @property
     def ok(self) -> bool:
@@ -117,8 +130,7 @@ class CheckReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class MonteCarloResult:
+class MonteCarloResult(NamedTuple):
     name: str
     estimate: float
     target: float

@@ -24,8 +24,8 @@ With one worker every family runs in the calling process.  With more,
 ``fork_map`` deals the families out to forked children by their cost at
 d=3, budget 8, and the caller only collects the reports.  With two children
 one runs the chain, boundary, unnormalized, representation, identity and
-digits families and the projection and lift suites, and the other the
-transform and counting families: 28 and 30 ms in-process at d=3, budget 8 on
+digits families and the lift suite, and the other the transform and counting
+families and the projection suite: 26 ms each in-process at d=3, budget 8 on
 a 2-core machine.
 The reports come back in the same order for every worker count.
 """
@@ -556,8 +556,8 @@ def full_verification(d: int, budget: int, workers: int = 1) -> list[CheckReport
     alphas = rational_alphas(d, 4)
     # (cost, family): each cost is the family's time in ms at d=3, budget 8, in one process
     families: list[tuple[float, Callable[[], list[CheckReport]]]] = [
-        (19, lambda: _chain_reports(d, budget, small_level)),
-        (2.9, lambda: [boundary_harmonicity_report(d, budget, alphas)]),
+        (18, lambda: _chain_reports(d, budget, small_level)),
+        (2.6, lambda: [boundary_harmonicity_report(d, budget, alphas)]),
     ]
     if d >= 2:
         # at d = 1 the plain product is the normalized kernel (d^m = 1), so it cannot fail
@@ -565,16 +565,16 @@ def full_verification(d: int, budget: int, workers: int = 1) -> list[CheckReport
             (0.5, lambda: [unnormalized_rejection_report(d, min(budget, 4), alphas[:2])])
         )
     families += [
-        (1.9, lambda: [representation_report(d, small_level, alphas[:2])]),
-        (13, lambda: transform_identity_reports(d, small_level, alphas[:2])),
+        (1.7, lambda: [representation_report(d, small_level, alphas[:2])]),
+        (11, lambda: transform_identity_reports(d, small_level, alphas[:2])),
     ]
     if d in (2, 3):
         families += [
-            (17, lambda: _counting_reports(d, small_level)),
+            (15, lambda: _counting_reports(d, small_level)),
             (0.3, lambda: identity_reports(d, small_level)),
         ]
     families += [
-        (3.1, lambda: [digit_roundtrip_report(points=1000, depth=30)]),
+        (3.0, lambda: [digit_roundtrip_report(points=1000, depth=30)]),
         (0.1, lambda: [projection_report()]),
         (0.1, lambda: [lift_exchangeability_report()]),
     ]

@@ -47,6 +47,7 @@ MIX = MixtureSource(
     weights=(Fraction(1, 2), Fraction(1, 2)),
 )
 POLYA = PolyaUrnSource((1, 1))
+HALVES = (Fraction(1, 2), Fraction(1, 2))
 CONTROL = MarkovSource(
     initial=(Fraction(1, 2), Fraction(1, 2)),
     rows=((Fraction(2, 3), Fraction(1, 3)), (Fraction(1, 6), Fraction(5, 6))),
@@ -88,6 +89,34 @@ class TestSourceCylinderLaw:
             src.word_probability((2, 1))
         counts = src.sample_final_counts(10, seed=0, start=0, stop=3)
         assert counts.shape == (3, 2) and (counts.sum(axis=1) == 10).all()
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: PolyaUrnSource((1, True)), TypeError, "urn counts must be integers, not bool"),
+            (lambda: PolyaUrnSource(()), ValueError, "urn needs a positive initial count"),
+            (lambda: PolyaUrnSource((2, 0)), ValueError, "urn needs a positive initial count"),
+            (lambda: MixtureSource(atoms=(HALVES,), weights=HALVES), ValueError, "one weight per"),
+            (
+                lambda: MixtureSource(atoms=((Fraction(1),), HALVES), weights=HALVES),
+                ValueError,
+                "all atoms must share the alphabet size",
+            ),
+            (
+                lambda: MarkovSource(initial=HALVES, rows=(HALVES, (Fraction(1, 3),) * 2)),
+                ValueError,
+                "simplex coordinates sum to 2/3, expected 1",
+            ),
+            (
+                lambda: MarkovSource(initial=HALVES, rows=(HALVES,)),
+                ValueError,
+                "need one stochastic row per symbol",
+            ),
+        ],
+    )
+    def test_constructor_errors_keep_their_types_and_messages(self, build, error, message):
+        with pytest.raises(error, match=f"^{message}"):
+            build()
 
     def test_total_mass(self):
         for src in (MIX, POLYA, CONTROL):

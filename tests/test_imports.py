@@ -19,7 +19,10 @@ TYPE_CHECKING:``, and ``concurrent.futures`` nowhere, so ``import
 martinwalk`` and the exact commands (``verify``, ``kernel``, ``lift``) never
 load them: a static check reads every module's import-time statements, and a
 fresh interpreter runs the commands.  The ``np`` annotations still resolve
-at run time.
+at run time.  No module imports ``dataclasses``, which would load
+``inspect`` and ``ast`` into every command's start-up, and ``csv`` is
+imported only by the CSV writer, so ``import martinwalk.cli`` loads none of
+the three.
 
 No public function in ``suites`` takes a degree ``d`` beside the ``walk`` or
 ``family`` it checks, since the two could disagree.
@@ -256,6 +259,17 @@ def test_no_import_time_sampling_imports(path):
     assert not offending, "import these inside the functions that use them: " + "; ".join(offending)
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_dataclasses_import(path):
+    lines = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    ]
+    assert not lines, f"{path.name}: imports dataclasses at lines {lines}"
+
+
 def test_numpy_annotations_resolve():
     import numpy
 
@@ -289,14 +303,21 @@ for command, doc in configs.items():
     statuses[command] = cli.main([command, "--config", path, "--out", f"{tmp}/{command}.out"])
 print(json.dumps({"statuses": statuses, "loaded": [m for m in watched if m in sys.modules]}))
 """
+    return json.loads(
+        _fresh_python(script, str(tmp_path), json.dumps(configs), json.dumps(SAMPLING_ONLY))
+    )
+
+
+def _fresh_python(script: str, *args: str) -> str:
+    """The stdout of ``script`` run with ``args`` in a new interpreter that
+    imports the package from ``src``."""
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    args = [str(tmp_path), json.dumps(configs), json.dumps(SAMPLING_ONLY)]
     done = subprocess.run(
         [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout)
+    return done.stdout
 
 
 def test_exact_commands_never_load_numpy(tmp_path):
@@ -318,3 +339,12 @@ def test_sampling_commands_load_numpy(tmp_path):
     result = _run_in_fresh_interpreter(tmp_path, configs)
     assert result["statuses"] == dict.fromkeys(configs, 0)
     assert "numpy" in result["loaded"]
+
+
+#: standard-library modules whose import cost every command would pay
+START_UP_HEAVY = ("dataclasses", "inspect", "csv")
+
+
+def test_cli_import_loads_no_start_up_heavy_module():
+    script = "import sys, martinwalk.cli; print([m for m in sys.argv[1:] if m in sys.modules])"
+    assert _fresh_python(script, *START_UP_HEAVY) == "[]\n"

@@ -1,15 +1,25 @@
 """The fork-based worker map: task order, errors carried across the fork,
-dead children, large results, and no child left behind."""
+dead children, large results, no child left behind, and the records that
+cross its pipe."""
 
 import json
 import os
+import pickle
 import signal
+from fractions import Fraction
 
 import pytest
 
-from martinwalk import BudgetExceededError, MartinWalkError, parallel
+from martinwalk import (
+    BudgetExceededError,
+    CheckReport,
+    DistributionTable,
+    MartinWalkError,
+    parallel,
+)
 from martinwalk.cli import main
 from martinwalk.parallel import fork_map, process_count
+from martinwalk.suites import full_verification
 
 
 @pytest.fixture
@@ -118,4 +128,24 @@ def test_budget_error_in_a_verify_child_exits_3(two_cores, monkeypatch, tmp_path
     cfg.write_text(json.dumps({"command": "verify", "d": 2, "budget": 4}))
     assert main(["verify", "--config", str(cfg), "--workers", "2"]) == 3
     assert capsys.readouterr().err == "error: digit grid over budget\n"
+    assert_no_children()
+
+
+def test_records_survive_a_pickle_round_trip():
+    report = CheckReport("demo")
+    report.record("site", Fraction(1, 3), Fraction(1, 2))
+    report.record("held", 1, 1)
+    report.note("a note")
+    law = DistributionTable(2, {(1, 2): 1, (2, 1): 3}, 4)
+    for record in (report, law):
+        assert pickle.loads(pickle.dumps(record)) == record
+    assert not report.ok and report.checked == 2
+    assert report != CheckReport("demo", 2)
+
+
+def test_full_verification_reports_match_across_worker_counts(two_cores):
+    one, two = full_verification(2, 6, workers=1), full_verification(2, 6, workers=2)
+    assert len(one) == len(two)
+    for a, b in zip(one, two):
+        assert a == b, a.name
     assert_no_children()
