@@ -26,20 +26,10 @@ from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Optional,
 
 from .chain import DEFAULT_ATOM_BUDGET, DistributionTable, kernel_rows
 from .compositions import alpha_walk, boundary_kernel, uniform_walk
-from .definetti import (
-    MarkovSource,
-    MixtureSource,
-    PolyaUrnSource,
-    binary_digits,
-    estimate_directing_measure,
-    projection_consistency_check,
-    reconstruct_real,
-)
 from .errors import BudgetExceededError, ConfigError
 from .parallel import usable_cores
 from .prob import Prob, format_prob, parse_prob, validate_simplex
 from .reports import CheckReport
-from .suites import full_verification
 
 #: largest level budget the exact verification suites will accept
 MAX_EXACT_BUDGET = 12
@@ -69,7 +59,8 @@ _SOURCE_KEYS = {
     "polya": {"kind", "initial"},
     "markov": {"kind", "initial", "rows"},
 }
-_SOURCE_KINDS = {MixtureSource: "mixture", PolyaUrnSource: "polya", MarkovSource: "markov"}
+#: the kind of each source class, by name, so that echoing a config needs no ``definetti``
+_SOURCE_KINDS = {"MixtureSource": "mixture", "PolyaUrnSource": "polya", "MarkovSource": "markov"}
 
 #: the CSV header of a report without rows; the Monte Carlo columns are part of its bytes
 _RECORD_FIELDS = (
@@ -195,11 +186,13 @@ def _parse_source(raw, mode: str):
     if not isinstance(raw, dict):
         raise ConfigError("source must be an object")
     kind = raw.get("kind")
-    if kind not in _SOURCE_KEYS:
+    if not isinstance(kind, str) or kind not in _SOURCE_KEYS:
         raise ConfigError(f"unknown source kind {kind!r}")
     unknown = set(raw) - _SOURCE_KEYS[kind]
     if unknown:
         raise ConfigError(f"unknown source keys {sorted(unknown)}")
+    from .definetti import MarkovSource, MixtureSource, PolyaUrnSource
+
     try:
         if kind == "mixture":
             atoms = tuple(
@@ -225,7 +218,7 @@ def _echo_value(value):
         return format_prob(value)
     if isinstance(value, tuple):
         return [_echo_value(v) for v in value]
-    kind = _SOURCE_KINDS.get(type(value))
+    kind = _SOURCE_KINDS.get(type(value).__name__)
     if kind is None:
         return value
     fields = sorted(_SOURCE_KEYS[kind] - {"kind"})
@@ -347,6 +340,8 @@ def _check_budget(config: RunConfig) -> None:
 
 
 def _run_verify(config: RunConfig, report: Report) -> None:
+    from .suites import full_verification
+
     _check_budget(config)
     report.records.extend(
         _exact_record(r) for r in full_verification(config.d, config.budget, config.workers)
@@ -395,6 +390,8 @@ def _run_simulate(config: RunConfig, report: Report) -> None:
 
 
 def _run_estimate(config: RunConfig, report: Report) -> None:
+    from .definetti import MarkovSource, MixtureSource, estimate_directing_measure
+
     _admit_counts(
         f"{config.replicates} replicates need a sample array", config.replicates * config.source.d
     )
@@ -436,6 +433,8 @@ def _run_estimate(config: RunConfig, report: Report) -> None:
 
 
 def _run_lift(config: RunConfig, report: Report) -> None:
+    from .definetti import binary_digits, projection_consistency_check, reconstruct_real
+
     bound = Fraction(1, 2**config.depth)
     report.fields = ("point", "digits", "reconstructed")
     for p in config.points:

@@ -25,11 +25,11 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .chain import GradedChain, IntRatio, State, replicate_rng, replicate_rows
-from .harmonic import HarmonicFn
 from .prob import Prob, is_exact, validate_simplex
 
 if TYPE_CHECKING:
     import numpy as np
+    from .harmonic import HarmonicFn
 else:
     from .chain import np
 
@@ -196,6 +196,8 @@ def boundary_harmonic(alpha: Sequence[Prob]) -> HarmonicFn:
     alpha is validated once, not at every state, and an exact alpha's
     numerators and denominators are read once, so each value is one
     ``Fraction`` of two int products."""
+    from .harmonic import HarmonicFn
+
     pt = validate_simplex(alpha)
     name = f"K(.,{tuple(map(str, pt))})"
     if not all(map(is_exact, pt)):

@@ -32,13 +32,13 @@ from .chain import (
 )
 from .compositions import product_moment, uniform_walk
 from .errors import BudgetExceededError, MartinWalkError, NonStochasticError, UnreachableStateError
-from .harmonic import HarmonicFn, cotransition_equality_check, h_transform, is_harmonic, recover_h
 from .parallel import fork_map
 from .prob import Prob, format_prob, is_exact, validate_simplex
 from .reports import CheckReport
 
 if TYPE_CHECKING:
     import numpy as np
+    from .harmonic import HarmonicFn
 else:
     from .chain import np
 
@@ -461,6 +461,8 @@ def verify_counting_cotransitions(
     exhibits the counting chain as an h-transform of the uniform walk.
     ``base`` and ``observed`` default to a new uniform walk and counting chain.
     """
+    from .harmonic import cotransition_equality_check
+
     base = uniform_walk(source.d) if base is None else base
     observed = counting_chain(source) if observed is None else observed
     report = cotransition_equality_check(base, observed, n)
@@ -476,6 +478,8 @@ def counting_h_recovery(
     ``base`` and ``observed`` default to a new uniform walk and counting chain;
     chains that ``verify_counting_cotransitions`` has run on keep their laws,
     so the cotransition check that ``recover_h`` repeats only compares them."""
+    from .harmonic import h_transform, is_harmonic, recover_h
+
     base = uniform_walk(source.d) if base is None else base
     observed = counting_chain(source) if observed is None else observed
     h = recover_h(base, observed, max_level=n)

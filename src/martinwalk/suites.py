@@ -415,10 +415,11 @@ def lemma_reports(family: CountingFamily, horizon: int) -> list[CheckReport]:
             verify_counting_markov(source, law),
             verify_counting_cotransitions(source, horizon, walk, chain),
         ]
-    control = standard_negative_control()
+    # a count path of two steps is Markov for any source: the control needs three
+    control, n = standard_negative_control(), min(max(horizon, 3), 6)
     negative = CheckReport("negative-control-detected")
-    markov_rep = verify_counting_markov(control, source_cylinder_law(control, min(horizon, 6)))
-    cotrans_rep = verify_counting_cotransitions(control, min(horizon, 6))
+    markov_rep = verify_counting_markov(control, source_cylinder_law(control, n))
+    cotrans_rep = verify_counting_cotransitions(control, n)
     # expected: at least one violation each; record the violation counts
     negative.require("markov-check-should-fail", not markov_rep.ok, 1, len(markov_rep.violations))
     negative.require(

@@ -16,10 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from martinwalk import BudgetExceededError, ConfigError, kernel_rows, uniform_walk
+from martinwalk.chain import DEFAULT_ATOM_BUDGET
 from martinwalk.cli import (
     _COMMAND_KEYS,
+    _COMMON_KEYS,
     _RUNNERS,
     COMMANDS,
+    MAX_EXACT_BUDGET,
     MAX_KERNEL_PAIRS,
     MAX_LIFT_DEPTH,
     Report,
@@ -731,6 +734,24 @@ class TestRegressions:
         assert captured.err.startswith("error: budget must be an integer >= 2, got 1")
         assert "Traceback" not in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_verify_budget_two_passes(self, tmp_path, d):
+        # a two-step count path is Markov for any source: at budget 2 the negative
+        # control used to pass the Markov check and so fail the report
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "r.json"
+        cfg_path.write_text(config_text(command="verify", d=d, budget=2))
+        assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert json.loads(out.read_bytes())["summary"]["status"] == "pass"
+
+    def test_unhashable_source_kind_is_a_config_error(self, tmp_path, capsys):
+        # a list as the source kind used to end in TypeError: unhashable type
+        cfg_path = tmp_path / "cfg.json"
+        source = {"kind": ["polya"], "initial": [1, 1]}
+        cfg_path.write_text(config_text(command="estimate", source=source, replicates=2))
+        assert main(["estimate", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown source kind ['polya']") and "Traceback" not in err
+
     def test_lift_depth_limit(self, tmp_path, capsys):
         # a 2**-depth residual of more than 4,300 digits used to end in ValueError
         cfg_path, out = tmp_path / "cfg.json", tmp_path / "r.json"
@@ -827,3 +848,175 @@ class TestEstimateProperty:
             coords = [row[f"coord_{i + 1}"] for i in range(d)]
             assert abs(sum(coords) - 1) <= 1e-9
             assert all(c >= 0 and abs(c * horizon - round(c * horizon)) <= 1e-6 for c in coords)
+
+
+def _unit_points():
+    """Rationals in [0, 1) as "p/q" strings."""
+    return st.tuples(st.integers(0, 7), st.integers(1, 8)).filter(lambda pq: pq[0] < pq[1]).map(
+        lambda pq: f"{pq[0]}/{pq[1]}"
+    )
+
+
+@st.composite
+def _valid_configs(draw, command):
+    """A small config that ``command`` runs to status 0 in well under a second."""
+    doc = draw(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "seed": st.integers(0, 2**64),
+                "workers": st.integers(1, 2),
+                "format": st.sampled_from(["json", "csv"]),
+            },
+        )
+    )
+    d = draw(st.integers(1, 3))
+    if command in ("verify", "kernel"):
+        doc.update(d=d, budget=draw(st.integers(2 if command == "verify" else 1, 4)))
+    if command == "kernel" and draw(st.booleans()):
+        doc["alpha"] = draw(_simplex(d))
+    if command == "simulate":
+        doc.update(horizon=draw(st.integers(1, 30)), replicates=draw(st.integers(1, 4)))
+        doc.update(draw(st.sampled_from([{"d": d}, {"alpha": draw(_simplex(d))}])))
+    if command == "estimate":
+        doc.update(source=draw(_sources()), horizon=draw(st.integers(1, 60)))
+        doc["replicates"] = draw(st.integers(1, 20))
+    if command == "lift":
+        doc.update(points=draw(st.lists(_unit_points(), min_size=1, max_size=4)))
+        doc["depth"] = draw(st.integers(1, 40))
+    if command != "verify" and draw(st.booleans()):
+        # the same config with every rational as a float
+        doc = json.loads(
+            re.sub(r'"(\d+)/(\d+)"', lambda m: repr(int(m[1]) / int(m[2])), json.dumps(doc))
+        )
+        doc["mode"] = "float"
+    return doc
+
+
+#: values outside each integer key's range, which every command refuses as a config error
+_OUT_OF_RANGE = {
+    "d": [0, -1],
+    "budget": [0, -3],
+    "horizon": [0, 2**63],
+    "replicates": [0, -1],
+    "depth": [0, MAX_LIFT_DEPTH + 1],
+    "seed": [-1],
+    "workers": [0, -2],
+}
+
+#: the smallest work past each command's admission limits, refused with status 3
+_PAST_THE_LIMIT = {
+    "verify": [
+        {"d": 4, "budget": 9},
+        {"d": 5, "budget": 7},
+        {"d": 1, "budget": MAX_EXACT_BUDGET + 1},
+    ],
+    "kernel": [{"d": 4, "budget": 9}, {"d": 1, "budget": MAX_EXACT_BUDGET + 1}],
+    "simulate": [{"d": 2, "horizon": DEFAULT_ATOM_BUDGET // 2}],
+    "estimate": [
+        {
+            "source": {"kind": "polya", "initial": [1, 1]},
+            "replicates": DEFAULT_ATOM_BUDGET // 2 + 1,
+        },
+        {
+            "source": {"kind": "markov", "initial": ["1/2", "1/2"], "rows": [["1/2", "1/2"]] * 2},
+            "replicates": 1,
+            "horizon": DEFAULT_ATOM_BUDGET + 1,
+        },
+    ],
+}
+
+_BAD_RATIONALS = ["1/0", "a/b", "1/", "/2", "1//2", "", "-1/2", "3/2", "nan", "1e999", "0x1"]
+
+#: values of a type no key takes; a string is too short to be a command, mode or format
+_WRONG_TYPES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=2),
+    st.lists(st.sampled_from([None, "x", 1.5]), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+_FAULTS = [
+    "none",
+    "unknown key",
+    "wrong type",
+    "out of range",
+    "bad rational",
+    "unknown source kind",
+    "past the limit",
+]
+
+
+def _string_leaves(value, path=()):
+    """The path of every string inside a config value, dict keys aside."""
+    if isinstance(value, str):
+        yield path
+    elif isinstance(value, (list, dict)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            yield from _string_leaves(item, (*path, key))
+
+
+@st.composite
+def _fuzzed_configs(draw, command):
+    """A valid config, or one with one fault; with the statuses ``main`` may return."""
+    doc = draw(_valid_configs(command))
+    fault = draw(st.sampled_from(_FAULTS))
+    if fault == "unknown key":
+        known = _COMMON_KEYS.union(*_COMMAND_KEYS.values())
+        doc[draw(st.text(min_size=1, max_size=6).filter(lambda k: k not in known))] = 1
+        return doc, {2}
+    if fault == "wrong type":
+        key = draw(st.sampled_from(sorted({"command", "mode", *doc, *_OUT_OF_RANGE})))
+        doc[key] = draw(_WRONG_TYPES)
+        return doc, {2}
+    if fault == "out of range":
+        key = draw(st.sampled_from(sorted(_OUT_OF_RANGE)))
+        doc[key] = draw(st.sampled_from(_OUT_OF_RANGE[key]))
+        return doc, {2}
+    if fault == "bad rational":
+        leaves = [p for p in _string_leaves(doc) if p[0] in ("alpha", "points", "source")]
+        leaves = [p for p in leaves if p[-1] != "kind"]
+        if leaves:
+            *parents, last = draw(st.sampled_from(leaves))
+            owner = doc
+            for key in parents:
+                owner = owner[key]
+            owner[last] = draw(st.sampled_from(_BAD_RATIONALS))
+            return doc, {2}
+        # a config without a "p/q" string stays valid
+    if fault == "unknown source kind":
+        kind = draw(st.sampled_from(["dirichlet", "Polya", "", None, 1, ["mixture"]]))
+        doc["source"] = dict(doc.get("source", {}), kind=kind)
+        return doc, {2}
+    if fault == "past the limit":
+        if command == "lift":
+            doc["depth"] = MAX_LIFT_DEPTH + 1
+            return doc, {2}
+        for key in ("alpha", "mode", "d", "budget", "horizon", "replicates", "source"):
+            doc.pop(key, None)
+        doc.update(draw(st.sampled_from(_PAST_THE_LIMIT[command])))
+        return doc, {3}
+    return doc, {0}
+
+
+class TestFuzz:
+    """Every command ends in a documented exit status, whatever its config,
+    and never lets an exception escape ``main``."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_every_config_ends_in_a_documented_status(self, command, data):
+        doc, statuses = data.draw(_fuzzed_configs(command))
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = Path(tmp) / "cfg.json"
+            cfg_path.write_text(json.dumps(doc))
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                status = main([command, "--config", str(cfg_path), "--out", f"{tmp}/report"])
+        assert status in statuses, (doc, stderr.getvalue())
+        assert "Traceback" not in stderr.getvalue()

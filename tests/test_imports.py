@@ -24,11 +24,19 @@ at run time.  No module imports ``dataclasses``, which would load
 imported only by the CSV writer, so ``import martinwalk.cli`` loads none of
 the three.
 
+Each command loads only the modules it runs, again seen from fresh
+interpreters: ``import martinwalk``, ``simulate`` and ``kernel`` load none of
+``definetti``, ``harmonic`` and ``suites``; ``lift`` and ``estimate`` load
+``definetti`` alone; ``verify`` loads all three.  The package serves the
+exports of ``definetti`` and ``harmonic`` on first use, each the same object
+as its module's attribute.
+
 No public function in ``suites`` takes a degree ``d`` beside the ``walk`` or
 ``family`` it checks, since the two could disagree.
 """
 
 import ast
+import importlib
 import json
 import os
 import re
@@ -39,6 +47,8 @@ from pathlib import Path
 
 import pytest
 from test_tracer_targets import load_tracer
+
+import martinwalk
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "martinwalk"
@@ -142,11 +152,22 @@ def test_every_export_is_read():
         for node in init.body
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
-    }
+    } | set(martinwalk._LAZY)
     readers = [p.read_text() for p in (*MODULES, ACCEPTANCE)] + [_readme_example()]
     reads = set().union(*(_reads(ast.parse(text)) for text in readers))
     unread = sorted(exports - reads)
     assert not unread, f"package exports read nowhere: {unread}"
+
+
+def test_lazy_exports_are_their_modules_attributes():
+    names = ", ".join(martinwalk._LAZY)
+    imported = {}
+    exec(f"from martinwalk import {names}", imported)
+    for name, module in martinwalk._LAZY.items():
+        defined = getattr(importlib.import_module(f"martinwalk.{module}"), name)
+        assert getattr(martinwalk, name) is defined and imported[name] is defined, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        martinwalk.no_such_name
 
 
 #: public names that nothing reads, each with the reason it stays
@@ -286,10 +307,20 @@ def test_numpy_annotations_resolve():
         assert numpy.ndarray in typing.get_type_hints(annotated).values(), annotated
 
 
-def _run_in_fresh_interpreter(tmp_path, configs: dict) -> dict:
+SMALL_CONFIGS = {
+    "verify": {"command": "verify", "d": 2, "budget": 4},
+    "kernel": {"command": "kernel", "d": 2, "budget": 3, "alpha": ["1/3", "2/3"]},
+    "simulate": {"command": "simulate", "d": 2, "horizon": 10, "replicates": 2},
+    "estimate": {"command": "estimate", "source": {"kind": "polya", "initial": [1, 1]},
+                 "horizon": 20, "replicates": 3},
+    "lift": {"command": "lift", "points": ["1/3", "5/8"], "depth": 8},
+}
+
+
+def _run_in_fresh_interpreter(tmp_path, configs: dict, watched=SAMPLING_ONLY) -> dict:
     """Run ``cli.main`` on each {command: config} in one new interpreter that
     starts with ``import martinwalk``; return the exit statuses and which
-    ``SAMPLING_ONLY`` modules are loaded afterwards."""
+    ``watched`` modules are loaded afterwards."""
     script = """
 import json, sys
 import martinwalk
@@ -304,7 +335,7 @@ for command, doc in configs.items():
 print(json.dumps({"statuses": statuses, "loaded": [m for m in watched if m in sys.modules]}))
 """
     return json.loads(
-        _fresh_python(script, str(tmp_path), json.dumps(configs), json.dumps(SAMPLING_ONLY))
+        _fresh_python(script, str(tmp_path), json.dumps(configs), json.dumps(watched))
     )
 
 
@@ -321,21 +352,13 @@ def _fresh_python(script: str, *args: str) -> str:
 
 
 def test_exact_commands_never_load_numpy(tmp_path):
-    configs = {
-        "verify": {"command": "verify", "d": 2, "budget": 4},
-        "kernel": {"command": "kernel", "d": 2, "budget": 3, "alpha": ["1/3", "2/3"]},
-        "lift": {"command": "lift", "points": ["1/3", "5/8"], "depth": 8},
-    }
+    configs = {command: SMALL_CONFIGS[command] for command in ("verify", "kernel", "lift")}
     result = _run_in_fresh_interpreter(tmp_path, configs)
     assert result == {"statuses": dict.fromkeys(configs, 0), "loaded": []}
 
 
 def test_sampling_commands_load_numpy(tmp_path):
-    configs = {
-        "simulate": {"command": "simulate", "d": 2, "horizon": 10, "replicates": 2},
-        "estimate": {"command": "estimate", "source": {"kind": "polya", "initial": [1, 1]},
-                     "horizon": 20, "replicates": 3},
-    }
+    configs = {command: SMALL_CONFIGS[command] for command in ("simulate", "estimate")}
     result = _run_in_fresh_interpreter(tmp_path, configs)
     assert result["statuses"] == dict.fromkeys(configs, 0)
     assert "numpy" in result["loaded"]
@@ -348,3 +371,28 @@ START_UP_HEAVY = ("dataclasses", "inspect", "csv")
 def test_cli_import_loads_no_start_up_heavy_module():
     script = "import sys, martinwalk.cli; print([m for m in sys.argv[1:] if m in sys.modules])"
     assert _fresh_python(script, *START_UP_HEAVY) == "[]\n"
+
+
+#: the modules of the exact de Finetti and boundary-theory apparatus, which
+#: ``verify`` runs and the other commands load only in part or not at all
+EXACT_APPARATUS = ("martinwalk.definetti", "martinwalk.harmonic", "martinwalk.suites")
+
+
+@pytest.mark.parametrize(
+    "commands, loaded",
+    [
+        (("simulate", "kernel"), []),
+        (("lift", "estimate"), ["martinwalk.definetti"]),
+        (("verify",), list(EXACT_APPARATUS)),
+    ],
+    ids=["simulate-kernel", "lift-estimate", "verify"],
+)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, commands, loaded):
+    configs = {command: SMALL_CONFIGS[command] for command in commands}
+    result = _run_in_fresh_interpreter(tmp_path, configs, EXACT_APPARATUS)
+    assert result == {"statuses": dict.fromkeys(commands, 0), "loaded": loaded}
+
+
+def test_package_import_loads_no_exact_apparatus():
+    script = "import sys, martinwalk; print([m for m in sys.argv[1:] if m in sys.modules])"
+    assert _fresh_python(script, *EXACT_APPARATUS) == "[]\n"
