@@ -10,7 +10,9 @@ canonical (sorted keys, no timestamps) so a fixed config and seed yield
 byte-identical reports, regardless of worker count.  Exit status: 0 all
 checks pass, 1 check failure, 2 bad config or an ``--out`` path that cannot
 be written, 3 budget exceeded (level, kernel-pair count, or the size of a
-path or sample array).
+path or sample array), 4 internal error: a fault in the program, also in a
+worker process, printed as its traceback and one ``error: internal error``
+line.
 """
 
 from __future__ import annotations
@@ -590,6 +592,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        import traceback
+
+        traceback.print_exc()
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     return status
 
 

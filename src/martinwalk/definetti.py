@@ -421,18 +421,12 @@ def cylinder_exchangeability_report(law: DistributionTable) -> CheckReport:
         count = math.factorial(len(key)) // math.prod(map(math.factorial, map(key.count, set(key))))
         if len(orderings) < count:
             orderings = sorted(set(itertools.permutations(key)))
-        nums = [law.nums.get(word, 0) for word in orderings]
-
-        def replay() -> None:
-            for other, num in zip(orderings[1:], nums[1:]):
-                report.record_ratio(
-                    lambda: f"permutation@{other} vs {orderings[0]}",
-                    (nums[0], law.den),
-                    (num, law.den),
-                )
-
-        # over the one denominator, the cross-products match when the numerators do
-        report.record_row(len(orderings) - 1, len(set(nums)) == 1, replay)
+        head, *rest = orderings
+        expected = law.nums.get(head, 0), law.den
+        report.record_ratios(
+            lambda other: f"permutation@{other} vs {head}",
+            ((other, expected, (law.nums.get(other, 0), law.den)) for other in rest),
+        )
     return report
 
 
@@ -669,12 +663,7 @@ def projection_consistency_check(
         raise ValueError("expected digit depths k+1 and k")
     pushed = deeper.push(lambda digits: digits[:-1])
     report = CheckReport("projection-consistency")
-    for key in sorted(pushed.nums.keys() | shallower.nums.keys()):
-        report.record_ratio(
-            lambda: f"digits={key}",
-            (shallower.nums.get(key, 0), shallower.den),
-            (pushed.nums.get(key, 0), pushed.den),
-        )
+    report.record_ratios(lambda key: f"digits={key}", shallower.pairs(pushed))
     return report
 
 

@@ -181,16 +181,11 @@ def kernel_transform_check(
     for x, n, lifted in kernel_rows(transformed, max_level):
         hx, original = transformed.h(x), base.kernel_row(x, n)
         h_num, h_den = hx.numerator, hx.denominator
-        ys = [y for y in transformed.enumerate_level(n) if y in lifted]
-
-        def replay() -> None:
-            for y in ys:
-                a, b = lifted[y]
-                report.record_ratio(lambda: f"K_h@({x}; {y})", original[y], (a * h_num, b * h_den))
-
-        pairs = zip(map(lifted.__getitem__, ys), map(original.__getitem__, ys))
-        holds = all(a * h_num * d == c * b * h_den for (a, b), (c, d) in pairs)
-        report.record_row(len(ys), holds, replay)
+        ys = (y for y in transformed.enumerate_level(n) if y in lifted)
+        report.record_ratios(
+            lambda y: f"K_h@({x}; {y})",
+            ((y, original[y], (lifted[y][0] * h_num, lifted[y][1] * h_den)) for y in ys),
+        )
     return report
 
 
@@ -199,24 +194,13 @@ def cotransition_equality_check(a: GradedChain, b: GradedChain, max_level: int) 
 
     Only conditioning states reachable in both chains are compared, each
     over the union of the two laws' supports, so that missing mass counts as 0.
-    The checks of one y form a row; laws in lowest terms have equal values
-    exactly when they are equal tables, so a row is counted at once then.
     """
     report = CheckReport(f"cotransition-equality[{a.name} vs {b.name}]")
     for n in range(1, max_level + 1):
         shared = a.forward_law(n).nums.keys() & b.forward_law(n).nums.keys()
         for y in sorted(shared):
             back_a, back_b = a.cotransition(y), b.cotransition(y)
-
-            def replay() -> None:
-                for x in sorted(back_a.nums.keys() | back_b.nums.keys()):
-                    report.record_ratio(
-                        lambda: f"cotransition@({y} -> {x})",
-                        (back_a.nums.get(x, 0), back_a.den),
-                        (back_b.nums.get(x, 0), back_b.den),
-                    )
-
-            report.record_row(len(back_a), back_a == back_b, replay)
+            report.record_ratios(lambda x: f"cotransition@({y} -> {x})", back_a.pairs(back_b))
     return report
 
 

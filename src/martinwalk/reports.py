@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Union
 
 from .prob import Prob, format_prob
 
@@ -85,6 +85,18 @@ class CheckReport:
         else:
             self.record(site, Fraction(a, b), Fraction(c, d))
 
+    def record_ratios(self, site: Callable[[Any], str], checks: Iterable[tuple]) -> None:
+        """``record_ratio`` at ``site(key)`` for each ``(key, expected, actual)``
+        of ``checks``: a row written as one stream, whose passing checks are
+        counted at once and whose failing ones alone make their site."""
+        passed = 0
+        for key, (a, b), (c, d) in checks:
+            if a * d == c * b:
+                passed += 1
+            else:
+                self.record(site(key), Fraction(a, b), Fraction(c, d))
+        self.checked += passed
+
     def require_bound(
         self, site: Site, actual: tuple[int, int], bound: tuple[int, int], strict: bool = False
     ) -> None:
@@ -100,10 +112,10 @@ class CheckReport:
 
     def record_row(self, checks: int, holds: bool, replay: Callable[[], object]) -> None:
         """Count a row of ``checks`` checks at once when ``holds``, the verdict
-        that every check of the row passes (its cross-products all match, or
-        meet their bounds); otherwise call ``replay``, which records the row
-        check by check on this report, so a failing row keeps the sites, order
-        and residuals of the per-check path."""
+        that every check of the row passes; otherwise call ``replay``, which
+        records the row check by check on this report, so a failing row keeps
+        the sites, order and residuals of the per-check path.  For a verdict
+        that is an algorithm, not a restatement of the row's checks."""
         if holds:
             self.checked += checks
         else:

@@ -8,7 +8,9 @@ failure-path cases pin the sites, expected values and residuals of checks
 that only fail on broken inputs, in the order they were recorded before
 those checks moved onto ``require``; the kernel-agreement, kernel-transform,
 representation, backwards-martingale and kernel-expectation cases were
-recorded before those checks moved onto the int pairs of ``kernel_row``.
+recorded before those checks moved onto the int pairs of ``kernel_row``,
+and the ``CONVERTED_ROWS`` cases while each of those rows was a verdict with
+a check-by-check replay, before it became one ``record_ratios`` stream.
 """
 
 import ast
@@ -29,13 +31,17 @@ from martinwalk.compositions import (
     uniform_walk,
 )
 from martinwalk.definetti import (
+    binary_digits,
+    counting_chain,
     cylinder_exchangeability_report,
+    projection_consistency_check,
     source_cylinder_law,
     verify_counting_cotransitions,
     verify_counting_markov,
 )
 from martinwalk.harmonic import (
     HarmonicFn,
+    cotransition_equality_check,
     density_ratio_check,
     h_transform,
     is_harmonic,
@@ -662,3 +668,228 @@ class TestRowsAgainstPerCheck:
         report.record_row(5, False, lambda: report.record_ratio("failing", (1, 2), (1, 3)))
         assert replayed == [] and report.checked == 5 + 1
         assert report.violations == [Violation("failing", Fraction(1, 2), Fraction(1, 3))]
+
+
+# -- rows written as one stream of checks ----------------------------------------
+
+
+def _history(*payloads) -> str:
+    """The site prefix of a count path history, its states at levels 1, 2, ..."""
+    states = ", ".join(f"State(level={k}, payload={p})" for k, p in enumerate(payloads, 1))
+    return f"history=({states})"
+
+
+def _swapped_transform_d3():
+    """The d=3 transform of (1/2, 1/3, 1/6) with its ``h`` replaced by the uniform boundary h."""
+    base = uniform_walk(3)
+    transformed = h_transform(
+        base, boundary_harmonic((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
+    )
+    transformed.h = boundary_harmonic((Fraction(1, 3),) * 3)
+    return kernel_transform_check(base, transformed, 2)
+
+
+def _mismatched_projection():
+    """Digits of 5/8 and 1/8 at depth 3 against those of 1/4 and 5/8 (twice)
+    at depth 2: only the pushed law has the key (0, 0)."""
+    deeper = DistributionTable(1, {Fraction(5, 8): 1, Fraction(1, 8): 1}, 2)
+    shallower = DistributionTable(1, {Fraction(1, 4): 1, Fraction(5, 8): 2}, 3)
+    return projection_consistency_check(
+        deeper.push(lambda point: binary_digits(point, 3)),
+        shallower.push(lambda point: binary_digits(point, 2)),
+    )
+
+
+def _swapped_alpha_walk(monkeypatch):
+    """Each alpha walk steps by its alpha reversed."""
+    monkeypatch.setattr(suites, "alpha_walk", lambda alpha: alpha_walk(alpha[::-1]))
+    return suites.transform_identity_reports(2, 2, [_THIRDS])[-2]
+
+
+#: the two count histories of the control that pass through (1, 1) at level 2
+_FROM_01, _FROM_10 = ((0, 1), (1, 1)), ((1, 0), (1, 1))
+
+#: name, checked, violations and first residual of each row written as one
+#: stream, recorded while each row was a verdict with a check-by-check replay
+CONVERTED_ROWS = {
+    "control-count-paths@4": (
+        lambda mp: verify_counting_markov(
+            standard_negative_control(), source_cylinder_law(standard_negative_control(), 4)
+        ),
+        "counting-markov[markov[d=2]]@4",
+        28,
+        [
+            (f"{_history(*_FROM_01)} -> (1, 2)@3", "2/3", "1/3"),
+            (f"{_history(*_FROM_01)} -> (2, 1)@3", "1/3", "2/3"),
+            (f"{_history(*_FROM_10)} -> (1, 2)@3", "2/3", "5/6"),
+            (f"{_history(*_FROM_10)} -> (2, 1)@3", "1/3", "1/6"),
+            (f"{_history((0, 1), (0, 2), (1, 2))} -> (1, 3)@4", "35/51", "1/3"),
+            (f"{_history((0, 1), (0, 2), (1, 2))} -> (2, 2)@4", "16/51", "2/3"),
+            (f"{_history(*_FROM_01, (1, 2))} -> (1, 3)@4", "35/51", "5/6"),
+            (f"{_history(*_FROM_01, (1, 2))} -> (2, 2)@4", "16/51", "1/6"),
+            (f"{_history(*_FROM_01, (2, 1))} -> (2, 2)@4", "13/21", "1/3"),
+            (f"{_history(*_FROM_01, (2, 1))} -> (3, 1)@4", "8/21", "2/3"),
+            (f"{_history(*_FROM_10, (1, 2))} -> (1, 3)@4", "35/51", "5/6"),
+            (f"{_history(*_FROM_10, (1, 2))} -> (2, 2)@4", "16/51", "1/6"),
+            (f"{_history(*_FROM_10, (2, 1))} -> (2, 2)@4", "13/21", "1/3"),
+            (f"{_history(*_FROM_10, (2, 1))} -> (3, 1)@4", "8/21", "2/3"),
+            (f"{_history((1, 0), (2, 0), (2, 1))} -> (2, 2)@4", "13/21", "5/6"),
+            (f"{_history((1, 0), (2, 0), (2, 1))} -> (3, 1)@4", "8/21", "1/6"),
+        ],
+        Fraction(-1, 3),
+    ),
+    "control-exchangeability@4": (
+        lambda mp: cylinder_exchangeability_report(
+            source_cylinder_law(standard_negative_control(), 4)
+        ),
+        "exchangeability",
+        11,
+        [
+            ("permutation@(1, 1, 2, 1) vs (1, 1, 1, 2)", "2/27", "1/54"),
+            ("permutation@(1, 2, 1, 1) vs (1, 1, 1, 2)", "2/27", "1/54"),
+            ("permutation@(2, 1, 1, 1) vs (1, 1, 1, 2)", "2/27", "1/27"),
+            ("permutation@(1, 2, 1, 2) vs (1, 1, 2, 2)", "5/54", "1/108"),
+            ("permutation@(1, 2, 2, 1) vs (1, 1, 2, 2)", "5/54", "5/216"),
+            ("permutation@(2, 1, 1, 2) vs (1, 1, 2, 2)", "5/54", "1/54"),
+            ("permutation@(2, 1, 2, 1) vs (1, 1, 2, 2)", "5/54", "1/216"),
+            ("permutation@(2, 2, 1, 1) vs (1, 1, 2, 2)", "5/54", "5/108"),
+            ("permutation@(2, 1, 2, 2) vs (1, 2, 2, 2)", "25/216", "5/216"),
+            ("permutation@(2, 2, 1, 2) vs (1, 2, 2, 2)", "25/216", "5/216"),
+            ("permutation@(2, 2, 2, 1) vs (1, 2, 2, 2)", "25/216", "25/432"),
+        ],
+        Fraction(-1, 18),
+    ),
+    "uniform-walk-vs-control-counting-chain": (
+        lambda mp: cotransition_equality_check(
+            uniform_walk(2), counting_chain(standard_negative_control()), 3
+        ),
+        "cotransition-equality[uniform-walk(d=2) vs counting[markov[d=2]]]",
+        12,
+        [
+            ("cotransition@((1, 1)@2 -> (0, 1)@1)", "1/2", "1/3"),
+            ("cotransition@((1, 1)@2 -> (1, 0)@1)", "1/2", "2/3"),
+            ("cotransition@((1, 2)@3 -> (0, 2)@2)", "1/3", "5/17"),
+            ("cotransition@((1, 2)@3 -> (1, 1)@2)", "2/3", "12/17"),
+            ("cotransition@((2, 1)@3 -> (1, 1)@2)", "2/3", "3/7"),
+            ("cotransition@((2, 1)@3 -> (2, 0)@2)", "1/3", "4/7"),
+        ],
+        Fraction(-1, 6),
+    ),
+    "kernel-transform-swapped-h-d3": (
+        lambda mp: _swapped_transform_d3(),
+        "kernel-transform[h-transform[K(.,('1/2', '1/3', '1/6'))](uniform-walk(d=3))]",
+        73,
+        [
+            ("K_h@((0, 0, 1)@1; (0, 0, 1)@1)", "3/1", "6/1"),
+            ("K_h@((0, 0, 1)@1; (0, 0, 2)@2)", "3/1", "6/1"),
+            ("K_h@((0, 0, 1)@1; (0, 1, 1)@2)", "3/2", "3/1"),
+            ("K_h@((0, 0, 1)@1; (1, 0, 1)@2)", "3/2", "3/1"),
+            ("K_h@((1, 0, 0)@1; (1, 0, 0)@1)", "3/1", "2/1"),
+            ("K_h@((1, 0, 0)@1; (1, 0, 1)@2)", "3/2", "1/1"),
+            ("K_h@((1, 0, 0)@1; (1, 1, 0)@2)", "3/2", "1/1"),
+            ("K_h@((1, 0, 0)@1; (2, 0, 0)@2)", "3/1", "2/1"),
+            ("K_h@((0, 0, 2)@2; (0, 0, 2)@2)", "9/1", "36/1"),
+            ("K_h@((0, 1, 1)@2; (0, 1, 1)@2)", "9/2", "9/1"),
+            ("K_h@((1, 0, 1)@2; (1, 0, 1)@2)", "9/2", "6/1"),
+            ("K_h@((1, 1, 0)@2; (1, 1, 0)@2)", "9/2", "3/1"),
+            ("K_h@((2, 0, 0)@2; (2, 0, 0)@2)", "9/1", "4/1"),
+        ],
+        Fraction(3),
+    ),
+    "projection-mismatched-laws": (
+        lambda mp: _mismatched_projection(),
+        "projection-consistency",
+        3,
+        [
+            ("digits=(0, 0)", "0/1", "1/2"),
+            ("digits=(0, 1)", "1/3", "0/1"),
+            ("digits=(1, 0)", "2/3", "1/2"),
+        ],
+        Fraction(1, 2),
+    ),
+    "alpha-walk-swapped": (
+        _swapped_alpha_walk,
+        "alpha-walk-equivalence[d=2]@2",
+        4,
+        [
+            (f"path@{_PATHS[0]}", "1/9", "4/9"),
+            (f"path@{_PATHS[3]}", "4/9", "1/9"),
+        ],
+        Fraction(1, 3),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CONVERTED_ROWS, ids=list(CONVERTED_ROWS))
+def test_converted_row_failure_path(case, monkeypatch):
+    """Each row written as one stream keeps the count, sites, order and
+    residuals its verdict-and-replay form recorded."""
+    build, name, checked, violations, residual = CONVERTED_ROWS[case]
+    report = build(monkeypatch)
+    rendered = [(v.site, format_prob(v.expected), format_prob(v.actual)) for v in report.violations]
+    assert (report.name, report.checked, rendered) == (name, checked, violations)
+    assert report.violations[0].residual == residual
+
+
+class TestRowPrimitives:
+    @given(
+        st.lists(
+            st.tuples(st.integers(-6, 6), st.integers(1, 6), st.integers(-6, 6), st.integers(1, 6)),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_record_ratios_is_a_record_ratio_loop(self, quads):
+        """``record_ratios`` counts and keeps what ``record_ratio`` does check
+        by check, and makes the site of a failing key only, once."""
+        checks = [(i, (a, b), (c, d)) for i, (a, b, c, d) in enumerate(quads)]
+        made = []
+
+        def site(key) -> str:
+            made.append(key)
+            return f"site {key}"
+
+        stream, loop = CheckReport("r"), CheckReport("r")
+        stream.record_ratios(site, iter(checks))
+        for key, expected, actual in checks:
+            loop.record_ratio(f"site {key}", expected, actual)
+        assert stream == loop
+        assert [v.residual for v in stream.violations] == [v.residual for v in loop.violations]
+        assert made == [key for key, (a, b), (c, d) in checks if a * d != c * b]
+
+    def test_pairs_walk_the_sorted_union_of_supports(self):
+        """A key in either support gives one pair, a missing key mass 0, and
+        each side keeps its own denominator."""
+        a = DistributionTable(1, {(0,): 1, (2,): 2}, 3)
+        b = DistributionTable(1, {(1,): 1, (2,): 3}, 4)
+        assert list(a.pairs(b)) == [
+            ((0,), (1, 3), (0, 4)),
+            ((1,), (0, 3), (1, 4)),
+            ((2,), (2, 3), (3, 4)),
+        ]
+        assert list(b.pairs(a)) == [
+            ((0,), (0, 4), (1, 3)),
+            ((1,), (1, 4), (0, 3)),
+            ((2,), (3, 4), (2, 3)),
+        ]
+
+    def test_equal_laws_pass_with_one_check_per_key(self):
+        law = uniform_walk(2).cylinder_law(3)
+        report = CheckReport("r")
+        report.record_ratios(lambda path: f"path@{path}", law.pairs(uniform_walk(2).cylinder_law(3)))
+        assert (report.checked, report.violations) == (len(law), [])
+
+
+def test_record_row_has_one_reader():
+    """Only ``kernel_symmetry_report`` writes its rows as a verdict and a
+    replay: its verdict skips each x that does not reach y by a counting
+    argument, which no stream of checks can do.  Every other row is one
+    stream, so an identity is written once."""
+    readers = [
+        f"{path.stem}.{getattr(top, 'name', '<module>')}"
+        for path in MODULES
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "record_row"
+    ]
+    assert readers == ["suites.kernel_symmetry_report"]

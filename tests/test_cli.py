@@ -322,6 +322,31 @@ class TestMain:
         cfg_path.write_text(config_text(command="verify", d=2, budget=25))
         assert main(["verify", "--config", str(cfg_path)]) == 3
 
+    def test_internal_error_status(self, tmp_path, capsys, monkeypatch):
+        def broken(config, report):
+            raise RuntimeError("broken runner")
+
+        monkeypatch.setitem(_RUNNERS, "lift", broken)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(command="lift", points=["5/8"], depth=4))
+        assert main(["lift", "--config", str(cfg_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback")
+        assert err.endswith("\nerror: internal error: RuntimeError: broken runner\n")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_fault_is_an_internal_error(self, tmp_path, capsys, monkeypatch, workers):
+        def broken(points, depth):
+            raise ZeroDivisionError("broken suite")
+
+        monkeypatch.setattr("martinwalk.suites.digit_roundtrip_report", broken)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(command="verify", d=2, budget=3))
+        argv = ["verify", "--config", str(cfg_path), "--workers", str(workers)]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.endswith("\nerror: internal error: ZeroDivisionError: broken suite\n")
+
     def test_missing_config_file(self):
         assert main(["verify", "--config", "/nonexistent/cfg.json"]) == 2
 
@@ -1004,8 +1029,9 @@ def _fuzzed_configs(draw, command):
 
 
 class TestFuzz:
-    """Every command ends in a documented exit status, whatever its config,
-    and never lets an exception escape ``main``."""
+    """Every command ends in one of the exit statuses 0 to 3 its config
+    predicts, whatever the config: none reaches the internal-error status 4,
+    which prints a traceback."""
 
     @pytest.mark.parametrize("command", COMMANDS)
     @settings(max_examples=20, deadline=None, derandomize=True)
