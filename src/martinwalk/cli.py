@@ -9,8 +9,8 @@ Configs are strict JSON: unknown keys are rejected, rationals travel as
 canonical (sorted keys, no timestamps) so a fixed config and seed yield
 byte-identical reports, regardless of worker count.  Exit status: 0 all
 checks pass, 1 check failure, 2 bad config or an ``--out`` path that cannot
-be written, 3 budget exceeded (level, kernel-pair count, or the size of a
-path or sample array), 4 internal error: a fault in the program, also in a
+be written, 3 budget exceeded (the estimated time of exact work, or the size
+of a path or sample array), 4 internal error: a fault in the program, also in a
 worker process, printed as its traceback and one ``error: internal error``
 line.
 """
@@ -27,19 +27,24 @@ from json.encoder import encode_basestring_ascii
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .chain import DEFAULT_ATOM_BUDGET, DistributionTable, kernel_rows
-from .compositions import alpha_walk, boundary_kernel, uniform_walk
+from .compositions import (
+    alpha_walk,
+    boundary_kernel,
+    kernel_pair_count,
+    kernel_row_count,
+    uniform_walk,
+    work_ns,
+)
 from .errors import BudgetExceededError, ConfigError
 from .parallel import usable_cores
 from .prob import Prob, format_prob, parse_prob, validate_simplex
 from .reports import CheckReport
 
-#: largest level budget the exact verification suites will accept
-MAX_EXACT_BUDGET = 12
-
-#: most kernel pairs (x, y) that ``verify`` and ``kernel`` will walk; a bound on
-#: time, since reports are streamed.  d=4 at budget 8 (149,292 pairs) is
-#: admitted; d=4 at budget 10 (592,878 pairs) is not.
-MAX_KERNEL_PAIRS = 150_000
+#: most estimated serial nanoseconds of exact work (``compositions.work_ns``)
+#: that ``verify`` or ``kernel`` admits: the cost of ``verify`` at d=5, budget 6,
+#: the costliest config admitted by the earlier limits of budget 12 and 150,000
+#: kernel pairs
+MAX_EXACT_NS = 925_973_680
 
 #: deepest ``lift``: from depth 14,284 Python refuses to print its 2**-depth residual
 MAX_LIFT_DEPTH = 10_000
@@ -322,36 +327,37 @@ def _exact_record(report: CheckReport) -> dict:
 # -- commands -------------------------------------------------------------------------
 
 
-def kernel_pair_count(d: int, budget: int) -> int:
-    """Number of pairs (x, y) of d-part compositions with |x| <= |y| <= budget."""
-    sizes = [math.comb(n + d - 1, d - 1) for n in range(budget + 1)]
-    return sum(size * sum(sizes[m:]) for m, size in enumerate(sizes))
+def _admit(config: RunConfig, cost: Callable[[int, int], int]) -> None:
+    """Refuse, before any work, a config whose ``cost(d, budget)`` exceeds
+    ``MAX_EXACT_NS``: the budgets are costed doubling up to the config's, so
+    a huge one is refused while its counts are small (a cost grows with it)."""
+    budget = 1
+    while cost(config.d, min(budget, config.budget)) <= MAX_EXACT_NS:
+        if budget >= config.budget:
+            return
+        budget *= 2
+    raise BudgetExceededError(
+        f"d={config.d}, budget {config.budget} needs more than the "
+        f"{MAX_EXACT_NS / 1e9:.2f} s of estimated serial work that {config.command} admits"
+    )
 
 
-def _check_budget(config: RunConfig) -> None:
-    if config.budget > MAX_EXACT_BUDGET:
-        raise BudgetExceededError(
-            f"budget {config.budget} exceeds the exact-suite maximum {MAX_EXACT_BUDGET}"
-        )
-    pairs = kernel_pair_count(config.d, config.budget)
-    if pairs > MAX_KERNEL_PAIRS:
-        raise BudgetExceededError(
-            f"d={config.d}, budget {config.budget} needs {pairs} kernel pairs, "
-            f"more than the maximum {MAX_KERNEL_PAIRS}"
-        )
+def _kernel_cost(d: int, budget: int) -> int:
+    # each kernel row is a conditional law and a row of values: two state visits
+    return work_ns(written=kernel_pair_count(d, budget), states=2 * kernel_row_count(d, budget))
 
 
 def _run_verify(config: RunConfig, report: Report) -> None:
-    from .suites import full_verification
+    from .suites import full_verification, verify_cost
 
-    _check_budget(config)
+    _admit(config, verify_cost)
     report.records.extend(
         _exact_record(r) for r in full_verification(config.d, config.budget, config.workers)
     )
 
 
 def _run_kernel(config: RunConfig, report: Report) -> None:
-    _check_budget(config)
+    _admit(config, _kernel_cost)
     chain = uniform_walk(config.d)
     report.fields = ("kind", "x", "m", "y", "n", "value")
 
@@ -437,23 +443,17 @@ def _run_estimate(config: RunConfig, report: Report) -> None:
 def _run_lift(config: RunConfig, report: Report) -> None:
     from .definetti import binary_digits, projection_consistency_check, reconstruct_real
 
-    bound = Fraction(1, 2**config.depth)
     report.fields = ("point", "digits", "reconstructed")
     for p in config.points:
         digits = binary_digits(p, config.depth)
-        back = reconstruct_real(digits)
-        gap = abs(Fraction(p) - back)
+        back, point = reconstruct_real(digits), Fraction(p)
         report.rows.append((format_prob(p), "".join(map(str, digits)), format_prob(back)))
-        report.records.append(
-            {
-                "name": f"digit-roundtrip@{format_prob(p)}",
-                "mode": "exact",
-                "status": "pass" if gap < bound else "fail",
-                "checked": 1,
-                "violations": 0 if gap < bound else 1,
-                "residual": format_prob(gap),
-            }
-        )
+        # |p - back| < 2^-depth, as an int cross-product over den
+        den = point.denominator * back.denominator
+        gap = abs(point.numerator * back.denominator - back.numerator * point.denominator)
+        roundtrip = CheckReport(f"digit-roundtrip@{format_prob(p)}")
+        roundtrip.require_bound("roundtrip", (gap, den), (1, 2**config.depth), strict=True)
+        report.records.append(_exact_record(roundtrip))
     if config.depth >= 2:
         # the points' empirical law: mass 1/n per index, so a point listed twice weighs 2/n
         n = len(config.points)

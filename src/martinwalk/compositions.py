@@ -234,3 +234,33 @@ def rounded_ray_point(n: int, alpha: Sequence[Prob]) -> Composition:
         base[i] += 1
     return tuple(base)
 
+
+# -- work estimates -------------------------------------------------------------
+
+#: estimated serial nanoseconds per unit of exact work, the one unit in which
+#: ``verify`` deals out its families and ``verify`` and ``kernel`` are admitted:
+#: a kernel pair at level n, counted (20 + n)/20 times as its ints gain a 30-bit
+#: digit about every 20 levels; a path or word, per pass; a visit of a state or
+#: of a kernel row or column; a value that ``kernel`` computes and writes.  The
+#: first three were fitted once, by least squares on relative error, to the
+#: best-of-3 serial in-process time of each ``verify`` family at 28 configs from
+#: d=1/budget 150 to d=30/budget 2, the last timed on ``kernel`` at 149,000 to
+#: 206,000 values (4.0 to 5.1 us each); all on one 2-core x86-64, Python 3.11
+PAIR_NS, PATH_NS, STATE_NS, WRITTEN_NS = 230, 1_300, 9_300, 4_300
+
+
+def kernel_pair_count(d: int, budget: int) -> int:
+    """Number of pairs (x, y) of d-part compositions with |x| <= |y| <= budget."""
+    sizes = [math.comb(n + d - 1, d - 1) for n in range(budget + 1)]
+    return sum(size * sum(sizes[m:]) for m, size in enumerate(sizes))
+
+
+def kernel_row_count(d: int, budget: int) -> int:
+    """Number of kernel rows (x, n) with |x| <= n <= budget."""
+    return math.comb(budget + d + 1, d + 1)
+
+
+def work_ns(pairs: int = 0, paths: int = 0, states: int = 0, written: int = 0) -> int:
+    """Estimated serial nanoseconds of work over these many units, as an int
+    however large the counts."""
+    return pairs * PAIR_NS + paths * PATH_NS + states * STATE_NS + written * WRITTEN_NS

@@ -13,13 +13,10 @@ no degree beside it: d is the number of parts of the walk's root, so a record
 name always names the chain that was checked.
 
 With one worker every family runs in the calling process.  With more,
-``fork_map`` deals the families out to forked children by their cost at
-d=3, budget 8, and the caller only collects the reports.  With two children
-one runs the chain, boundary, unnormalized, representation, identity and
-digits families and the lift suite, and the other the transform and counting
-families and the projection suite: 26 ms each in-process at d=3, budget 8 on
-a 2-core machine.
-The reports come back in the same order for every worker count.
+``fork_map`` deals the families out to forked children by their cost, which
+is counted, not timed: the units of work that a family walks at (d, budget),
+each at its estimated serial time (``compositions.work_ns``).  The caller
+only collects the reports, in the same order for every worker count.
 
 Each record, by family, as its expected side against its actual side:
 
@@ -64,9 +61,10 @@ Each record, by family, as its expected side against its actual side:
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .chain import (
     DistributionTable,
@@ -83,9 +81,12 @@ from .compositions import (
     closed_form_kernel,
     closed_form_kernel_row,
     compositions,
+    kernel_pair_count,
+    kernel_row_count,
     product_moment,
     rounded_ray_point,
     uniform_walk,
+    work_ns,
 )
 from .definetti import (
     MarkovSource,
@@ -536,11 +537,11 @@ def identity_reports(d: int, horizon: int) -> list[CheckReport]:
 # -- top-level driver -------------------------------------------------------------------------
 
 
-def _chain_reports(d: int, budget: int, small_level: int) -> list[CheckReport]:
+def _chain_reports(d: int, budget: int) -> list[CheckReport]:
     """The structural, oracle and kernel suites, all over one uniform walk,
     which is dropped when they are done; the oracle and Markov suites read
     one path law, dropped before the kernel suites run."""
-    walk = uniform_walk(d)
+    walk, small_level = uniform_walk(d), min(budget, 6)
     reports = [walk.check_row_stochastic(budget), walk.check_weak_irreducibility(budget)]
     law = walk.cylinder_law(small_level)
     reports += [oracle_equivalence_report(walk, law), cylinder_markov_report(walk, law)]
@@ -560,36 +561,91 @@ def _counting_reports(d: int, horizon: int) -> list[CheckReport]:
     return [*lemma_reports(family, horizon), recovery_identity_report(family, horizon)]
 
 
-def full_verification(d: int, budget: int, workers: int = 1) -> list[CheckReport]:
-    """The exact invariant suites of all modules at the given budgets, in the
-    families the module docstring names, on up to ``workers`` forked
-    processes; the reports come in the same order for every worker count."""
-    small_level = min(budget, 6)
-    alphas = rational_alphas(d, 4)
-    # (cost, family): each cost is the family's time in ms at d=3, budget 8, in one process
-    families: list[tuple[float, Callable[[], list[CheckReport]]]] = [
-        (18, lambda: _chain_reports(d, budget, small_level)),
-        (2.6, lambda: [boundary_harmonicity_report(d, budget, alphas)]),
+def _pairs(d: int, n: int) -> int:
+    """The kernel pairs up to level n, each weighted by its digits."""
+    return kernel_pair_count(d, n) * (20 + n) // 20
+
+
+class Family(NamedTuple):
+    """A ``verify`` family at (d, budget): its name, a runner that makes its
+    reports, and its estimated serial nanoseconds (``work_ns``)."""
+
+    name: str
+    run: Callable[[], list[CheckReport]]
+    cost: int
+
+
+def verify_families(d: int, budget: int) -> list[Family]:
+    """The families of ``full_verification(d, budget)``, in report order.  A
+    cost counts the units that a family's suites walk up to a level n: the
+    C(n + d, d) states, the kernel's rows and columns, its pairs weighted by
+    their digits, and the d^n paths or words per pass (n passes for one that
+    works on each prefix of each path).  At d = 1 the plain product is the
+    normalized kernel (d^m = 1), so it cannot fail, and the standard sources
+    exist only at d in {2, 3}."""
+    b, h = budget, min(budget, 6)
+    paths, small_rows, small_states = d**h, kernel_row_count(d, h), math.comb(h + d, d)
+    # the (x, level) rows and (level, y) columns that the chain family's kernel suites visit
+    columns = sum((n + 1) * math.comb(n + d - 1, d - 1) for n in range(b + 1))
+    visits = kernel_row_count(d, b) + columns + 2 * small_rows
+    out = [
+        Family(
+            "chain",
+            lambda: _chain_reports(d, b),
+            work_ns(2 * _pairs(d, b) + 2 * _pairs(d, h), (1 + 2 * h) * paths, visits),
+        ),
+        Family(
+            "boundary-harmonicity",
+            lambda: [boundary_harmonicity_report(d, b, rational_alphas(d, 4))],
+            work_ns(states=4 * math.comb(b + d, d)),
+        ),
     ]
     if d >= 2:
-        # at d = 1 the plain product is the normalized kernel (d^m = 1), so it cannot fail
-        families.append(
-            (0.5, lambda: [unnormalized_rejection_report(d, min(budget, 4), alphas[:2])])
+        out.append(
+            Family(
+                "unnormalized-kernel-rejected",
+                lambda: [unnormalized_rejection_report(d, min(b, 4), rational_alphas(d, 2))],
+                work_ns(states=2 * math.comb(min(b, 4) + d, d)),
+            )
         )
-    families += [
-        (1.7, lambda: [representation_report(d, small_level, alphas[:2])]),
-        (11, lambda: transform_identity_reports(d, small_level, alphas[:2])),
+    out += [
+        # per alpha: a kernel row at level h for each probe, and the transformed forward law
+        Family(
+            "representation",
+            lambda: [representation_report(d, h, rational_alphas(d, 2))],
+            work_ns(2 * math.comb(2 + d, d) * math.comb(h + d - 1, d - 1), states=2 * small_states),
+        ),
+        # per alpha: two kernel rows a pair, four path passes, two cotransition checks
+        Family(
+            "transform",
+            lambda: transform_identity_reports(d, h, rational_alphas(d, 2)),
+            work_ns(4 * _pairs(d, h), 9 * paths, 2 * small_rows + 2 * d * small_states),
+        ),
     ]
     if d in (2, 3):
-        families += [
-            (15, lambda: _counting_reports(d, small_level)),
-            (0.3, lambda: identity_reports(d, small_level)),
+        # the counting family reads two sources' word laws, each in 3 h + 1 passes
+        out += [
+            Family("counting", lambda: _counting_reports(d, h), work_ns(paths=(6 * h + 2) * paths)),
+            Family("definetti-identity", lambda: identity_reports(d, h), work_ns(paths=d**3)),
         ]
-    families += [
-        (3.0, lambda: [digit_roundtrip_report(points=1000, depth=30)]),
-        (0.1, lambda: [projection_report()]),
-        (0.1, lambda: [lift_exchangeability_report()]),
+    return out + [
+        # each of 1000 points is a word of 30 binary digits, built and summed: two passes
+        Family("digit-roundtrip", lambda: [digit_roundtrip_report(1000, 30)], work_ns(paths=2000)),
+        Family("lift-projection", lambda: [projection_report()], 0),
+        Family("lift-exchangeability", lambda: [lift_exchangeability_report()], 0),
     ]
-    costs, runs = zip(*families)
-    reports = fork_map(lambda run: run(), runs, workers, costs)
+
+
+def verify_cost(d: int, budget: int) -> int:
+    """Estimated serial nanoseconds of ``full_verification(d, budget)``."""
+    return sum(family.cost for family in verify_families(d, budget))
+
+
+def full_verification(d: int, budget: int, workers: int = 1) -> list[CheckReport]:
+    """The exact invariant suites of all modules at the given budgets, in the
+    ``verify_families``, on up to ``workers`` forked processes dealt by cost;
+    the reports come in the same order for every worker count.  The counting
+    and identity families run only at d in {2, 3}."""
+    families = verify_families(d, budget)
+    reports = fork_map(lambda family: family.run(), families, workers, [f.cost for f in families])
     return [report for family in reports for report in family]

@@ -20,10 +20,10 @@ from martinwalk.chain import DEFAULT_ATOM_BUDGET
 from martinwalk.cli import (
     _COMMAND_KEYS,
     _COMMON_KEYS,
+    _kernel_cost,
     _RUNNERS,
     COMMANDS,
-    MAX_EXACT_BUDGET,
-    MAX_KERNEL_PAIRS,
+    MAX_EXACT_NS,
     MAX_LIFT_DEPTH,
     Report,
     emit,
@@ -32,11 +32,22 @@ from martinwalk.cli import (
     parse_config,
     run,
 )
+from martinwalk.suites import verify_cost
 
 
 def config_text(**kwargs):
     return json.dumps(kwargs)
 
+
+#: the estimated serial nanoseconds at (d, budget) that each exact command is admitted by
+_COSTS = {"verify": verify_cost, "kernel": _kernel_cost}
+
+#: the largest ``verify`` budget admitted by the earlier limits (budget at most 12
+#: and at most 150,000 kernel pairs), for d = 1..8
+_EARLIER_LARGEST_BUDGET = {1: 12, 2: 12, 3: 12, 4: 8, 5: 6, 6: 5, 7: 4, 8: 3}
+
+#: the smallest budget past the one limit, for d = 1, 3 and 5
+_SMALLEST_REFUSED = {"verify": {1: 268, 3: 17, 5: 7}, "kernel": {1: 283, 3: 14, 5: 7}}
 
 #: the keys besides ``horizon`` of a small config for each sampling command
 HORIZON_KEYS = {
@@ -163,7 +174,7 @@ class TestRun:
         assert "clusters" in report.summary
 
     def test_budget_exceeded(self):
-        cfg = parse_config(config_text(command="verify", d=2, budget=30))
+        cfg = parse_config(config_text(command="verify", d=2, budget=50))
         with pytest.raises(BudgetExceededError):
             run(cfg)
 
@@ -319,7 +330,7 @@ class TestMain:
 
     def test_budget_error_status(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(config_text(command="verify", d=2, budget=25))
+        cfg_path.write_text(config_text(command="verify", d=2, budget=50))
         assert main(["verify", "--config", str(cfg_path)]) == 3
 
     def test_internal_error_status(self, tmp_path, capsys, monkeypatch):
@@ -366,9 +377,12 @@ class TestGoldenBytes:
     budget became constants, d=3 ``verify`` at budget 8 before the exact
     laws became int numerators, d=3 ``kernel`` before its row loop moved
     onto ``kernel_rows``, a repeated ``lift`` point before the lift's
-    laws became tables, and d=2 ``verify`` at budget 12, the deepest backward
-    chain ``verify`` admits, before backward laws became tables; any change to ``verify``/``kernel``/``lift`` bytes
-    must be deliberate."""
+    laws became tables, d=2 ``verify`` at budget 12 before backward laws
+    became tables, d=2 ``verify`` at budget 14, first admitted by the one cost
+    limit, recorded with the earlier code and its admission bypassed, and
+    non-dyadic ``lift`` points once their records passed through
+    ``CheckReport`` (a passing record's residual reads 0/1, not the gap); any
+    change to ``verify``/``kernel``/``lift`` bytes must be deliberate."""
 
     @pytest.mark.parametrize(
         "doc, fmt, digest",
@@ -448,6 +462,16 @@ class TestGoldenBytes:
                 "json",
                 "5404b3d4c1aa3c1cd64a024d13d85cf08f06ef5a1f5d7232913009040f3303f0",
             ),
+            (
+                {"command": "verify", "d": 2, "budget": 14},
+                "json",
+                "1c69c8ef14339182e279919c35e2d92851b7aead8ec95d129b171f79f957bbd9",
+            ),
+            (
+                {"command": "lift", "points": ["1/3", "5/8", "1/10"], "depth": 6},
+                "json",
+                "b125d4fa2434d758fcd106ccc574cef43d859f4e8afb1c4d45c6e4027be44cb7",
+            ),
         ],
         ids=[
             "verify",
@@ -465,6 +489,8 @@ class TestGoldenBytes:
             "lift-repeated-point",
             "lift-repeated-point-csv",
             "verify-d2-budget12",
+            "verify-d2-budget14",
+            "lift-non-dyadic",
         ],
     )
     def test_report_digest(self, doc, fmt, digest):
@@ -777,6 +803,22 @@ class TestRegressions:
         err = capsys.readouterr().err
         assert err.startswith("error: unknown source kind ['polya']") and "Traceback" not in err
 
+    def test_failing_lift_record_reads_gap_over_bound(self, monkeypatch):
+        from martinwalk import definetti
+
+        # a reconstruction off by 1/4 at depth 3 fails by 1/4 - 1/8
+        monkeypatch.setattr(definetti, "reconstruct_real", lambda digits: Fraction(7, 8))
+        report, status = run(parse_config(config_text(command="lift", points=["5/8"], depth=3)))
+        assert status == 1
+        assert report.records[0] == {
+            "name": "digit-roundtrip@5/8",
+            "mode": "exact",
+            "status": "fail",
+            "checked": 1,
+            "violations": 1,
+            "residual": "1/8",
+        }
+
     def test_lift_depth_limit(self, tmp_path, capsys):
         # a 2**-depth residual of more than 4,300 digits used to end in ValueError
         cfg_path, out = tmp_path / "cfg.json", tmp_path / "r.json"
@@ -792,7 +834,6 @@ class TestRegressions:
         assert kernel_pair_count(3, 8) == 16_071
         assert kernel_pair_count(4, 10) == 592_878
         assert kernel_pair_count(1, 12) == 91
-        assert kernel_pair_count(3, 8) <= MAX_KERNEL_PAIRS < kernel_pair_count(4, 10)
 
     def test_pair_count_matches_kernel_rows(self):
         report, _ = run(parse_config(config_text(command="kernel", d=3, budget=3)))
@@ -804,10 +845,48 @@ class TestRegressions:
                 walked = sum(len(row) for _, _, row in kernel_rows(walk, budget))
                 assert walked == kernel_pair_count(d, budget), (d, budget)
 
-    @pytest.mark.parametrize("command", ["verify", "kernel"])
-    def test_pair_budget_rejects_before_work(self, tmp_path, command):
+    def test_limit_is_the_costliest_earlier_admission(self):
+        # the earlier limits: budget at most 12 and at most 150,000 kernel pairs
+        earlier = [
+            (d, budget)
+            for d in range(1, 30)
+            for budget in range(1, 13)
+            if kernel_pair_count(d, budget) <= 150_000
+        ]
+        assert max(verify_cost(d, budget) for d, budget in earlier if budget >= 2) == MAX_EXACT_NS
+        assert max(_COSTS["kernel"](d, budget) for d, budget in earlier) <= MAX_EXACT_NS
+
+    @pytest.mark.parametrize("d, budget", sorted(_EARLIER_LARGEST_BUDGET.items()))
+    def test_earlier_admissions_stay_admitted(self, d, budget):
+        for command in ("verify", "kernel"):
+            assert _COSTS[command](d, budget) <= MAX_EXACT_NS, (command, d, budget)
+
+    @pytest.mark.parametrize("d, budget", [(3, 16), (2, 30)])
+    def test_newly_admitted_verify_runs(self, tmp_path, d, budget):
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "r.json"
+        cfg_path.write_text(config_text(command="verify", d=d, budget=budget))
+        assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert json.loads(out.read_bytes())["summary"]["status"] == "pass"
+
+    @pytest.mark.parametrize(
+        "command, d, budget",
+        [(c, d, b) for c, first in sorted(_SMALLEST_REFUSED.items()) for d, b in first.items()],
+    )
+    def test_smallest_refused_config(self, tmp_path, command, d, budget):
+        # the budget below is admitted by the same cost, and this one exits 3 before any work
+        assert _COSTS[command](d, budget - 1) <= MAX_EXACT_NS < _COSTS[command](d, budget)
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(config_text(command=command, d=10, budget=12))
+        cfg_path.write_text(config_text(command=command, d=d, budget=budget))
+        start = time.perf_counter()
+        assert main([command, "--config", str(cfg_path)]) == 3
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("command", ["verify", "kernel"])
+    @pytest.mark.parametrize("d, budget", [(10, 12), (2, 10**12), (10**9, 2)])
+    def test_pair_budget_rejects_before_work(self, tmp_path, command, d, budget):
+        # a huge budget or degree is refused while its counts are still small
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config_text(command=command, d=d, budget=budget))
         start = time.perf_counter()
         assert main([command, "--config", str(cfg_path)]) == 3
         assert time.perf_counter() - start < 1.0
@@ -931,12 +1010,10 @@ _OUT_OF_RANGE = {
 
 #: the smallest work past each command's admission limits, refused with status 3
 _PAST_THE_LIMIT = {
-    "verify": [
-        {"d": 4, "budget": 9},
-        {"d": 5, "budget": 7},
-        {"d": 1, "budget": MAX_EXACT_BUDGET + 1},
-    ],
-    "kernel": [{"d": 4, "budget": 9}, {"d": 1, "budget": MAX_EXACT_BUDGET + 1}],
+    **{
+        command: [{"d": d, "budget": budget} for d, budget in smallest.items()]
+        for command, smallest in _SMALLEST_REFUSED.items()
+    },
     "simulate": [{"d": 2, "horizon": DEFAULT_ATOM_BUDGET // 2}],
     "estimate": [
         {

@@ -57,19 +57,23 @@ def test_equal_costs_deal_round_robin():
 
 
 def test_shares_balance_the_verify_families(monkeypatch):
-    """No process does more than 55% of the work, by the costs ``verify`` deals out."""
+    """No process does more than 55% of the work, by the costs ``verify`` deals
+    out, and the chain family shares its process with neither the transform
+    nor the counting family, the two that balance it."""
     dealt = []
 
     def record(fn, tasks, workers, costs):
-        dealt.append(costs)
+        dealt.append((tasks, costs))
         return []
 
     monkeypatch.setattr(suites, "fork_map", record)
     full_verification(3, 8, workers=2)
-    (costs,) = dealt
+    ((families, costs),) = dealt
     shares = parallel._shares(costs, 2)
     assert sorted(i for share in shares for i in share) == list(range(len(costs)))
     assert max(sum(costs[i] for i in share) for share in shares) <= 0.55 * sum(costs)
+    (chain_share,) = [{families[i].name for i in share} for share in shares if 0 in share]
+    assert "chain" in chain_share and not chain_share & {"transform", "counting"}
 
 
 def test_results_come_back_in_task_order(two_cores):
